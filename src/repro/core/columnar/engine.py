@@ -97,9 +97,14 @@ class RegionResolver:
     """Vectorised ``Campus.region_at`` plus home-region fallback.
 
     Built from the campus spatial index's public grid geometry and cell
-    table; uses the identical point-to-cell arithmetic and candidate
-    precedence (first containing building, else first containing road),
-    so the resolved regions match the object path exactly.
+    table; uses the identical point-to-cell arithmetic, containment
+    comparisons and candidate precedence (first containing building,
+    else first containing road), so the resolved regions match the
+    object path exactly.
+
+    Each cell's candidates are stored in *overwrite* order — roads
+    reversed, then buildings reversed — so writing every containing
+    candidate's code in turn leaves the highest-precedence one.
     """
 
     def __init__(self, campus: Campus) -> None:
@@ -120,60 +125,88 @@ class RegionResolver:
             self._cell_h,
         ) = index.grid_geometry()
         self._nx, self._ny = index.grid_shape
+        # The narrowest unsigned dtype holding every cell index (and an
+        # axis index of nx or ny before clipping): the stable argsort then
+        # runs as a radix sort on 1-2 byte keys.
+        self._cell_dtype = np.min_scalar_type(self._nx * self._ny)
         code_of = self.code_of
-        self._cells = [
-            tuple(
-                (x0, x1, y0, y1, is_building, code_of[region.region_id])
-                for (x0, x1, y0, y1, is_building, region) in entries
+        self._cells: list[tuple[tuple[float, float, float, float, int], ...]] = []
+        for entries in index.cell_table():
+            roads = [e for e in entries if not e[4]]
+            buildings = [e for e in entries if e[4]]
+            self._cells.append(
+                tuple(
+                    (x0, x1, y0, y1, code_of[region.region_id])
+                    for (x0, x1, y0, y1, _, region) in roads[::-1] + buildings[::-1]
+                )
             )
-            for entries in index.cell_table()
-        ]
+
+    def _cell_axis(
+        self, v: np.ndarray, v_min: float, width: float, n: int
+    ) -> np.ndarray:
+        """``clip(int((v - v_min) / width), 0, n - 1)`` in the cell dtype.
+
+        *v* is a scratch copy of in-bounds coordinates and is overwritten.
+        """
+        v -= v_min
+        v /= width
+        # In-bounds rows scale into [0, n]; the cast truncates like int().
+        index = v.astype(self._cell_dtype)
+        return np.minimum(index, n - 1, out=index)
 
     def resolve(
         self, x: np.ndarray, y: np.ndarray, fallback_codes: np.ndarray
     ) -> np.ndarray:
-        """Region code per node; *fallback_codes* where no region contains."""
+        """Region code per node; *fallback_codes* where no region contains.
+
+        One grouped pass: the in-bounds rows are stable-sorted by grid
+        cell, each occupied cell's candidates are tested against its
+        contiguous slice of rows, and the hits are scattered back.
+        """
         codes = fallback_codes.copy()
-        in_bounds = (
+        rows = np.flatnonzero(
             (x >= self._x_min)
             & (x <= self._x_max)
             & (y >= self._y_min)
             & (y <= self._y_max)
         )
-        idx_in = np.flatnonzero(in_bounds)
-        if not idx_in.size:
+        if not rows.size:
             return codes
         nx = self._nx
-        ix = np.clip(
-            ((x[idx_in] - self._x_min) / self._cell_w).astype(np.int64),
-            0,
-            nx - 1,
-        )
-        iy = np.clip(
-            ((y[idx_in] - self._y_min) / self._cell_h).astype(np.int64),
-            0,
-            self._ny - 1,
-        )
-        cell = iy * nx + ix
-        for c in np.unique(cell):
-            rows = idx_in[cell == c]
-            cx = x[rows]
-            cy = y[rows]
-            building_hit = np.full(rows.size, -1, dtype=np.int64)
-            road_hit = np.full(rows.size, -1, dtype=np.int64)
-            for x0, x1, y0, y1, is_building, code in self._cells[c]:
-                contains = (cx >= x0) & (cx <= x1) & (cy >= y0) & (cy <= y1)
-                if is_building:
-                    building_hit = np.where(
-                        contains & (building_hit == -1), code, building_hit
-                    )
-                else:
-                    road_hit = np.where(
-                        contains & (road_hit == -1), code, road_hit
-                    )
-            hit = np.where(building_hit != -1, building_hit, road_hit)
-            found = hit != -1
-            codes[rows[found]] = hit[found]
+        cell = self._cell_axis(y[rows], self._y_min, self._cell_h, self._ny)
+        cell *= nx
+        cell += self._cell_axis(x[rows], self._x_min, self._cell_w, nx)
+        rows = rows[np.argsort(cell, kind="stable")]
+        counts = np.bincount(cell, minlength=nx * self._ny)
+        # The per-cell work runs in buffers sized for the fullest cell.
+        # Hundreds of per-cell temporaries allocated between the step's
+        # megabyte columns fragment the heap: over repeated 1M-node runs
+        # freed memory then stays resident and peak RSS creeps up.
+        size = int(counts.max())
+        cx_buf = np.empty(size)
+        cy_buf = np.empty(size)
+        hit_buf = np.empty(size, dtype=codes.dtype)
+        inside_buf = np.empty(size, dtype=bool)
+        test_buf = np.empty(size, dtype=bool)
+        start = 0
+        for entries, end in zip(self._cells, np.cumsum(counts).tolist()):
+            if entries and end > start:
+                cell_rows = rows[start:end]
+                n = end - start
+                cx = np.take(x, cell_rows, out=cx_buf[:n])
+                cy = np.take(y, cell_rows, out=cy_buf[:n])
+                hit = np.take(codes, cell_rows, out=hit_buf[:n])
+                inside = inside_buf[:n]
+                test = test_buf[:n]
+                for x0, x1, y0, y1, code in entries:
+                    # inside = (cx >= x0) & (cx <= x1) & (cy >= y0) & (cy <= y1)
+                    np.greater_equal(cx, x0, out=inside)
+                    inside &= np.less_equal(cx, x1, out=test)
+                    inside &= np.greater_equal(cy, y0, out=test)
+                    inside &= np.less_equal(cy, y1, out=test)
+                    np.copyto(hit, code, where=inside)
+                codes[cell_rows] = hit
+            start = end
         return codes
 
 
@@ -701,16 +734,12 @@ class ColumnarExperiment:
                 for i, count in enumerate(lane.m_region.tolist())
                 if count
             }
-            per_node = {
-                nid: int(count)
-                for nid, count in zip(self.node_ids, lane.m_node.tolist())
-                if count
-            }
+            # The run is over: the meter may keep m_node and read it lazily.
             meter.add_counts(
                 messages=lane.m_total,
                 total_bytes=lane.m_bytes,
                 per_region=per_region,
-                per_node=per_node,
+                node_counts=(self.node_ids, lane.m_node),
                 bins=dict(lane.m_bins),
             )
             summary: dict[str, float] = {}

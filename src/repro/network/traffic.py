@@ -19,6 +19,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Sequence
+
+import numpy as np
 
 from repro.util.timeseries import TimeSeries
 
@@ -38,6 +41,9 @@ class TrafficMeter:
         self._total = 0
         self._per_region: Counter[str] = Counter()
         self._per_node: Counter[str] = Counter()
+        # (node ids, counts) arrays from add_counts, folded into _per_node
+        # on first read: a 1M-node run never pays for a dict nobody reads.
+        self._node_counts: list[tuple[Sequence[str], np.ndarray]] = []
         self._bytes = 0
 
     @property
@@ -70,6 +76,7 @@ class TrafficMeter:
         self._total += 1
         self._per_region[region_id] += 1
         if node_id:
+            self._fold_node_counts()
             self._per_node[node_id] += 1
         self._bytes += size_bytes
 
@@ -79,7 +86,7 @@ class TrafficMeter:
         messages: int,
         total_bytes: int = 0,
         per_region: dict[str, int] | None = None,
-        per_node: dict[str, int] | None = None,
+        node_counts: tuple[Sequence[str], np.ndarray] | None = None,
         bins: dict[int, int] | None = None,
         events: list[tuple[float, str]] | None = None,
     ) -> None:
@@ -88,6 +95,12 @@ class TrafficMeter:
         The columnar engine accumulates whole-population traffic in arrays
         and folds the totals in once at collection time; *bins* applies in
         binned retention mode (keyed by bin index), *events* in exact mode.
+
+        *node_counts* is ``(node_ids, counts)`` with one count per id.  The
+        meter keeps both by reference (the caller must not mutate them
+        afterwards) and folds the nonzero rows into its per-node totals,
+        in id order, when they are first read, so a caller that never
+        reads them never builds the per-node dict.
         """
         if messages < 0 or total_bytes < 0:
             raise ValueError("counts must be >= 0")
@@ -95,8 +108,13 @@ class TrafficMeter:
         self._bytes += total_bytes
         if per_region:
             self._per_region.update(per_region)
-        if per_node:
-            self._per_node.update(per_node)
+        if node_counts is not None:
+            node_ids, counts = node_counts
+            if len(node_ids) != len(counts):
+                raise ValueError(
+                    f"{len(node_ids)} node ids for {len(counts)} counts"
+                )
+            self._node_counts.append((node_ids, counts))
         if self._bin_width is None:
             if events:
                 self._events.extend(events)
@@ -117,12 +135,22 @@ class TrafficMeter:
         """Message totals keyed by region id."""
         return dict(self._per_region)
 
+    def _fold_node_counts(self) -> None:
+        """Merge the pending ``add_counts`` arrays into the per-node totals."""
+        for node_ids, counts in self._node_counts:
+            rows = np.flatnonzero(counts)
+            ids = [node_ids[i] for i in rows.tolist()]
+            self._per_node.update(dict(zip(ids, counts[rows].tolist())))
+        self._node_counts.clear()
+
     def per_node(self) -> dict[str, int]:
         """Message totals keyed by node id (only when counted with one)."""
+        self._fold_node_counts()
         return dict(self._per_node)
 
     def node_total(self, node_id: str) -> int:
         """Messages attributed to one node."""
+        self._fold_node_counts()
         return self._per_node.get(node_id, 0)
 
     def region_total(self, region_id: str) -> int:

@@ -1,5 +1,6 @@
 """Tests for traffic meters."""
 
+import numpy as np
 import pytest
 
 from repro.network import TrafficMeter
@@ -137,3 +138,84 @@ class TestBinnedRetention:
             m.count(i * 0.001, "R1")  # all within (0, 10]
         assert m.total == 10_000
         assert len(m._bins) <= 11
+
+
+def _eager(node_ids, counts):
+    """The per-node dict the columnar engine used to build eagerly."""
+    return {
+        nid: int(count)
+        for nid, count in zip(node_ids, np.asarray(counts).tolist())
+        if count
+    }
+
+
+class TestArrayNodeCounts:
+    """add_counts(node_counts=(ids, counts)): folded in on first read."""
+
+    IDS = [f"n{i:03d}" for i in range(12)]
+    COUNTS = np.array([3, 0, 1, 0, 0, 7, 2, 0, 1, 1, 0, 4], dtype=np.int64)
+
+    def _meter(self, ids=None, counts=None):
+        m = TrafficMeter("c", bin_width=1.0)
+        m.add_counts(
+            messages=int(self.COUNTS.sum()),
+            node_counts=(
+                self.IDS if ids is None else ids,
+                self.COUNTS if counts is None else counts,
+            ),
+        )
+        return m
+
+    def test_per_node_equals_the_eager_dict_in_order(self):
+        got = self._meter().per_node()
+        want = _eager(self.IDS, self.COUNTS)
+        assert list(got.items()) == list(want.items())
+        assert all(type(v) is int for v in got.values())
+
+    def test_zero_rows_omitted(self):
+        got = self._meter().per_node()
+        assert "n001" not in got and "n010" not in got
+        assert len(got) == int(np.count_nonzero(self.COUNTS))
+
+    def test_node_total_including_unknown_ids(self):
+        m = self._meter()
+        assert m.node_total("n005") == 7
+        assert m.node_total("n001") == 0  # zero row
+        assert m.node_total("nobody") == 0
+        assert m.per_node() == _eager(self.IDS, self.COUNTS)
+
+    def test_all_zero_counts(self):
+        m = self._meter(counts=np.zeros(len(self.IDS), dtype=np.int64))
+        assert m.per_node() == {}
+
+    def test_second_add_counts_merges(self):
+        m = self._meter()
+        more_ids = ["n011", "n001", "z000", "n000"]
+        more = np.array([1, 2, 5, 0], dtype=np.int64)
+        m.add_counts(messages=8, node_counts=(more_ids, more))
+        want = dict(_eager(self.IDS, self.COUNTS))
+        for nid, count in _eager(more_ids, more).items():
+            want[nid] = want.get(nid, 0) + count
+        assert list(m.per_node().items()) == list(want.items())
+        assert m.node_total("n011") == 5
+        assert m.node_total("z000") == 5
+        assert m.total == int(self.COUNTS.sum()) + 8
+
+    def test_count_after_arrays_keeps_order(self):
+        m = self._meter()
+        m.count(0.5, "R1", node_id="new")
+        m.count(0.6, "R1", node_id="n000")
+        want = dict(_eager(self.IDS, self.COUNTS))
+        want["new"] = 1
+        want["n000"] += 1
+        assert list(m.per_node().items()) == list(want.items())
+
+    def test_length_mismatch_raises(self):
+        with pytest.raises(ValueError, match="node ids"):
+            self._meter(ids=self.IDS[:-1])
+
+    def test_repeated_reads_are_stable(self):
+        m = self._meter()
+        first = m.per_node()
+        assert m.per_node() == first
+        assert m.node_total("n000") == 3
