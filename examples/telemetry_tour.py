@@ -3,8 +3,8 @@
 Part 1 uses the instruments directly — registry, tracer, event log — the
 way an instrumented component does.  Part 2 runs the real experiment with
 telemetry enabled and mines the snapshot: which layer executed what, how
-the distance filter's suppression splits across clusters, and how queue
-depths evolved over sim-time.
+large the clusters are whose members the distance filter suppresses, and
+how queue depths evolved over sim-time.
 
 Usage::
 
@@ -77,15 +77,14 @@ def part2_full_run(duration: float) -> None:
         by_layer[name.split(".", 1)[0]] = by_layer.get(name.split(".", 1)[0], 0) + 1
     print("metrics per layer:", dict(sorted(by_layer.items())))
 
-    suppressions = {
-        name: data["value"]
-        for name, data in metrics.items()
-        if name.startswith("adf.suppressions_by_cluster")
-    }
-    top = sorted(suppressions.items(), key=lambda kv: kv[1], reverse=True)[:3]
-    print("\nbusiest clusters by suppressed LUs:")
-    for name, value in top:
-        print(f"  {name} = {value:.0f}")
+    sizes = metrics["adf.suppressed_cluster_size{filter=adf(1av)}"]
+    print("\ncluster size of each suppressed LU's node (0 = unclustered):")
+    print(
+        f"  n={sizes['count']} mean={sizes['mean']:.1f} "
+        f"p50={sizes['quantiles']['0.5']:.0f} max={sizes['max']:.0f}"
+    )
+    cumulative = [(f"<={b:g}", n) for b, n in sizes["buckets"] if b != "inf"]
+    print("  suppressed LUs by cluster-size bound (cumulative):", cumulative)
 
     samples = snapshot["samples"]
     received = samples["broker.lu_received{broker=adf-1/le-on}"]

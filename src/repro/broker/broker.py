@@ -15,7 +15,6 @@ The broker is driven two ways:
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -128,18 +127,6 @@ class GridBroker:
             self._tracker_factory = lambda: make(alpha)
         else:
             self._tracker_factory = LastKnownTracker
-        # No-LE brokers create nothing but LastKnownTrackers, whose update
-        # is a plain field refresh — receive_update inlines it.  Brokers on
-        # the default "brown" estimator likewise hold only BrownTrackers,
-        # whose update receive_update also inlines.
-        self._last_known_only = (
-            tracker_factory is None and not self.config.use_location_estimator
-        )
-        self._brown_only = (
-            tracker_factory is None
-            and self.config.use_location_estimator
-            and self.config.estimator == "brown"
-        )
         self.name = name
         tm = telemetry if telemetry is not None else NULL_TELEMETRY
         self._telemetry = tm
@@ -184,18 +171,15 @@ class GridBroker:
         if self._instrumented:
             self._t_received.inc()
         node_id = update.node_id
+        timestamp = update.timestamp
         tracker = self._trackers.get(node_id)
         skip_db = False
         if self._degraded_mode:
             # Reconnect resync: a post-outage LU burst may arrive late,
             # reordered, or for a quarantined node.  Absorb it instead of
             # letting the strict monotonic-time checks blow up the broker.
-            timestamp = update.timestamp
-            if (
-                tracker is not None
-                and tracker._last_time is not None
-                and timestamp < tracker._last_time
-            ):
+            fix = tracker.last_fix if tracker is not None else None
+            if fix is not None and timestamp < fix[0]:
                 # Older than what we already know — a retransmit that lost
                 # the race.  It carries no new information; drop it.
                 self.stale_lus_dropped += 1
@@ -216,7 +200,7 @@ class GridBroker:
                 # Fresh tracker: smoothing state from before a long outage
                 # describes a trajectory the node abandoned long ago.
                 tracker = None
-            previous = self.location_db._latest.get(node_id)
+            previous = self.location_db.latest(node_id)
             if previous is not None and timestamp < previous.time:
                 # The DB already holds a newer (estimated) record; feed the
                 # tracker — a real fix always beats an estimate — but keep
@@ -225,68 +209,10 @@ class GridBroker:
         if tracker is None:
             tracker = self._trackers[node_id] = self._tracker_factory()
         cap = update.dth if update.dth > 0 else None
-        timestamp = update.timestamp
-        if self._last_known_only:
-            # Inlined LastKnownTracker.update (cap is already None-or-
-            # positive, matching its displacement_cap normalisation).
-            if tracker._last_time is not None and timestamp < tracker._last_time:
-                raise ValueError(
-                    f"update times must be non-decreasing: "
-                    f"{timestamp} < {tracker._last_time}"
-                )
-            tracker._last_time = timestamp
-            tracker._last_position = update.position
-            tracker._displacement_cap = cap
-            tracker._updates += 1
-        elif self._brown_only:
-            # Inlined BrownTracker.update, smoothers included — identical
-            # arithmetic, one frame instead of two per LU.
-            if tracker._last_time is not None and timestamp < tracker._last_time:
-                raise ValueError(
-                    f"update times must be non-decreasing: "
-                    f"{timestamp} < {tracker._last_time}"
-                )
-            velocity = update.velocity
-            vx, vy = velocity.x, velocity.y
-            speed = math.hypot(vx, vy)
-            sp = tracker._speed
-            if sp._n == 0:
-                sp._s1 = speed
-                sp._s2 = speed
-            else:
-                a = sp._alpha
-                sp._s1 = a * speed + (1.0 - a) * sp._s1
-                sp._s2 = a * sp._s1 + (1.0 - a) * sp._s2
-            sp._n += 1
-            if speed > 1e-9:
-                c = vx / speed
-                dc = tracker._dir_cos
-                if dc._n == 0:
-                    dc._s1 = c
-                    dc._s2 = c
-                else:
-                    a = dc._alpha
-                    dc._s1 = a * c + (1.0 - a) * dc._s1
-                    dc._s2 = a * dc._s1 + (1.0 - a) * dc._s2
-                dc._n += 1
-                s = vy / speed
-                ds = tracker._dir_sin
-                if ds._n == 0:
-                    ds._s1 = s
-                    ds._s2 = s
-                else:
-                    a = ds._alpha
-                    ds._s1 = a * s + (1.0 - a) * ds._s1
-                    ds._s2 = a * ds._s1 + (1.0 - a) * ds._s2
-                ds._n += 1
-            tracker._last_time = timestamp
-            tracker._last_position = update.position
-            tracker._displacement_cap = cap
-            tracker._updates += 1
         # Map-matched trackers additionally consume the LU's region tag.
-        elif self._maybe_map_matched and isinstance(tracker, MapMatchedTracker):
+        if self._maybe_map_matched and isinstance(tracker, MapMatchedTracker):
             tracker.update(
-                update.timestamp,
+                timestamp,
                 update.position,
                 update.velocity,
                 displacement_cap=cap,
@@ -294,10 +220,7 @@ class GridBroker:
             )
         else:
             tracker.update(
-                update.timestamp,
-                update.position,
-                update.velocity,
-                displacement_cap=cap,
+                timestamp, update.position, update.velocity, displacement_cap=cap
             )
         if not skip_db:
             if record is None:
@@ -359,10 +282,12 @@ class GridBroker:
                     staleness_max = age
             if node_id in updated:
                 continue
-            if tracker._last_position is None:  # inlined tracker.has_fix
+            fix = tracker.last_fix
+            if fix is None:
                 continue
             if degraded:
-                age = now - tracker._last_time
+                t_fix, fix_position = fix
+                age = now - t_fix
                 if quarantine_age is not None and age > quarantine_age:
                     if node_id not in self._quarantined:
                         self._quarantined.add(node_id)
@@ -383,7 +308,7 @@ class GridBroker:
                 if max_age is not None and age > max_age:
                     # Decay: past the extrapolation budget the velocity
                     # belief is stale; anchor to the last received fix.
-                    position = tracker._last_position
+                    position = fix_position
                 else:
                     position = tracker.predict(now)
             else:
@@ -470,15 +395,17 @@ class GridBroker:
         if self._degraded_mode:
             if node_id in self._quarantined:
                 return None
-            if tracker is not None and tracker.has_fix and now is not None:
-                age = now - tracker._last_time
+            fix = tracker.last_fix if tracker is not None else None
+            if fix is not None and now is not None:
+                t_fix, fix_position = fix
+                age = now - t_fix
                 if self._quarantine_age is not None and age > self._quarantine_age:
                     return None
                 if (
                     self._max_extrapolation_age is not None
                     and age > self._max_extrapolation_age
                 ):
-                    return tracker._last_position
+                    return fix_position
         if tracker is not None and tracker.has_fix and now is not None:
             return tracker.predict(now)
         return self.location_db.position_of(node_id)
@@ -520,10 +447,3 @@ class GridBroker:
     def tracker(self, node_id: str) -> LocationTracker | None:
         """The node's tracker (tests and diagnostics)."""
         return self._trackers.get(node_id)
-
-    def _tracker_for(self, node_id: str) -> LocationTracker:
-        tracker = self._trackers.get(node_id)
-        if tracker is None:
-            tracker = self._tracker_factory()
-            self._trackers[node_id] = tracker
-        return tracker

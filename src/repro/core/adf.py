@@ -24,14 +24,17 @@ from repro.core.baselines import FilterPolicy
 from repro.core.classifier import ClassifierConfig, MobilityClassifier
 from repro.core.cluster_manager import ClusterManager
 from repro.core.clustering import SequentialClusterer
-from repro.core.distance_filter import DistanceFilter, FilterDecision, _Reference
+from repro.core.distance_filter import DistanceFilter, FilterDecision
 from repro.core.dth import ClusterAverageDth
 from repro.mobility.states import MobilityState
 from repro.network.messages import LocationUpdate
 from repro.telemetry import NULL_TELEMETRY
-from repro.util.validation import check_non_negative, check_positive
+from repro.util.validation import check_positive
 
 __all__ = ["AdfConfig", "AdfStats", "AdaptiveDistanceFilter"]
+
+#: Bucket bounds of ``adf.suppressed_cluster_size`` (cluster member counts).
+_CLUSTER_SIZE_BUCKETS = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 
 
 @dataclass(frozen=True)
@@ -104,6 +107,11 @@ class AdaptiveDistanceFilter(FilterPolicy):
         self._t_transmitted = tm.counter("adf.lu_transmitted", filter=name)
         self._t_suppressed = tm.counter("adf.lu_suppressed", filter=name)
         self._t_reclusters = tm.counter("adf.reclusters", filter=name)
+        self._t_suppressed_cluster_size = tm.histogram(
+            "adf.suppressed_cluster_size",
+            buckets=_CLUSTER_SIZE_BUCKETS,
+            filter=name,
+        )
         self.cluster_manager = ClusterManager(
             self.classifier, clusterer, telemetry=telemetry, name=name
         )
@@ -116,10 +124,6 @@ class AdaptiveDistanceFilter(FilterPolicy):
         self._forward = forward
         self.stats = AdfStats()
         self._last_recluster = 0.0
-        #: DTH used by the most recent :meth:`process` call.  Callers that
-        #: stamp the DTH onto a just-transmitted LU (the harness) read it
-        #: instead of re-deriving the same value from the cluster.
-        self.last_dth: float = 0.0
 
     @property
     def name(self) -> str:
@@ -152,43 +156,13 @@ class AdaptiveDistanceFilter(FilterPolicy):
                     from_state=before.name if before else "none",
                     to_state=after.name if after else "none",
                 ).inc()
-        # (2) place into a cluster (SS nodes are kept out).  The returned
-        # cluster is exactly cluster_of(node_id) after placement, so the
-        # DTH derives from it directly — the arithmetic below matches
-        # ClusterAverageDth.dth_for (including Cluster.average_speed).
+        # (2) place into a cluster (SS nodes are kept out).
         cluster = self.cluster_manager.place(node_id, label)
-        dthp = self.dth_policy
-        if type(dthp) is ClusterAverageDth and dthp._manager is self.cluster_manager:
-            if cluster is None:
-                dth = 0.0
-            else:
-                n = len(cluster._members)
-                avg = max(cluster._speed_sum / n, 0.0) if n else 0.0
-                dth = dthp.factor * avg * dthp.report_interval
-        else:
-            # dth_policy is public and may be swapped for a custom policy
-            # (e.g. the battery-aware wrapper) — take the virtual path.
-            dth = dthp.dth_for(node_id)
-        self.last_dth = dth
-        # (4) distance filter with the cluster-derived DTH; same gate,
-        # counters and reference bookkeeping as DistanceFilter.decide.
-        if not 0.0 <= dth < math.inf:
-            check_non_negative(dth, "dth")
-        df = self.distance_filter
-        position = update.position
-        ref = df._reference.get(node_id)
-        if ref is None:
-            transmit = True
-        else:
-            rp = ref.position
-            transmit = math.hypot(position.x - rp.x, position.y - rp.y) > dth
-        if transmit:
-            df._reference[node_id] = _Reference(position, update.timestamp)
-            df.transmitted += 1
-            decision = FilterDecision.TRANSMIT
-        else:
-            df.suppressed += 1
-            decision = FilterDecision.SUPPRESS
+        # (4) distance filter with the cluster-derived DTH.
+        dth = self.last_dth = self.dth_policy.dth_for(node_id)
+        decision = self.distance_filter.decide(
+            node_id, update.position, update.timestamp, dth
+        )
         if decision is FilterDecision.TRANSMIT:
             self.stats.transmitted += 1
             if instrumented:
@@ -200,12 +174,9 @@ class AdaptiveDistanceFilter(FilterPolicy):
             self.stats.suppressed += 1
             if instrumented:
                 self._t_suppressed.inc()
-                cluster = self.cluster_manager.cluster_of(update.node_id)
-                self._telemetry.counter(
-                    "adf.suppressions_by_cluster",
-                    filter=self.name,
-                    cluster=str(cluster.cluster_id) if cluster else "none",
-                ).inc()
+                self._t_suppressed_cluster_size.observe(
+                    len(cluster) if cluster is not None else 0
+                )
         return decision
 
     # -- periodic maintenance ---------------------------------------------------

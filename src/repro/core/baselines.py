@@ -24,6 +24,11 @@ __all__ = ["FilterPolicy", "IdealLUPolicy", "GeneralDistanceFilterPolicy"]
 class FilterPolicy(abc.ABC):
     """Decides, per incoming LU, whether to forward it to the broker."""
 
+    #: DTH (metres) the most recent :meth:`process` call gated with; 0.0
+    #: for policies without one.  Callers that stamp the DTH onto a
+    #: just-transmitted LU (the harness) read it instead of re-deriving it.
+    last_dth: float = 0.0
+
     @abc.abstractmethod
     def process(self, update: LocationUpdate) -> FilterDecision:
         """Process one LU and return the transmit/suppress decision."""
@@ -78,7 +83,7 @@ class GeneralDistanceFilterPolicy(FilterPolicy):
 
     def process(self, update: LocationUpdate) -> FilterDecision:
         self._dth_policy.observe_speed(update.speed)
-        dth = self._dth_policy.dth_for(update.node_id)
+        dth = self.last_dth = self._dth_policy.dth_for(update.node_id)
         return self._filter.decide(
             update.node_id, update.position, update.timestamp, dth
         )

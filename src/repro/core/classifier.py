@@ -16,7 +16,9 @@ must both fall under configurable thresholds.
 from __future__ import annotations
 
 import math
+import types
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from repro.mobility.states import MobilityState
@@ -149,6 +151,7 @@ class MobilityClassifier:
         self.config = config or ClassifierConfig()
         self._windows: dict[str, ObservationWindow] = {}
         self._labels: dict[str, MobilityState] = {}
+        self._labels_view = types.MappingProxyType(self._labels)
 
     def observe(self, node_id: str, speed: float, direction: float) -> MobilityState:
         """Absorb one observation and return the node's current label."""
@@ -228,6 +231,11 @@ class MobilityClassifier:
     def labels(self) -> dict[str, MobilityState]:
         """A snapshot of every node's latest label."""
         return dict(self._labels)
+
+    @property
+    def labels_view(self) -> Mapping[str, MobilityState]:
+        """Live read-only view of every node's latest label (no copy)."""
+        return self._labels_view
 
     def window(self, node_id: str) -> ObservationWindow | None:
         """The node's observation window (for feature extraction)."""

@@ -82,9 +82,8 @@ class ClusterAverageDth(DthPolicy):
         self.factor = check_positive(factor, "factor")
         self.report_interval = check_positive(report_interval, "report_interval")
         self._manager = manager
-        # dth_for runs per LU (filtering) and again per transmitted LU
-        # (stamping); go straight to the clusterer instead of hopping
-        # through the manager each time.
+        # dth_for runs once per LU in the ADF; go straight to the
+        # clusterer instead of hopping through the manager each time.
         self._clusterer = manager.clusterer
 
     def dth_for(self, node_id: str) -> float:

@@ -50,14 +50,9 @@ class _Smoother(abc.ABC):
         """True once at least one observation has been absorbed."""
         return self._n > 0
 
+    @abc.abstractmethod
     def update(self, value: float) -> float:
         """Absorb one observation; returns the current smoothed level."""
-        self._absorb(float(value))
-        self._n += 1
-        return self.level
-
-    @abc.abstractmethod
-    def _absorb(self, value: float) -> None: ...
 
     @property
     @abc.abstractmethod
@@ -95,11 +90,14 @@ class SimpleExponentialSmoothing(_Smoother):
         self._n = int(state["n"])
         self._s = float(state["s"])
 
-    def _absorb(self, value: float) -> None:
+    def update(self, value: float) -> float:
+        value = float(value)
         if self._n == 0:
             self._s = value
         else:
             self._s = self._alpha * value + (1.0 - self._alpha) * self._s
+        self._n += 1
+        return self._s
 
     @property
     def level(self) -> float:
@@ -146,9 +144,6 @@ class BrownDoubleExponentialSmoothing(_Smoother):
         self._s2 = float(state["s2"])
 
     def update(self, value: float) -> float:
-        # Concrete override of _Smoother.update: Brown smoothers absorb one
-        # observation per LU per component, so the extra _absorb dispatch and
-        # level property hop are measurable.  Arithmetic matches _absorb.
         value = float(value)
         if self._n == 0:
             self._s1 = value
@@ -159,15 +154,6 @@ class BrownDoubleExponentialSmoothing(_Smoother):
             self._s2 = a * self._s1 + (1.0 - a) * self._s2
         self._n += 1
         return 2.0 * self._s1 - self._s2
-
-    def _absorb(self, value: float) -> None:
-        if self._n == 0:
-            self._s1 = value
-            self._s2 = value
-        else:
-            a = self._alpha
-            self._s1 = a * value + (1.0 - a) * self._s1
-            self._s2 = a * self._s1 + (1.0 - a) * self._s2
 
     @property
     def level(self) -> float:
@@ -182,7 +168,12 @@ class BrownDoubleExponentialSmoothing(_Smoother):
         return a / (1.0 - a) * (self._s1 - self._s2)
 
     def forecast(self, horizon: float = 1.0) -> float:
-        return self.level + horizon * self.trend
+        # level + horizon * trend, without the property hops; an empty
+        # smoother (s1 == s2 == 0) forecasts 0.
+        s1 = self._s1
+        s2 = self._s2
+        a = self._alpha
+        return 2.0 * s1 - s2 + horizon * (a / (1.0 - a) * (s1 - s2))
 
 
 class HoltLinearSmoothing(_Smoother):
@@ -213,7 +204,8 @@ class HoltLinearSmoothing(_Smoother):
         self._n = int(state["n"])
         self._trend = float(state["trend"])
 
-    def _absorb(self, value: float) -> None:
+    def update(self, value: float) -> float:
+        value = float(value)
         if self._n == 0:
             self._level = value
             self._trend = 0.0
@@ -225,6 +217,8 @@ class HoltLinearSmoothing(_Smoother):
             self._trend = self._beta * (self._level - prev_level) + (
                 1.0 - self._beta
             ) * self._trend
+        self._n += 1
+        return self._level
 
     @property
     def level(self) -> float:

@@ -167,195 +167,12 @@ class LastKnownTracker(LocationTracker):
 
     _state_kind = "last_known"
 
-    def update(
-        self,
-        time: float,
-        position: Vec2,
-        velocity: Vec2,
-        *,
-        displacement_cap: float | None = None,
-    ) -> None:
-        # Concrete override: no observation to absorb, so skip the abstract
-        # _observe dispatch — this runs once per LU for every no-LE broker.
-        if self._last_time is not None and time < self._last_time:
-            raise ValueError(
-                f"update times must be non-decreasing: {time} < {self._last_time}"
-            )
-        self._last_time = time
-        self._last_position = position
-        self._displacement_cap = (
-            displacement_cap if displacement_cap and displacement_cap > 0 else None
-        )
-        self._updates += 1
-
     def _observe(self, time: float, position: Vec2, velocity: Vec2) -> None:
         pass
 
     def predict(self, time: float) -> Vec2:
         _, position = self._require_fix()
         return position
-
-
-class BrownTracker(LocationTracker):
-    """The paper's Location Estimator.
-
-    Speed and direction are each smoothed with Brown's double exponential
-    smoothing over the received LUs.  Direction is smoothed on its unit
-    vector (one Brown smoother per cos/sin component), which keeps the
-    estimate wrap-safe: smoothing a raw or unwrapped angle turns periodic
-    headings — e.g. a node patrolling a road back and forth — into a ramp
-    whose trend permanently rotates the estimate off-heading.  The
-    prediction projects from the last fix:
-
-        position(t) = last_fix + v_hat * (t - t_fix) * (cos θ_hat, sin θ_hat)
-    """
-
-    _state_kind = "brown"
-
-    def __init__(self, alpha: float = 0.4) -> None:
-        super().__init__()
-        self._speed = BrownDoubleExponentialSmoothing(alpha)
-        self._dir_cos = BrownDoubleExponentialSmoothing(alpha)
-        self._dir_sin = BrownDoubleExponentialSmoothing(alpha)
-
-    def _extra_state(self) -> dict:
-        return {
-            "dir_cos": self._dir_cos.state_dict(),
-            "dir_sin": self._dir_sin.state_dict(),
-            "speed": self._speed.state_dict(),
-        }
-
-    def _load_extra_state(self, state: dict) -> None:
-        self._dir_cos.load_state(state["dir_cos"])
-        self._dir_sin.load_state(state["dir_sin"])
-        self._speed.load_state(state["speed"])
-
-    def update(
-        self,
-        time: float,
-        position: Vec2,
-        velocity: Vec2,
-        *,
-        displacement_cap: float | None = None,
-    ) -> None:
-        # Concrete override flattening base.update -> _observe -> the three
-        # smoother updates into one frame; the arithmetic matches
-        # BrownDoubleExponentialSmoothing.update exactly (and vx / speed
-        # matches (velocity / speed).x).
-        if self._last_time is not None and time < self._last_time:
-            raise ValueError(
-                f"update times must be non-decreasing: {time} < {self._last_time}"
-            )
-        vx, vy = velocity.x, velocity.y
-        speed = math.hypot(vx, vy)
-        sp = self._speed
-        if sp._n == 0:
-            sp._s1 = speed
-            sp._s2 = speed
-        else:
-            a = sp._alpha
-            sp._s1 = a * speed + (1.0 - a) * sp._s1
-            sp._s2 = a * sp._s1 + (1.0 - a) * sp._s2
-        sp._n += 1
-        if speed > 1e-9:
-            c = vx / speed
-            dc = self._dir_cos
-            if dc._n == 0:
-                dc._s1 = c
-                dc._s2 = c
-            else:
-                a = dc._alpha
-                dc._s1 = a * c + (1.0 - a) * dc._s1
-                dc._s2 = a * dc._s1 + (1.0 - a) * dc._s2
-            dc._n += 1
-            s = vy / speed
-            ds = self._dir_sin
-            if ds._n == 0:
-                ds._s1 = s
-                ds._s2 = s
-            else:
-                a = ds._alpha
-                ds._s1 = a * s + (1.0 - a) * ds._s1
-                ds._s2 = a * ds._s1 + (1.0 - a) * ds._s2
-            ds._n += 1
-        self._last_time = time
-        self._last_position = position
-        self._displacement_cap = (
-            displacement_cap if displacement_cap and displacement_cap > 0 else None
-        )
-        self._updates += 1
-
-    def _observe(self, time: float, position: Vec2, velocity: Vec2) -> None:
-        vx, vy = velocity.x, velocity.y
-        speed = math.hypot(vx, vy)
-        self._speed.update(speed)
-        if speed > 1e-9:
-            self._dir_cos.update(vx / speed)
-            self._dir_sin.update(vy / speed)
-
-    def _heading_vector(self) -> Vec2 | None:
-        """Smoothed heading as a vector whose norm encodes confidence.
-
-        The forecast of the cos/sin components is the (trend-extrapolated)
-        mean resultant vector of recent headings: length ~1 for steady
-        headings, ~0 for erratic ones.  Scaling the dead-reckoned
-        displacement by that length makes the estimator conservative exactly
-        when direction is unpredictable (RMS nodes, reversals).
-        """
-        if not self._dir_cos.ready:
-            return None
-        c = self._dir_cos.forecast(1.0)
-        s = self._dir_sin.forecast(1.0)
-        norm = math.hypot(c, s)
-        if norm <= 1e-9:
-            return None
-        if norm > 1.0:
-            c, s = c / norm, s / norm
-        return Vec2(c, s)
-
-    def predict(self, time: float) -> Vec2:
-        # Flattened: forecast/level/trend, _heading_vector and _clamp_to_cap
-        # inlined with identical arithmetic — the broker estimates every
-        # silent node once per tick through this method.
-        position = self._last_position
-        t_fix = self._last_time
-        if position is None or t_fix is None:
-            raise RuntimeError("tracker has no fix yet; cannot predict")
-        dt = max(time - t_fix, 0.0)
-        sp = self._speed
-        if dt == 0.0 or sp._n == 0:
-            return position
-        a = sp._alpha
-        s1, s2 = sp._s1, sp._s2
-        speed = max(2.0 * s1 - s2 + 1.0 * (a / (1.0 - a) * (s1 - s2)), 0.0)
-        dc = self._dir_cos
-        if speed <= 1e-9 or dc._n == 0:
-            return position
-        a = dc._alpha
-        s1, s2 = dc._s1, dc._s2
-        c = 2.0 * s1 - s2 + 1.0 * (a / (1.0 - a) * (s1 - s2))
-        ds = self._dir_sin
-        a = ds._alpha
-        s1, s2 = ds._s1, ds._s2
-        s = 2.0 * s1 - s2 + 1.0 * (a / (1.0 - a) * (s1 - s2))
-        norm = math.hypot(c, s)
-        if norm <= 1e-9:
-            return position
-        if norm > 1.0:
-            c, s = c / norm, s / norm
-        k = speed * dt
-        px = position.x + c * k
-        py = position.y + s * k
-        cap = self._displacement_cap
-        if cap is None:
-            return Vec2(px, py)
-        ox = px - position.x
-        oy = py - position.y
-        distance = math.hypot(ox, oy)
-        if distance <= cap:
-            return Vec2(px, py)
-        scale = cap / distance
-        return Vec2(position.x + ox * scale, position.y + oy * scale)
 
 
 class VelocityComponentTracker(LocationTracker):
@@ -396,8 +213,11 @@ class VelocityComponentTracker(LocationTracker):
 class _ScalarPairTracker(LocationTracker):
     """Shared machinery for trackers that smooth speed + direction.
 
-    Direction is smoothed on its unit vector components, as in
-    :class:`BrownTracker`.
+    Direction is smoothed on its unit vector (one smoother per cos/sin
+    component), which keeps the estimate wrap-safe: smoothing a raw or
+    unwrapped angle turns periodic headings — e.g. a node patrolling a
+    road back and forth — into a ramp whose trend permanently rotates the
+    estimate off-heading.
     """
 
     def __init__(
@@ -421,27 +241,66 @@ class _ScalarPairTracker(LocationTracker):
         self._speed.load_state(state["speed"])
 
     def _observe(self, time: float, position: Vec2, velocity: Vec2) -> None:
-        speed = velocity.norm()
+        vx, vy = velocity.x, velocity.y
+        speed = math.hypot(vx, vy)
         self._speed.update(speed)
         if speed > 1e-9:
-            unit = velocity / speed
-            self._dir_cos.update(unit.x)
-            self._dir_sin.update(unit.y)
+            self._dir_cos.update(vx / speed)
+            self._dir_sin.update(vy / speed)
 
     def predict(self, time: float) -> Vec2:
         t_fix, position = self._require_fix()
         dt = max(time - t_fix, 0.0)
-        if dt == 0.0 or not self._speed.ready or not self._dir_cos.ready:
-            return position
+        # Empty smoothers forecast 0, which the zero checks below catch.
         speed = max(self._speed.forecast(1.0), 0.0)
+        # The cos/sin forecast is the (trend-extrapolated) mean resultant
+        # vector of recent headings: length ~1 for steady headings, ~0 for
+        # erratic ones.  Only lengths above 1 are normalised, so the
+        # dead-reckoned displacement shrinks exactly when direction is
+        # unpredictable (RMS nodes, reversals).
         c = self._dir_cos.forecast(1.0)
         s = self._dir_sin.forecast(1.0)
         norm = math.hypot(c, s)
-        if speed <= 1e-9 or norm <= 1e-9:
+        if dt == 0.0 or speed <= 1e-9 or norm <= 1e-9:
             return position
         if norm > 1.0:
             c, s = c / norm, s / norm
-        return self._clamp_to_cap(position + Vec2(c, s) * (speed * dt))
+        # position + (c, s) * speed * dt, pulled back onto the DTH disc
+        # (_clamp_to_cap) — spelled out on scalars: the broker runs this
+        # once per silent node per tick.
+        k = speed * dt
+        px = position.x + c * k
+        py = position.y + s * k
+        cap = self._displacement_cap
+        if cap is None:
+            return Vec2(px, py)
+        ox = px - position.x
+        oy = py - position.y
+        distance = math.hypot(ox, oy)
+        if distance <= cap:
+            return Vec2(px, py)
+        scale = cap / distance
+        return Vec2(position.x + ox * scale, position.y + oy * scale)
+
+
+class BrownTracker(_ScalarPairTracker):
+    """The paper's Location Estimator.
+
+    Speed and direction are each smoothed with Brown's double exponential
+    smoothing over the received LUs, and the prediction projects from the
+    last fix:
+
+        position(t) = last_fix + v_hat * (t - t_fix) * (cos θ_hat, sin θ_hat)
+    """
+
+    _state_kind = "brown"
+
+    def __init__(self, alpha: float = 0.4) -> None:
+        super().__init__(
+            BrownDoubleExponentialSmoothing(alpha),
+            BrownDoubleExponentialSmoothing(alpha),
+            BrownDoubleExponentialSmoothing(alpha),
+        )
 
 
 class SimpleSmoothingTracker(_ScalarPairTracker):

@@ -76,13 +76,6 @@ class Lane:
     region_errors_with_le: RegionErrors = field(default_factory=RegionErrors)
     region_errors_without_le: RegionErrors = field(default_factory=RegionErrors)
     cluster_series: TimeSeries = field(default_factory=TimeSeries)
-    #: Per-node DTH lookup bound once from the policy type (None for
-    #: policies without one, e.g. ideal) — the per-LU isinstance dance of
-    #: the seed's ``_current_dth`` resolved at lane construction instead.
-    dth_getter: Callable[[str], float] | None = None
-    #: True for the ideal lane: its policy transmits unconditionally, so
-    #: the per-LU process() call reduces to a counter increment.
-    is_ideal: bool = False
 
 
 class MobileGridExperiment:
@@ -183,8 +176,6 @@ class MobileGridExperiment:
             broker_without_le=GridBroker(
                 broker_cfg_off, telemetry=self.telemetry, name=f"{name}/le-off"
             ),
-            dth_getter=self._dth_getter(policy),
-            is_ideal=type(policy) is IdealLUPolicy,
         )
         channel_rng = self.rng.stream(f"channel/{name}")
         for region in self.campus.regions.values():
@@ -219,48 +210,28 @@ class MobileGridExperiment:
 
     # -- per-LU path ---------------------------------------------------------------
     def _filter_and_forward(self, lane: Lane, update: LocationUpdate) -> None:
-        if lane.is_ideal:
-            # IdealLUPolicy.process inlined: unconditional TRANSMIT plus its
-            # transmitted counter; the ideal lane has no dth_getter, so the
-            # update is forwarded unmodified.
-            lane.policy.transmitted += 1
-        else:
-            decision = lane.policy.process(update)
-            if decision is not FilterDecision.TRANSMIT:
-                return
-            getter = lane.dth_getter
-            dth = getter(update.node_id) if getter is not None else 0.0
-            if dth > 0:
-                # Direct construction beats dataclasses.replace on the hot
-                # path; seq is carried over, matching replace's semantics.
-                update = LocationUpdate(
-                    sender=update.sender,
-                    timestamp=update.timestamp,
-                    seq=update.seq,
-                    node_id=update.node_id,
-                    position=update.position,
-                    velocity=update.velocity,
-                    region_id=update.region_id,
-                    dth=dth,
-                )
-        # Inlined TrafficMeter.count (same binning and counters): the meter
-        # is charged once per transmitted LU, and the call plus its keyword
-        # arguments showed up in every profile.
-        meter = lane.meter
-        timestamp = update.timestamp
-        region_id = update.region_id
+        policy = lane.policy
+        if policy.process(update) is not FilterDecision.TRANSMIT:
+            return
+        dth = policy.last_dth
+        if dth > 0:
+            # Direct construction beats dataclasses.replace on the hot
+            # path; seq is carried over, matching replace's semantics.
+            update = LocationUpdate(
+                sender=update.sender,
+                timestamp=update.timestamp,
+                seq=update.seq,
+                node_id=update.node_id,
+                position=update.position,
+                velocity=update.velocity,
+                region_id=update.region_id,
+                dth=dth,
+            )
         node_id = update.node_id
-        width = meter._bin_width
-        if width is None:
-            meter._events.append((timestamp, region_id))
-        else:
-            index = math.ceil(timestamp / width) - 1
-            meter._bins[index if index > 0 else 0] += 1
-        meter._total += 1
-        meter._per_region[region_id] += 1
-        if node_id:
-            meter._per_node[node_id] += 1
-        meter._bytes += update.size_bytes
+        timestamp = update.timestamp
+        lane.meter.count(
+            timestamp, update.region_id, size_bytes=update.size_bytes, node_id=node_id
+        )
         if self._lu_observer is not None:
             self._lu_observer(lane.name, update)
         # Both brokers store an identical RECEIVED record; build it once.
@@ -272,18 +243,6 @@ class MobileGridExperiment:
         )
         lane.broker_with_le.receive_update(update, record)
         lane.broker_without_le.receive_update(update, record)
-
-    @staticmethod
-    def _dth_getter(policy: FilterPolicy) -> Callable[[str], float] | None:
-        """The per-node DTH lookup for *policy*, resolved once per lane."""
-        if isinstance(policy, AdaptiveDistanceFilter):
-            # The getter runs immediately after process() for the same
-            # update, so the DTH process() just derived is still current —
-            # no second cluster lookup needed.
-            return lambda node_id: policy.last_dth
-        if isinstance(policy, GeneralDistanceFilterPolicy):
-            return policy.dth_policy.dth_for
-        return None
 
     # -- one reporting interval ------------------------------------------------------
     def _step(self) -> None:
@@ -459,7 +418,7 @@ class MobileGridExperiment:
         )
         if adf is None:
             return
-        labels = adf.classifier._labels
+        labels = adf.classifier.labels_view
         right = 0
         total = 0
         for node in self.nodes:

@@ -27,6 +27,7 @@ store's duplicate detection leans on.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -53,6 +54,8 @@ __all__ = [
 
 TRACE_FORMAT = "repro-lu-trace"
 TRACE_VERSION = 1
+
+_INF = math.inf
 
 
 class TraceError(ValueError):
@@ -139,17 +142,26 @@ class TraceRecord:
             raise TraceError(f"trace row ids must be strings: {row!r}")
         if not isinstance(seq, int):
             raise TraceError(f"trace row seq must be an int: {row!r}")
-        values = [
-            float(time),
-            seq,
-            node_id,
-            float(x),
-            float(y),
-            float(vx),
-            float(vy),
-            region_id,
-            float(dth),
-        ]
+        time = float(time)
+        x = float(x)
+        y = float(y)
+        vx = float(vx)
+        vy = float(vy)
+        dth = float(dth)
+        # Chained comparisons instead of math.isfinite calls: NaN fails
+        # every one of them, so this rejects NaN, ±inf and a negative dth.
+        if not (
+            -_INF < time < _INF
+            and -_INF < x < _INF
+            and -_INF < y < _INF
+            and -_INF < vx < _INF
+            and -_INF < vy < _INF
+            and 0.0 <= dth < _INF
+        ):
+            raise TraceError(
+                f"trace row needs finite numbers and dth >= 0: {row!r}"
+            )
+        values = [time, seq, node_id, x, y, vx, vy, region_id, dth]
         # Re-encode canonically (not the raw input line) so every consumer
         # of ``encoded`` sees the exact bytes :func:`write_trace` would
         # produce, whatever whitespace the source file used.

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.core import AdaptiveDistanceFilter, AdfConfig, FilterDecision
+from repro.core.dth import FixedDth
 from repro.geometry import Vec2
 from repro.mobility.states import MobilityState
 from repro.network.messages import LocationUpdate
+from repro.telemetry import Telemetry
 
 
 def lu(node, t, x, y=0.0, vx=0.0, vy=0.0):
@@ -96,6 +98,47 @@ class TestPipeline:
 
     def test_dth_of_unknown_is_zero(self, adf):
         assert adf.dth_of("ghost") == 0.0
+
+
+class TestDthPolicySwap:
+    """``process`` takes its DTH from ``dth_policy`` — whatever policy is
+    plugged in — and records it in ``last_dth``."""
+
+    @pytest.mark.parametrize("d", [0.0, 2.5, 7.0])
+    def test_fixed_dth_suppresses_exactly_at_d(self, adf, d):
+        adf.dth_policy = FixedDth(d)
+        # The displacement from the reference fix is exactly d, then just
+        # past it.
+        assert adf.process(lu("n", 0.0, 0.0, vx=1.0)) is FilterDecision.TRANSMIT
+        assert adf.last_dth == d
+        at_d = adf.process(lu("n", 1.0, d, vx=1.0))
+        assert at_d is FilterDecision.SUPPRESS
+        assert adf.last_dth == d
+        past_d = adf.process(lu("n", 2.0, d + 1e-6, vx=1.0))
+        assert past_d is FilterDecision.TRANSMIT
+        assert adf.last_dth == d
+
+    def test_last_dth_is_the_cluster_dth(self, adf):
+        for t in range(6):
+            adf.process(lu("w", float(t), x=2.0 * t, vx=2.0))
+            assert adf.last_dth == adf.dth_of("w")
+        assert adf.last_dth > 0.0
+
+
+class TestSuppressedClusterSize:
+    def test_histogram_samples_member_counts(self):
+        tm = Telemetry()
+        adf = AdaptiveDistanceFilter(AdfConfig(dth_factor=1.0), telemetry=tm)
+        adf.process(lu("sitter", 0.0, 5.0))
+        adf.process(lu("sitter", 1.0, 5.0))  # unclustered (SS): sample 0
+        for t in range(8):
+            adf.process(lu("a", float(t), x=2.0 * t, vx=2.0))
+            adf.process(lu("b", float(t), x=2.0 * t, y=50.0, vx=2.0))
+        hist = tm.histogram("adf.suppressed_cluster_size", filter=adf.name)
+        assert hist.count == adf.stats.suppressed
+        assert hist.count >= 2
+        assert hist.min == 0.0
+        assert hist.max == 2.0
 
 
 class TestRecluster:

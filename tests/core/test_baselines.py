@@ -28,6 +28,12 @@ class TestIdealLU:
     def test_name(self):
         assert IdealLUPolicy().name == "ideal"
 
+    def test_last_dth_is_zero(self):
+        policy = IdealLUPolicy()
+        assert policy.last_dth == 0.0
+        policy.process(lu("n", 0.0, 0.0, vx=3.0))
+        assert policy.last_dth == 0.0
+
 
 class TestGeneralDF:
     def test_name_includes_factor(self):
@@ -70,6 +76,14 @@ class TestGeneralDF:
         policy.process(lu("n", 1.0, 0.0))
         assert policy.distance_filter.total == 2
         assert policy.distance_filter.suppressed == 1
+
+    def test_last_dth_matches_the_policy_after_process(self):
+        policy = GeneralDistanceFilterPolicy(1.25)
+        for t in range(6):
+            for node, speed in (("walk", 1.0), ("veh", 9.0)):
+                policy.process(lu(node, t, x=speed * t, vx=speed))
+                assert policy.last_dth == policy.dth_policy.dth_for(node)
+        assert policy.last_dth > 0.0
 
     def test_invalid_factor(self):
         with pytest.raises(ValueError):

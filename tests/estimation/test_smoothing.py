@@ -128,15 +128,10 @@ class TestProperties:
         assert b.forecast(1) == pytest.approx(expected, rel=0.05, abs=0.5)
 
 
-class TestUpdateAbsorbEquivalence:
-    """``update`` must equal ``_absorb`` + ``_n`` + ``level`` for every
-    smoother.
-
-    ``BrownDoubleExponentialSmoothing.update`` is a concrete performance
-    override of the template method (one call per LU per component on the
-    broker hot path); this property pins it to the abstract recipe so the
-    two can never drift.
-    """
+class TestUpdateContract:
+    """Every smoother's single ``update`` absorbs one observation and
+    returns the new level; Brown's direct ``forecast`` is bit-identical
+    to ``level + horizon * trend``."""
 
     @pytest.mark.parametrize(
         "factory",
@@ -148,16 +143,19 @@ class TestUpdateAbsorbEquivalence:
         ids=["simple", "brown", "holt"],
     )
     @given(series=st.lists(values, min_size=1, max_size=40))
-    def test_update_equals_absorb_plus_level(self, factory, series):
-        via_update = factory()
-        via_absorb = factory()
+    def test_update_returns_level_and_counts(self, factory, series):
+        smoother = factory()
+        for n, value in enumerate(series, start=1):
+            assert smoother.update(value) == smoother.level
+            assert smoother.n_observations == n
+
+    @given(
+        series=st.lists(values, max_size=40),
+        alpha=st.floats(0.05, 0.95),
+        horizon=st.floats(-10, 10),
+    )
+    def test_brown_forecast_is_level_plus_horizon_trend(self, series, alpha, horizon):
+        b = BrownDoubleExponentialSmoothing(alpha)
         for value in series:
-            returned = via_update.update(value)
-            via_absorb._absorb(float(value))
-            via_absorb._n += 1
-            # Bit-equality, not approx: update() must be the same
-            # arithmetic, not a reimplementation that happens to be close.
-            assert returned == via_absorb.level
-            assert via_update.level == via_absorb.level
-            assert via_update.n_observations == via_absorb.n_observations
-            assert via_update.forecast(2.5) == via_absorb.forecast(2.5)
+            b.update(value)
+        assert b.forecast(horizon) == b.level + horizon * b.trend

@@ -169,6 +169,74 @@ class TestValidation:
         assert len(got) == 2
 
 
+class TestNonFiniteRows:
+    """Rows with NaN/Infinity tokens or a negative dth never reach replay:
+    one such LU would poison its node's tracker for the rest of the run."""
+
+    BAD_ROW = '[1.0,1,"n1",NaN,2.0,Infinity,0.0,"R1",0.0]'
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            (0, float("nan")),
+            (3, float("nan")),
+            (4, float("-inf")),
+            (5, float("inf")),
+            (6, float("nan")),
+            (8, float("inf")),
+            (8, -0.5),
+            (3, "nan"),
+        ],
+        ids=[
+            "time-nan",
+            "x-nan",
+            "y-neg-inf",
+            "vx-inf",
+            "vy-nan",
+            "dth-inf",
+            "dth-negative",
+            "x-nan-string",
+        ],
+    )
+    def test_from_row_rejects(self, field, value):
+        row = make_record().to_row()
+        row[field] = value
+        with pytest.raises(TraceError, match="finite numbers and dth >= 0"):
+            TraceRecord.from_row(row)
+
+    def test_from_row_rejects_the_json_tokens(self):
+        with pytest.raises(TraceError, match="finite"):
+            TraceRecord.from_row(json.loads(self.BAD_ROW))
+
+    def test_zero_dth_and_large_finite_values_accepted(self):
+        row = make_record().to_row()
+        row[3] = 1e308
+        row[8] = 0.0
+        assert TraceRecord.from_row(row).x == 1e308
+
+    def _with_bad_row(self, tmp_path, index):
+        records = [make_record(time=float(t), seq=t) for t in range(4)]
+        path = write_trace(records, tmp_path / "t.jsonl")
+        lines = path.read_text().splitlines()
+        lines[index] = self.BAD_ROW
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_bad_middle_row_raises(self, tmp_path):
+        path = self._with_bad_row(tmp_path, 2)
+        with pytest.raises(TraceError, match="unreadable row"):
+            read_trace(path)
+        with pytest.raises(TraceError, match="unreadable row"):
+            read_trace(path, allow_partial=True)
+
+    def test_bad_final_row_is_a_torn_tail(self, tmp_path):
+        path = self._with_bad_row(tmp_path, -1)
+        with pytest.raises(TraceError, match="allow_partial"):
+            read_trace(path)
+        _, got = read_trace(path, allow_partial=True)
+        assert [r.seq for r in got] == [0, 1, 2]
+
+
 class TestRecorder:
     def test_lane_filtering(self):
         recorder = TraceRecorder("adf-1")

@@ -66,6 +66,20 @@ class TestWiring:
         json.dumps(out["telemetry"])
 
 
+class TestLabelCardinality:
+    def test_adf_metric_keys_do_not_grow_with_run_length(self):
+        """Every ``adf.*`` label is bounded: a 4x longer run (more
+        reclusters, more cluster ids) registers exactly the same keys."""
+
+        def adf_keys(duration):
+            snap = run_experiment(small_config(duration=duration)).telemetry
+            return {name for name in snap["metrics"] if name.startswith("adf.")}
+
+        short = adf_keys(60.0)
+        assert adf_keys(240.0) == short
+        assert "adf.suppressed_cluster_size{filter=adf(1av)}" in short
+
+
 class TestDeterminism:
     def test_same_seed_same_metrics_and_samples(self):
         def deterministic_sections():
