@@ -3,9 +3,12 @@
 :class:`ColumnarClusterer` re-implements :class:`SequentialClusterer`
 (paper §3.2.1) over parallel per-slot columns instead of ``Cluster`` /
 ``MotionFeature`` objects.  Centroid state — member count, speed sum and
-(optionally) the cos/sin heading sums — lives in parallel arrays indexed
-by *slot*; a placement compares one node's feature against *every*
-centroid at once instead of walking a Python object list.
+(when ``direction_weight > 0``) the cos/sin heading sums — lives in
+parallel lists indexed by *slot*, and nodes are integer rows.
+
+One sequential step, ``ColumnarClusterer._place``, is the only BSAS
+placement: ``assign``, ``unassign``, the exact bulk sweep and batched
+mode's out-of-range rows all run it.
 
 Two placement modes:
 
@@ -17,22 +20,15 @@ Two placement modes:
   ``max(·, 0.0)`` clamps, ``atan2`` centroid directions).  The parity
   suite locks this against :class:`SequentialClusterer` on random
   streams, and the golden determinism fixture locks the engine on top
-  of it.
-
-  The nearest-centroid search is adaptive: below
-  :attr:`ColumnarClusterer.scan_limit` live+dead slots a tight scalar
-  scan over Python-float mirrors wins (numpy's ~0.5 µs per-call
-  overhead exceeds the work of comparing a handful of centroids);
-  beyond it the search is one vectorised ``subtract/abs/argmin`` over
-  the numpy mirror.  Both compute the identical first-minimum.  The
-  numpy mirror is synchronised lazily — while the population stays in
-  the scalar-scan regime no per-placement array writes happen at all.
+  of it.  The nearest-centroid search is a plain scan of the slot
+  list: the workloads settle at a few dozen slots, where a numpy call
+  costs more than the comparisons it would replace.
 
 * **batched** trades the per-node sequencing for epoch-chunked bulk
   assignment: each chunk of nodes is assigned against the centroids as
   *frozen at the start of the chunk* (one distance matrix + argmin),
-  joins are applied with ``bincount``, and only out-of-range nodes fall
-  back to the exact sequential step (creating clusters as BSAS would).
+  joins are applied with ``bincount``, and only out-of-range nodes run
+  the exact sequential step (creating clusters as BSAS would).
   This is the ROADMAP's "batch or approximate it" path for the 1M-node
   rung; it is *not* bit-identical to exact mode, and the quality gate
   (``tests/core/test_columnar_clustering.py``) bounds its LU-reduction
@@ -55,6 +51,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable
+from typing import Any
 
 import numpy as np
 
@@ -74,7 +72,7 @@ _TWO_PI = 2.0 * math.pi
 _COMPACT_SLACK = 32
 
 #: Batched-mode epoch sizes: the first chunk is small so the sequential
-#: fallback that seeds the initial centroids stays cheap; later chunks
+#: step that seeds the initial centroids stays cheap; later chunks
 #: amortise the numpy call overhead over many rows.
 _SEED_CHUNK = 4_096
 _EPOCH_CHUNK = 65_536
@@ -92,11 +90,10 @@ class ColumnarClusterer:
     Mirrors :class:`SequentialClusterer`'s parameters and placement
     semantics (``alpha`` similarity bound, optional direction weighting,
     ``max_clusters`` saturation that forces out-of-range nodes into
-    their nearest cluster).  ``track_directions`` controls whether the
-    cos/sin heading sums are maintained — they are only *read* when
-    ``direction_weight > 0``, so by default they are tracked exactly
-    then (skipping two trig calls and two column writes per placement
-    on the speed-only path).
+    their nearest cluster).  The cos/sin heading sums are maintained
+    only when ``direction_weight > 0`` (:attr:`track_directions`): the
+    speed-only distance never reads them, so it skips two trig calls
+    and two column writes per placement.
     """
 
     def __init__(
@@ -107,8 +104,6 @@ class ColumnarClusterer:
         direction_weight: float = 0.0,
         max_clusters: int | None = None,
         mode: str = "exact",
-        scan_limit: int = 24,
-        track_directions: bool | None = None,
     ) -> None:
         check_positive(alpha, "alpha")
         check_non_negative(direction_weight, "direction_weight")
@@ -118,26 +113,15 @@ class ColumnarClusterer:
             raise ValueError(f"max_clusters must be >= 1, got {max_clusters}")
         if mode not in ("exact", "batched"):
             raise ValueError(f"mode must be 'exact' or 'batched', got {mode!r}")
-        if scan_limit < 0:
-            raise ValueError(f"scan_limit must be >= 0, got {scan_limit}")
         self.alpha = alpha
         self.capacity = capacity
         self.direction_weight = direction_weight
         self.max_clusters = max_clusters
         self.mode = mode
-        self.scan_limit = scan_limit
-        if track_directions is None:
-            track_directions = direction_weight > 0.0
-        elif not track_directions and direction_weight > 0.0:
-            raise ValueError(
-                "direction_weight > 0 needs track_directions (the weighted "
-                "distance reads the centroid headings)"
-            )
-        self.track_directions = track_directions
+        self.track_directions = direction_weight > 0.0
         self._ids = itertools.count(1)
-        # Per-slot centroid columns (Python-float mirrors are the hot-loop
-        # representation; numpy mirrors are synchronised lazily for the
-        # vectorised search).  A tombstoned slot has count 0 / speed inf.
+        # Per-slot centroid columns; a tombstoned slot has count 0 / speed
+        # inf.  The heading columns stay empty unless directions are tracked.
         self._count: list[int] = []
         self._speed_sum: list[float] = []
         self._cspeed: list[float] = []
@@ -145,13 +129,7 @@ class ColumnarClusterer:
         self._dirx_sum: list[float] = []
         self._diry_sum: list[float] = []
         self._cdir: list[float] = []
-        self._nslots = 0
         self._live = 0
-        # Numpy mirrors (valid only while ``_synced``).
-        self._cspeed_np = np.empty(0)
-        self._cdir_np = np.empty(0)
-        self._scratch = np.empty(0)
-        self._synced = False
         # Per-node membership: slot index (-1 = unassigned) plus the
         # exact feature contributions to subtract on removal.
         self._node_slot: list[int] = [-1] * capacity
@@ -197,7 +175,7 @@ class ColumnarClusterer:
         if not self.track_directions:
             raise ValueError(
                 "centroid directions are not tracked "
-                "(construct with track_directions=True)"
+                "(construct with direction_weight > 0)"
             )
         slot = self._slot_of(cluster_id)
         return self._cdir[slot]
@@ -208,7 +186,7 @@ class ColumnarClusterer:
                 return slot
         raise KeyError(f"no live cluster {cluster_id}")
 
-    # -- single-node operations (the readable reference path) ----------------
+    # -- single-node operations ----------------------------------------------
     def assign(self, node: int, speed: float, direction: float) -> tuple[int, bool]:
         """Place one node per BSAS; returns ``(cluster_id, moved)``.
 
@@ -218,23 +196,12 @@ class ColumnarClusterer:
         ``mode`` (batching is a property of the bulk sweep, not of a
         single placement).
         """
-        old_cid = self._remove(node)
-        slot, distance = self._nearest(speed, direction)
-        if slot >= 0 and (
-            distance < self.alpha
-            or (
-                self.max_clusters is not None
-                and self._live >= self.max_clusters
-            )
-        ):
-            cid = self._join(node, slot, speed, direction)
-        else:
-            cid = self._create(node, speed, direction)
-        return cid, old_cid is not None and old_cid != cid
+        moves = self._place((node,), (False,), (speed,), (direction,), None)
+        return self._cid[self._node_slot[node]], moves > 0
 
     def unassign(self, node: int) -> None:
         """Remove a node from its cluster (no-op when unassigned)."""
-        self._remove(node)
+        self._place((node,), (True,), (0.0,), (0.0,), None)
 
     def clear(self) -> None:
         """Drop every cluster and assignment (cluster ids keep counting)."""
@@ -245,106 +212,91 @@ class ColumnarClusterer:
         self._dirx_sum.clear()
         self._diry_sum.clear()
         self._cdir.clear()
-        self._nslots = 0
         self._live = 0
-        self._synced = False
         self._node_slot = [-1] * self.capacity
 
-    # -- internals shared by assign() and the bulk sweeps ---------------------
-    def _remove(self, node: int) -> int | None:
-        """Detach *node* from its cluster; returns the old cluster id."""
-        slot = self._node_slot[node]
-        if slot < 0:
-            return None
-        self._node_slot[node] = -1
-        old_cid = self._cid[slot]
-        count = self._count[slot] - 1
-        if count:
-            self._count[slot] = count
-            total = self._speed_sum[slot] - self._node_speed[node]
-            self._speed_sum[slot] = total
-            speed = total / count
-            self._cspeed[slot] = speed if speed >= 0.0 else 0.0
-            if self.track_directions:
-                dx = self._dirx_sum[slot] - self._node_cx[node]
-                dy = self._diry_sum[slot] - self._node_cy[node]
-                self._dirx_sum[slot] = dx
-                self._diry_sum[slot] = dy
-                self._cdir[slot] = math.atan2(dy / count, dx / count)
-            if self._synced:
-                if self._nslots <= self.scan_limit:
-                    self._synced = False
-                else:
-                    self._cspeed_np[slot] = self._cspeed[slot]
-                    if self.track_directions:
-                        self._cdir_np[slot] = self._cdir[slot]
-        else:
-            self._tombstone(slot)
-        return old_cid
+    # -- the BSAS step --------------------------------------------------------
+    def _place(
+        self,
+        rows: Iterable[int],
+        stops: Iterable[bool],
+        speeds: Iterable[float],
+        directions: Iterable[float],
+        avg: list[float] | None,
+        nodes: tuple[Any, Any, Any, Any] | None = None,
+    ) -> int:
+        """Run the sequential BSAS step over *rows*, in order.
 
-    def _tombstone(self, slot: int) -> None:
-        self._count[slot] = 0
-        self._cspeed[slot] = _INF
-        if self.track_directions:
-            self._cdir[slot] = 0.0
-        self._live -= 1
-        if self._synced:
-            if self._nslots <= self.scan_limit:
-                self._synced = False
-            else:
-                self._cspeed_np[slot] = _INF
-                if self.track_directions:
-                    self._cdir_np[slot] = 0.0
-        if self._nslots - self._live > max(self._live, _COMPACT_SLACK):
-            self._compact()
+        Row ``k`` is node ``rows[k]`` with stopped flag ``stops[k]``,
+        speed ``speeds[k]`` and heading ``directions[k]`` (read only when
+        headings are tracked).  Each node leaves its cluster; a stopped
+        node stays out, a moving one joins its nearest cluster when that
+        is closer than ``alpha`` (or ``max_clusters`` is reached) and
+        founds a new one otherwise.  When *avg* is given, ``avg[node]``
+        receives the node's cluster mean speed right after its placement
+        (stopped nodes are left alone).  *nodes* stands in for the
+        per-node columns ``(slot, speed, cos, sin)``; batched mode passes
+        its arrays, with the rows already detached.  Returns the
+        reassignment count.
 
-    def _compact(self) -> None:
-        """Drop tombstoned slots, preserving live creation order."""
-        keep = [s for s in range(self._nslots) if self._count[s] > 0]
-        remap = [-1] * self._nslots
-        for new, old in enumerate(keep):
-            remap[old] = new
-        self._count = [self._count[s] for s in keep]
-        self._speed_sum = [self._speed_sum[s] for s in keep]
-        self._cspeed = [self._cspeed[s] for s in keep]
-        self._cid = [self._cid[s] for s in keep]
-        if self.track_directions:
-            self._dirx_sum = [self._dirx_sum[s] for s in keep]
-            self._diry_sum = [self._diry_sum[s] for s in keep]
-            self._cdir = [self._cdir[s] for s in keep]
-        self._nslots = len(keep)
-        self._synced = False
-        self._node_slot = [
-            remap[s] if s >= 0 else -1 for s in self._node_slot
-        ]
-
-    def _nearest(self, speed: float, direction: float) -> tuple[int, float]:
-        """First-minimum nearest slot and its distance (``(-1, inf)`` empty)."""
-        if self._live == 0:
-            return -1, _INF
+        Every float op matches :class:`SequentialClusterer`'s, and the
+        nearest slot is the first minimum, so ties go to the
+        earliest-created cluster and tombstones (speed inf) never win.
+        """
+        if nodes is None:
+            nodes = (self._node_slot, self._node_speed, self._node_cx, self._node_cy)
+        node_slot, node_speed, node_cx, node_cy = nodes
+        alpha = self.alpha
+        maxc = self.max_clusters
         weight = self.direction_weight
-        if self._nslots <= self.scan_limit:
+        track = self.track_directions
+        # _tombstone and _compact rewrite these lists in place, so the
+        # locals stay valid; only the live count is handed back and forth.
+        counts = self._count
+        ssums = self._speed_sum
+        cspeed = self._cspeed
+        cids = self._cid
+        dxs = self._dirx_sum
+        dys = self._diry_sum
+        cdir = self._cdir
+        live = self._live
+        moves = 0
+        for i, stopped, s, direction in zip(rows, stops, speeds, directions):
+            old_cid = -1
+            slot = node_slot[i]
+            if slot >= 0:
+                node_slot[i] = -1
+                old_cid = cids[slot]
+                cnt = counts[slot] - 1
+                if cnt:
+                    counts[slot] = cnt
+                    total = ssums[slot] - node_speed[i]
+                    ssums[slot] = total
+                    cs = total / cnt
+                    cspeed[slot] = cs if cs >= 0.0 else 0.0
+                    if track:
+                        dx = dxs[slot] - node_cx[i]
+                        dy = dys[slot] - node_cy[i]
+                        dxs[slot] = dx
+                        dys[slot] = dy
+                        cdir[slot] = math.atan2(dy / cnt, dx / cnt)
+                else:
+                    self._live = live
+                    self._tombstone(slot)
+                    live = self._live
+            if stopped:
+                continue
             best = -1
             best_d = _INF
-            if weight <= 0.0:
-                slot = 0
-                for cs in self._cspeed:
-                    d = speed - cs
+            if track:
+                cx = math.cos(direction)
+                cy = math.sin(direction)
+                for j, cv in enumerate(cspeed):
+                    d = s - cv
                     if d < 0.0:
                         d = -d
-                    if d < best_d:
-                        best_d = d
-                        best = slot
-                    slot += 1
-            else:
-                slot = 0
-                cdir = self._cdir
-                for cs in self._cspeed:
-                    d = speed - cs
-                    if d < 0.0:
-                        d = -d
-                    # Inlined angle_difference (normalize into (-pi, pi]).
-                    theta = math.fmod(direction - cdir[slot], _TWO_PI)
+                    # Inlined angle_difference (wrap into (-pi, pi]).
+                    theta = math.fmod(direction - cdir[j], _TWO_PI)
                     if theta <= -math.pi:
                         theta += _TWO_PI
                     elif theta > math.pi:
@@ -352,101 +304,78 @@ class ColumnarClusterer:
                     d += weight * (theta if theta >= 0.0 else -theta)
                     if d < best_d:
                         best_d = d
-                        best = slot
-                    slot += 1
-            return best, best_d
-        if not self._synced:
-            self._sync_mirror()
-        scratch = self._scratch
-        np.subtract(self._cspeed_np, speed, scratch)
-        np.abs(scratch, scratch)
-        if weight > 0.0:
-            # Vectorised angle_difference: np.fmod is C fmod, exactly the
-            # scalar math.fmod, and the wrap adds are plain float adds —
-            # bit-identical to the loop above.  Tombstones carry heading
-            # 0.0, so their finite angle term still sums with the inf
-            # speed term to inf and never wins.
-            theta = np.fmod(direction - self._cdir_np, _TWO_PI)
-            theta[theta <= -math.pi] += _TWO_PI
-            theta[theta > math.pi] -= _TWO_PI
-            np.abs(theta, theta)
-            scratch += weight * theta
-        best = int(scratch.argmin())
-        best_d = float(scratch[best])
-        if best_d == _INF:  # every slot is a tombstone (can't happen: live>0)
-            return -1, _INF
-        return best, best_d
-
-    def _sync_mirror(self) -> None:
-        m = self._nslots
-        if len(self._cspeed_np) < m:
-            size = max(64, 1 << (m - 1).bit_length())
-            self._cspeed_np = np.full(size, _INF)
-            self._scratch = np.empty(size)
-            if self.track_directions:
-                self._cdir_np = np.zeros(size)
-        self._cspeed_np[:m] = self._cspeed
-        self._cspeed_np[m:] = _INF
-        if self.track_directions:
-            self._cdir_np[:m] = self._cdir
-            self._cdir_np[m:] = 0.0
-        self._synced = True
-
-    def _join(self, node: int, slot: int, speed: float, direction: float) -> int:
-        count = self._count[slot] + 1
-        self._count[slot] = count
-        total = self._speed_sum[slot] + speed
-        self._speed_sum[slot] = total
-        cs = total / count
-        self._cspeed[slot] = cs if cs >= 0.0 else 0.0
-        self._node_slot[node] = slot
-        self._node_speed[node] = speed
-        if self.track_directions:
-            cx = math.cos(direction)
-            cy = math.sin(direction)
-            self._node_cx[node] = cx
-            self._node_cy[node] = cy
-            dx = self._dirx_sum[slot] + cx
-            dy = self._diry_sum[slot] + cy
-            self._dirx_sum[slot] = dx
-            self._diry_sum[slot] = dy
-            self._cdir[slot] = math.atan2(dy / count, dx / count)
-        if self._synced:
-            if self._nslots <= self.scan_limit:
-                self._synced = False
+                        best = j
             else:
-                self._cspeed_np[slot] = self._cspeed[slot]
-                if self.track_directions:
-                    self._cdir_np[slot] = self._cdir[slot]
-        return self._cid[slot]
-
-    def _create(self, node: int, speed: float, direction: float) -> int:
-        cid = next(self._ids)
-        slot = self._nslots
-        self._count.append(1)
-        self._speed_sum.append(speed)
-        self._cspeed.append(speed if speed >= 0.0 else 0.0)
-        self._cid.append(cid)
-        if self.track_directions:
-            cx = math.cos(direction)
-            cy = math.sin(direction)
-            self._node_cx[node] = cx
-            self._node_cy[node] = cy
-            self._dirx_sum.append(cx)
-            self._diry_sum.append(cy)
-            self._cdir.append(math.atan2(cy, cx))
-        self._nslots = slot + 1
-        self._live += 1
-        self._node_slot[node] = slot
-        self._node_speed[node] = speed
-        if self._synced:
-            if slot < len(self._cspeed_np):
-                self._cspeed_np[slot] = self._cspeed[slot]
-                if self.track_directions:
-                    self._cdir_np[slot] = self._cdir[slot]
+                for j, cv in enumerate(cspeed):
+                    d = s - cv
+                    if d < 0.0:
+                        d = -d
+                    if d < best_d:
+                        best_d = d
+                        best = j
+            if best >= 0 and (
+                best_d < alpha or (maxc is not None and live >= maxc)
+            ):
+                cnt = counts[best] + 1
+                counts[best] = cnt
+                total = ssums[best] + s
+                ssums[best] = total
+                cs = total / cnt
+                cs = cs if cs >= 0.0 else 0.0
+                cspeed[best] = cs
+                if track:
+                    dx = dxs[best] + cx
+                    dy = dys[best] + cy
+                    dxs[best] = dx
+                    dys[best] = dy
+                    cdir[best] = math.atan2(dy / cnt, dx / cnt)
             else:
-                self._synced = False
-        return cid
+                best = len(counts)
+                counts.append(1)
+                ssums.append(s)
+                cs = s if s >= 0.0 else 0.0
+                cspeed.append(cs)
+                cids.append(next(self._ids))
+                if track:
+                    dxs.append(cx)
+                    dys.append(cy)
+                    cdir.append(math.atan2(cy, cx))
+                live += 1
+            node_slot[i] = best
+            node_speed[i] = s
+            if track:
+                node_cx[i] = cx
+                node_cy[i] = cy
+            if avg is not None:
+                avg[i] = cs
+            if old_cid >= 0 and old_cid != cids[best]:
+                moves += 1
+        self._live = live
+        return moves
+
+    def _tombstone(self, slot: int) -> None:
+        self._count[slot] = 0
+        self._cspeed[slot] = _INF
+        if self.track_directions:
+            self._cdir[slot] = 0.0
+        self._live -= 1
+        if len(self._count) - self._live > max(self._live, _COMPACT_SLACK):
+            self._compact()
+
+    def _compact(self) -> None:
+        """Drop tombstoned slots in place, preserving live creation order."""
+        keep = [s for s, c in enumerate(self._count) if c > 0]
+        remap = [-1] * len(self._count)
+        for new, old in enumerate(keep):
+            remap[old] = new
+        columns = [self._count, self._speed_sum, self._cspeed, self._cid]
+        if self.track_directions:
+            columns += [self._dirx_sum, self._diry_sum, self._cdir]
+        for column in columns:
+            column[:] = [column[s] for s in keep]
+        self._node_slot[:] = [
+            remap[s] if s >= 0 else -1 for s in self._node_slot
+        ]
 
     # -- the bulk sweep -------------------------------------------------------
     def place_all(
@@ -473,160 +402,17 @@ class ColumnarClusterer:
             raise ValueError("directions are required when headings are tracked")
         if self.mode == "batched":
             return self._place_all_batched(stop, speeds, directions, avg)
-        return self._place_all_exact(stop, speeds, directions, avg)
-
-    def _place_all_exact(
-        self,
-        stop: np.ndarray,
-        speeds: np.ndarray,
-        directions: np.ndarray,
-        avg: np.ndarray | None,
-    ) -> int:
-        """The hot loop: ``assign`` inlined per node, locals hoisted.
-
-        The structure (and every float op) matches assign()/_remove()/
-        _nearest()/_join()/_create() above — those stay the readable
-        spec; this loop exists because a method call per node per step
-        is most of the object path's cost.  Only the untracked
-        speed-only fast path is inlined; weighted or heading-tracking
-        variants delegate to the methods (neither is on any hot path).
-        """
-        if self.direction_weight > 0.0 or self.track_directions:
-            return self._place_all_methods(stop, speeds, directions, avg)
-        stop_list = stop.tolist()
-        speed_list = speeds.tolist()
-        avg_list = [0.0] * len(stop_list)
-        moves = 0
-        alpha = self.alpha
-        maxc = self.max_clusters
-        use_maxc = maxc is not None
-        scan_limit = self.scan_limit
-        node_slot = self._node_slot
-        node_speed = self._node_speed
-        counts = self._count
-        ssums = self._speed_sum
-        cspeed = self._cspeed
-        cids = self._cid
-        sub = np.subtract
-        nabs = np.abs
-        # live/nslots/synced are loop-maintained locals: they only change
-        # on the rare tombstone/create/sync paths, which re-read them —
-        # the common remove-survivor + join path never touches `self`.
-        live = self._live
-        nslots = self._nslots
-        if nslots <= scan_limit:
-            # Entering the scan regime invalidates the mirror up front so
-            # the hot loop never has to write self._synced per mutation.
-            self._synced = False
-        synced = self._synced
-        for i, stopped in enumerate(stop_list):
-            old_cid = -1
-            slot = node_slot[i]
-            if slot >= 0:
-                # Inlined _remove.
-                node_slot[i] = -1
-                old_cid = cids[slot]
-                cnt = counts[slot] - 1
-                if cnt:
-                    counts[slot] = cnt
-                    total = ssums[slot] - node_speed[i]
-                    ssums[slot] = total
-                    cs = total / cnt
-                    cs = cs if cs >= 0.0 else 0.0
-                    cspeed[slot] = cs
-                    if synced:
-                        self._cspeed_np[slot] = cs
-                else:
-                    self._tombstone(slot)
-                    # _compact may have rebuilt the columns AND node_slot.
-                    counts = self._count
-                    ssums = self._speed_sum
-                    cspeed = self._cspeed
-                    cids = self._cid
-                    node_slot = self._node_slot
-                    live = self._live
-                    nslots = self._nslots
-                    synced = self._synced
-            if stopped:
-                continue
-            s = speed_list[i]
-            # Inlined _nearest (speed-only distance).
-            if live == 0:
-                best = -1
-                best_d = _INF
-            elif nslots <= scan_limit:
-                best = -1
-                best_d = _INF
-                for jj, cv in enumerate(cspeed):
-                    d = s - cv
-                    if d < 0.0:
-                        d = -d
-                    if d < best_d:
-                        best_d = d
-                        best = jj
-            else:
-                if not synced:
-                    self._sync_mirror()
-                    synced = True
-                scratch = self._scratch
-                sub(self._cspeed_np, s, scratch)
-                nabs(scratch, scratch)
-                best = int(scratch.argmin())
-                best_d = s - cspeed[best]
-                if best_d < 0.0:
-                    best_d = -best_d
-            if best >= 0 and (
-                best_d < alpha or (use_maxc and live >= maxc)
-            ):
-                # Inlined _join.
-                cnt = counts[best] + 1
-                counts[best] = cnt
-                total = ssums[best] + s
-                ssums[best] = total
-                cs = total / cnt
-                cs = cs if cs >= 0.0 else 0.0
-                cspeed[best] = cs
-                node_slot[i] = best
-                node_speed[i] = s
-                if synced:
-                    self._cspeed_np[best] = cs
-                cid = cids[best]
-            else:
-                cid = self._create(i, s, 0.0)
-                cs = self._cspeed[self._node_slot[i]]
-                live = self._live
-                nslots = self._nslots
-                synced = self._synced
-            avg_list[i] = cs
-            if old_cid >= 0 and old_cid != cid:
-                moves += 1
+        n = len(stop)
+        avg_list = None if avg is None else [0.0] * n
+        moves = self._place(
+            range(n),
+            stop.tolist(),
+            speeds.tolist(),
+            directions.tolist() if self.track_directions else itertools.repeat(0.0),
+            avg_list,
+        )
         if avg is not None:
             avg[:] = avg_list
-        return moves
-
-    def _place_all_methods(
-        self,
-        stop: np.ndarray,
-        speeds: np.ndarray,
-        directions: np.ndarray,
-        avg: np.ndarray | None,
-    ) -> int:
-        """Bulk sweep via the reference single-node methods."""
-        stop_list = stop.tolist()
-        speed_list = speeds.tolist()
-        dir_list = directions.tolist()
-        moves = 0
-        for i, stopped in enumerate(stop_list):
-            if stopped:
-                self.unassign(i)
-                if avg is not None:
-                    avg[i] = 0.0
-                continue
-            cid, moved = self.assign(i, speed_list[i], dir_list[i])
-            if moved:
-                moves += 1
-            if avg is not None:
-                avg[i] = self._cspeed[self._node_slot[i]]
         return moves
 
     # -- batched mode ---------------------------------------------------------
@@ -634,7 +420,7 @@ class ColumnarClusterer:
         self,
         stop: np.ndarray,
         speeds: np.ndarray,
-        directions: np.ndarray,
+        directions: np.ndarray | None,
         avg: np.ndarray | None,
     ) -> int:
         """Epoch-chunked assignment against frozen centroids.
@@ -643,81 +429,61 @@ class ColumnarClusterer:
         ``bincount`` subtraction), the moving members are assigned to
         their nearest *start-of-chunk* centroid in one distance-matrix
         argmin, in-range joins apply as one ``bincount`` addition, and
-        only out-of-range rows run the exact sequential create/join
-        fallback.  ``avg`` rows receive the post-chunk centroid speed
-        of the cluster each node landed in.
+        only out-of-range rows run the sequential step :meth:`_place`.
+        The slot columns are arrays within a chunk and lists around the
+        sequential step (there are only a few dozen slots).  ``avg`` rows
+        receive the post-chunk centroid speed of the cluster each node
+        landed in.
         """
         n = len(stop)
         moving = ~stop
+        track = self.track_directions
         speed_arr = np.asarray(speeds, dtype=np.float64)
         node_slot = np.asarray(self._node_slot, dtype=np.int64)
         node_speed = np.asarray(self._node_speed, dtype=np.float64)
-        track = self.track_directions
         if track:
             dir_arr = np.asarray(directions, dtype=np.float64)
             node_cx = np.asarray(self._node_cx, dtype=np.float64)
             node_cy = np.asarray(self._node_cy, dtype=np.float64)
-        # Per-slot columns as arrays for the duration of the sweep.
-        cap = max(64, 2 * max(self._nslots, 1))
-        counts = np.zeros(cap, dtype=np.int64)
-        ssums = np.zeros(cap)
-        cspeed = np.full(cap, _INF)
-        cids = np.full(cap, -1, dtype=np.int64)
-        m = self._nslots
-        counts[:m] = self._count
-        ssums[:m] = self._speed_sum
-        cspeed[:m] = self._cspeed
-        cids[:m] = self._cid
-        if track:
-            dirx = np.zeros(cap)
-            diry = np.zeros(cap)
-            dirx[:m] = self._dirx_sum
-            diry[:m] = self._diry_sum
-        old_cids_all = np.where(node_slot >= 0, cids[node_slot], -1)
+            nodes = (node_slot, node_speed, node_cx, node_cy)
+        else:
+            nodes = (node_slot, node_speed, self._node_cx, self._node_cy)
+        # Slot -1 (unassigned) indexes the trailing -1.
+        old_cids = np.array(self._cid + [-1])[node_slot]
         start = 0
-        first = True
         while start < n:
-            size = _SEED_CHUNK if first and self._live == 0 else _EPOCH_CHUNK
-            first = False
+            size = _SEED_CHUNK if start == 0 and self._live == 0 else _EPOCH_CHUNK
             end = min(n, start + size)
             rows = np.arange(start, end)
+            counts, ssums, cspeed, dirx, diry = self._slot_arrays()
+            m = len(counts)
             # Freeze the start-of-chunk centroids BEFORE the bulk leave:
             # a cluster whose members all sit in this chunk would otherwise
-            # hit count 0, read INF, and dump every member onto the scalar
-            # fallback.  Frozen pre-leave values keep it joinable (the
-            # mini-batch convention) and the fallback stays rare.
-            frozen = cspeed[:m].copy()
-            frozen_live = int(np.count_nonzero(counts[:m] > 0))
+            # hit count 0, read INF, and dump every member onto the
+            # sequential step.  Frozen pre-leave values keep it joinable
+            # (the mini-batch convention) and the sequential step rare.
+            frozen = cspeed
+            frozen_live = int(np.count_nonzero(counts > 0))
             # Leave old clusters (stopped and moving rows alike).
             assigned = rows[node_slot[rows] >= 0]
             if assigned.size:
                 slots = node_slot[assigned]
-                counts[:m] -= np.bincount(slots, minlength=m)[:m]
-                ssums[:m] -= np.bincount(
-                    slots, weights=node_speed[assigned], minlength=m
-                )[:m]
+                counts -= np.bincount(slots, minlength=m)
+                ssums -= np.bincount(slots, weights=node_speed[assigned], minlength=m)
                 if track:
-                    dirx[:m] -= np.bincount(
-                        slots, weights=node_cx[assigned], minlength=m
-                    )[:m]
-                    diry[:m] -= np.bincount(
-                        slots, weights=node_cy[assigned], minlength=m
-                    )[:m]
+                    dirx -= np.bincount(slots, weights=node_cx[assigned], minlength=m)
+                    diry -= np.bincount(slots, weights=node_cy[assigned], minlength=m)
                 node_slot[assigned] = -1
-                live_mask = counts[:m] > 0
-                self._live = int(np.count_nonzero(live_mask))
-                cspeed[:m] = np.where(
-                    live_mask, np.maximum(ssums[:m] / np.maximum(counts[:m], 1), 0.0), _INF
-                )
+                cspeed = self._refresh(counts, ssums)
             move_rows = rows[moving[rows]]
             if move_rows.size:
                 s = speed_arr[move_rows]
                 if frozen_live:
                     d = np.abs(s[:, None] - frozen[None, :])
-                    if self.direction_weight > 0.0:
+                    if track:
                         cdir = np.arctan2(
-                            diry[:m] / np.maximum(counts[:m], 1),
-                            dirx[:m] / np.maximum(counts[:m], 1),
+                            diry / np.maximum(counts, 1),
+                            dirx / np.maximum(counts, 1),
                         )
                         theta = np.fmod(
                             dir_arr[move_rows][:, None] - cdir[None, :], _TWO_PI
@@ -738,116 +504,79 @@ class ColumnarClusterer:
                 joiners = move_rows[join]
                 if joiners.size:
                     jslots = best[join]
-                    counts[:m] += np.bincount(jslots, minlength=m)[:m]
-                    ssums[:m] += np.bincount(
+                    counts += np.bincount(jslots, minlength=m)
+                    ssums += np.bincount(
                         jslots, weights=speed_arr[joiners], minlength=m
-                    )[:m]
+                    )
                     if track:
                         jcx = np.cos(dir_arr[joiners])
                         jcy = np.sin(dir_arr[joiners])
                         node_cx[joiners] = jcx
                         node_cy[joiners] = jcy
-                        dirx[:m] += np.bincount(jslots, weights=jcx, minlength=m)[:m]
-                        diry[:m] += np.bincount(jslots, weights=jcy, minlength=m)[:m]
+                        dirx += np.bincount(jslots, weights=jcx, minlength=m)
+                        diry += np.bincount(jslots, weights=jcy, minlength=m)
                     node_slot[joiners] = jslots
                     node_speed[joiners] = speed_arr[joiners]
-                # Out-of-range rows: the exact sequential fallback, in
-                # row order, mutating the live arrays directly.
+                # Out-of-range rows: the sequential step, in row order.
+                # It sees the joined sums but the post-leave mean speeds.
                 outliers = move_rows[~join]
-                for i in outliers.tolist():
-                    s_i = float(speed_arr[i])
-                    if self._live:
-                        dd = np.abs(s_i - cspeed[:m])
-                        b = int(dd.argmin())
-                        bd = float(dd[b])
-                    else:
-                        b, bd = -1, _INF
-                    if b >= 0 and (
-                        bd < self.alpha
-                        or (
-                            self.max_clusters is not None
-                            and self._live >= self.max_clusters
-                        )
-                    ):
-                        counts[b] += 1
-                        ssums[b] += s_i
-                        cs = ssums[b] / counts[b]
-                        cspeed[b] = cs if cs >= 0.0 else 0.0
-                        if track:
-                            cx = math.cos(float(dir_arr[i]))
-                            cy = math.sin(float(dir_arr[i]))
-                            node_cx[i] = cx
-                            node_cy[i] = cy
-                            dirx[b] += cx
-                            diry[b] += cy
-                        node_slot[i] = b
-                        node_speed[i] = s_i
-                    else:
-                        if m == cap:
-                            cap *= 2
-                            counts = np.concatenate([counts, np.zeros(cap - m, np.int64)])
-                            ssums = np.concatenate([ssums, np.zeros(cap - m)])
-                            cspeed = np.concatenate([cspeed, np.full(cap - m, _INF)])
-                            cids = np.concatenate(
-                                [cids, np.full(cap - m, -1, np.int64)]
-                            )
-                            if track:
-                                dirx = np.concatenate([dirx, np.zeros(cap - m)])
-                                diry = np.concatenate([diry, np.zeros(cap - m)])
-                        counts[m] = 1
-                        ssums[m] = s_i
-                        cspeed[m] = s_i if s_i >= 0.0 else 0.0
-                        cids[m] = next(self._ids)
-                        if track:
-                            cx = math.cos(float(dir_arr[i]))
-                            cy = math.sin(float(dir_arr[i]))
-                            node_cx[i] = cx
-                            node_cy[i] = cy
-                            dirx[m] = cx
-                            diry[m] = cy
-                        node_slot[i] = m
-                        node_speed[i] = s_i
-                        m += 1
-                        self._live += 1
+                self._store_slots(counts, ssums, cspeed, dirx, diry)
+                self._place(
+                    outliers.tolist(),
+                    itertools.repeat(False),
+                    speed_arr[outliers].tolist(),
+                    dir_arr[outliers].tolist() if track else itertools.repeat(0.0),
+                    None,
+                    nodes,
+                )
                 # Post-chunk centroid refresh (joins can revive a cluster
                 # that emptied during the leave phase, so recount live).
-                live_mask = counts[:m] > 0
-                self._live = int(np.count_nonzero(live_mask))
-                cspeed[:m] = np.where(
-                    live_mask,
-                    np.maximum(ssums[:m] / np.maximum(counts[:m], 1), 0.0),
-                    _INF,
-                )
+                counts, ssums, _, dirx, diry = self._slot_arrays()
+                cspeed = self._refresh(counts, ssums)
+            self._store_slots(counts, ssums, cspeed, dirx, diry)
             start = end
-        # Write the columns back to the canonical list representation.
-        self._nslots = m
-        self._count = counts[:m].tolist()
-        self._speed_sum = ssums[:m].tolist()
-        self._cspeed = cspeed[:m].tolist()
-        self._cid = cids[:m].tolist()
-        if track:
-            self._dirx_sum = dirx[:m].tolist()
-            self._diry_sum = diry[:m].tolist()
-            live = counts[:m] > 0
-            cdir = np.where(
-                live,
-                np.arctan2(
-                    diry[:m] / np.maximum(counts[:m], 1),
-                    dirx[:m] / np.maximum(counts[:m], 1),
-                ),
-                0.0,
-            )
-            self._cdir = cdir.tolist()
-            self._node_cx = node_cx.tolist()
-            self._node_cy = node_cy.tolist()
         self._node_slot = node_slot.tolist()
         self._node_speed = node_speed.tolist()
-        self._synced = False
+        if track:
+            self._node_cx = node_cx.tolist()
+            self._node_cy = node_cy.tolist()
         if avg is not None:
-            placed = node_slot >= 0
-            avg[:] = 0.0
-            avg[placed] = np.maximum(cspeed[node_slot[placed]], 0.0)
-        new_cids = np.where(node_slot >= 0, cids[node_slot], -1)
-        return int(
-            np.count_nonzero((old_cids_all >= 0) & (old_cids_all != new_cids))
+            avg[:] = np.array(self._cspeed + [0.0])[node_slot]
+        new_cids = np.array(self._cid + [-1])[node_slot]
+        return int(np.count_nonzero((old_cids >= 0) & (old_cids != new_cids)))
+
+    def _slot_arrays(self) -> tuple[np.ndarray, ...]:
+        """The slot columns as arrays: counts, sums, means, heading sums."""
+        return (
+            np.array(self._count, dtype=np.int64),
+            np.array(self._speed_sum, dtype=np.float64),
+            np.array(self._cspeed, dtype=np.float64),
+            np.array(self._dirx_sum, dtype=np.float64),
+            np.array(self._diry_sum, dtype=np.float64),
         )
+
+    def _store_slots(
+        self,
+        counts: np.ndarray,
+        ssums: np.ndarray,
+        cspeed: np.ndarray,
+        dirx: np.ndarray,
+        diry: np.ndarray,
+    ) -> None:
+        """Write slot arrays back to the lists, deriving the headings."""
+        self._count = counts.tolist()
+        self._speed_sum = ssums.tolist()
+        self._cspeed = cspeed.tolist()
+        if self.track_directions:
+            self._dirx_sum = dirx.tolist()
+            self._diry_sum = diry.tolist()
+            n = np.maximum(counts, 1)
+            self._cdir = np.where(
+                counts > 0, np.arctan2(diry / n, dirx / n), 0.0
+            ).tolist()
+
+    def _refresh(self, counts: np.ndarray, ssums: np.ndarray) -> np.ndarray:
+        """Recount live slots; their mean speeds, inf for the tombstones."""
+        live = counts > 0
+        self._live = int(np.count_nonzero(live))
+        return np.where(live, np.maximum(ssums / np.maximum(counts, 1), 0.0), _INF)

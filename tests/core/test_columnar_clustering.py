@@ -4,10 +4,9 @@ The :class:`ColumnarClusterer` in *exact* mode must be bit-identical to
 :class:`SequentialClusterer` — same cluster ids, same creation order,
 same membership and bit-equal centroids — on any op stream.  The
 hypothesis suites here drive both side by side through random assign /
-unassign / clear cycles, under every search regime (scalar scan,
-forced vectorised argmin, direction-weighted variants) and through
-``max_clusters`` saturation, and compare the full observable state
-after every operation.
+unassign / clear cycles, with and without direction weighting, with many
+slots and through ``max_clusters`` saturation, and compare the full
+observable state after every operation.
 
 *Batched* mode is not bit-identical by design; its quality gate bounds
 the LU-reduction and RMSE drift against exact mode at 10k nodes by the
@@ -30,22 +29,16 @@ from repro.core.columnar.clustering import (
 speeds = st.floats(min_value=0.0, max_value=12.0)
 angles = st.floats(min_value=-math.pi, max_value=math.pi)
 
-#: (columnar kwargs, scalar kwargs) pairs covering every search regime:
-#: the scalar scan (default scan_limit), the forced vectorised argmin
-#: (scan_limit=0), both direction-weighted variants, saturation, and a
-#: mixed regime that crosses the scan threshold as clusters appear.
+#: Clusterer configs: the speed-only distance, saturation, the
+#: direction-weighted distance, a tight alpha that makes dozens of
+#: slots, and a tight alpha that saturates at 6 clusters, so creations
+#: and forced joins mix.
 CONFIGS = [
     pytest.param({"alpha": 0.75}, id="scan"),
-    pytest.param({"alpha": 0.75, "scan_limit": 0}, id="argmin"),
     pytest.param({"alpha": 0.3, "max_clusters": 3}, id="saturated"),
     pytest.param({"alpha": 0.75, "direction_weight": 0.5}, id="weighted-scan"),
-    pytest.param(
-        {"alpha": 0.75, "direction_weight": 0.5, "scan_limit": 0},
-        id="weighted-argmin",
-    ),
-    pytest.param(
-        {"alpha": 0.05, "max_clusters": 6, "scan_limit": 2}, id="mixed-regime"
-    ),
+    pytest.param({"alpha": 0.05}, id="many-slots"),
+    pytest.param({"alpha": 0.05, "max_clusters": 6}, id="mixed-regime"),
 ]
 
 
@@ -105,16 +98,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ColumnarClusterer(0.5, capacity=4, mode="bulk")
 
-    def test_bad_scan_limit(self):
-        with pytest.raises(ValueError):
-            ColumnarClusterer(0.5, capacity=4, scan_limit=-1)
-
-    def test_weighted_needs_directions(self):
-        with pytest.raises(ValueError):
-            ColumnarClusterer(
-                0.5, capacity=4, direction_weight=1.0, track_directions=False
-            )
-
     def test_directions_tracked_iff_weighted_by_default(self):
         assert not ColumnarClusterer(0.5, capacity=4).track_directions
         assert ColumnarClusterer(
@@ -122,7 +105,7 @@ class TestConstruction:
         ).track_directions
 
     def test_place_all_requires_directions_when_tracked(self):
-        col = ColumnarClusterer(0.5, capacity=4, track_directions=True)
+        col = ColumnarClusterer(0.5, capacity=4, direction_weight=0.1)
         with pytest.raises(ValueError):
             col.place_all(np.zeros(4, bool), np.ones(4), None)
 
@@ -229,7 +212,7 @@ class TestAssignParity:
     def test_tie_heavy_duplicate_speeds(self, ops):
         """Equal distances must break to the earliest-created cluster."""
         seq = SequentialClusterer(0.5)
-        col = ColumnarClusterer(0.5, capacity=16, scan_limit=0)
+        col = ColumnarClusterer(0.5, capacity=16)
         for node, speed in ops:
             cluster, _ = seq.assign(f"n{node}", MotionFeature(speed, 0.0))
             cid, _ = col.assign(node, speed, 0.0)
@@ -257,22 +240,25 @@ class TestAssignParity:
 
 
 class TestCompaction:
-    def test_tombstone_churn_compacts_and_preserves_parity(self):
-        """Kill clusters until compaction fires; parity must survive it."""
-        seq = SequentialClusterer(0.1)
-        col = ColumnarClusterer(0.1, capacity=8)
+    @pytest.mark.parametrize("weight", [0.0, 0.5])
+    def test_tombstone_churn_compacts_and_preserves_parity(self, weight):
+        """Kill clusters until compaction fires; parity must survive it,
+        heading columns included when they are tracked."""
+        seq = SequentialClusterer(0.1, direction_weight=weight)
+        col = ColumnarClusterer(0.1, capacity=8, direction_weight=weight)
         # Each round parks every node in its own far-apart cluster, then
         # moves them all, tombstoning the previous generation of slots.
         for generation in range(40):
             base = 20.0 * generation
             for node in range(8):
                 speed = base + 2.0 * node
-                cluster, _ = seq.assign(f"n{node}", MotionFeature(speed, 0.0))
-                cid, _ = col.assign(node, speed, 0.0)
+                angle = math.remainder(0.7 * node + 0.3 * generation, 2 * math.pi)
+                cluster, _ = seq.assign(f"n{node}", MotionFeature(speed, angle))
+                cid, _ = col.assign(node, speed, angle)
                 assert cid == cluster.cluster_id
             assert_parity(seq, col, 8)
         # Far fewer slots than the ~320 clusters ever created.
-        assert col._nslots < 60
+        assert len(col._count) < 60
 
 
 class TestPlaceAllParity:
@@ -338,6 +324,29 @@ class TestBatchedMode:
             assert col.assigned_count() == int(np.count_nonzero(~stop))
             assert np.all(avg[stop] == 0.0)
             assert np.all(avg[~stop] >= 0.0)
+
+    @pytest.mark.parametrize("weight", [0.0, 0.5])
+    def test_seed_chunk_matches_exact_mode(self, weight):
+        """From empty, a batched sweep of at most one seed chunk puts
+        every row through the sequential step, so it must land every node
+        where exact mode does — with the weighted distance too."""
+        n = 300
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            stop = rng.random(n) < 0.2
+            speed = rng.uniform(0.0, 12.0, n)
+            direction = rng.uniform(-math.pi, math.pi, n)
+            exact, batched = (
+                ColumnarClusterer(0.75, capacity=n, direction_weight=weight, mode=mode)
+                for mode in ("exact", "batched")
+            )
+            exact.place_all(stop, speed, direction)
+            batched.place_all(stop, speed, direction)
+            assert batched.cluster_ids() == exact.cluster_ids()
+            assert batched.cluster_sizes() == exact.cluster_sizes()
+            assert [batched.cluster_of(i) for i in range(n)] == [
+                exact.cluster_of(i) for i in range(n)
+            ]
 
     def test_single_assign_stays_exact_in_batched_mode(self):
         seq = SequentialClusterer(0.5)
