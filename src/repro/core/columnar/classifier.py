@@ -45,7 +45,7 @@ class ColumnarClassifier:
         self.kernel = kernel
         window = config.window
         self._window = window
-        self._cols = np.arange(n)
+        self._cols = np.arange(n, dtype=np.int32)
         # Speed ring: all nodes observe every step, so the write pointer
         # and fill count are scalars shared by the whole population.
         self._speed_ring = np.zeros((window, n), dtype=np.float64)
@@ -55,8 +55,12 @@ class ColumnarClassifier:
         # observation moves (speed > 1e-9), mirroring ObservationWindow.add.
         self._dir_ring_x = np.zeros((window, n), dtype=np.float64)
         self._dir_ring_y = np.zeros((window, n), dtype=np.float64)
-        self._dptr = np.zeros(n, dtype=np.int64)
-        self.dir_count = np.zeros(n, dtype=np.int64)
+        # The narrowest type for pointers and fill counts that also holds
+        # the ring walk's start + j < 2 * window.  It is signed: the deque
+        # start (dptr - count) % window goes negative before the modulo.
+        small = np.min_scalar_type(-2 * window)
+        self._dptr = np.zeros(n, dtype=small)
+        self.dir_count = np.zeros(n, dtype=small)
         #: Latest label codes (PATTERN_CODES values), one per node.
         self.labels = np.full(n, _RANDOM, dtype=np.int8)
         #: Cached window statistics, refreshed by every observe() — the
@@ -99,8 +103,9 @@ class ColumnarClassifier:
         # the deque: row (start + j) % window holds the j-th oldest entry.
         ssum = np.zeros(self.n, dtype=np.float64)
         for j in range(count):
-            ssum = ssum + self._speed_ring[(start + j) % window]
-        self.mean_speed = ssum / count
+            ssum += self._speed_ring[(start + j) % window]
+        ssum /= count
+        self.mean_speed = ssum
         dcount = self.dir_count
         dstart = (self._dptr - dcount) % window
         sx = np.zeros(self.n, dtype=np.float64)
@@ -111,8 +116,8 @@ class ColumnarClassifier:
             if not np.any(valid):
                 break
             rows = (dstart + j) % window
-            sx = np.where(valid, sx + self._dir_ring_x[rows, cols], sx)
-            sy = np.where(valid, sy + self._dir_ring_y[rows, cols], sy)
+            np.add(sx, self._dir_ring_x[rows, cols], out=sx, where=valid)
+            np.add(sy, self._dir_ring_y[rows, cols], out=sy, where=valid)
         dcf = dcount.astype(np.float64)
         has_dir = dcount > 0
         self.dir_mean_x = np.divide(
@@ -150,7 +155,7 @@ class ColumnarClassifier:
             vsum = np.zeros(self.n, dtype=np.float64)
             for j in range(count):
                 dev = self._speed_ring[(start + j) % window] - mean
-                vsum = vsum + kernel.pow2(dev)
+                vsum += kernel.pow2(dev)
             speed_std = np.sqrt(vsum / count)
         constant_speed = speed_std <= cfg.speed_std_threshold
         dcount = self.dir_count

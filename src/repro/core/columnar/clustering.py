@@ -43,6 +43,11 @@ both rely on.  Tombstones are compacted away (with an O(capacity)
 node-slot remap) only when they outnumber the live clusters by
 :data:`_COMPACT_SLACK`.
 
+Per-node columns: the slot (int32, -1 = unassigned) and the speed
+contribution of every node, plus its cos/sin heading contributions when
+headings are tracked.  They are numpy arrays, except during an exact
+sweep, which turns them into lists for its loop and back after it.
+
 Nodes are integer indices ``0 .. capacity-1`` (the columnar engine's row
 numbers), not string ids.
 """
@@ -132,10 +137,13 @@ class ColumnarClusterer:
         self._live = 0
         # Per-node membership: slot index (-1 = unassigned) plus the
         # exact feature contributions to subtract on removal.
-        self._node_slot: list[int] = [-1] * capacity
-        self._node_speed: list[float] = [0.0] * capacity
-        self._node_cx: list[float] = [0.0] * capacity
-        self._node_cy: list[float] = [0.0] * capacity
+        self._node_slot: Any = np.full(capacity, -1, dtype=np.int32)
+        self._node_speed: Any = np.zeros(capacity)
+        self._node_cx: Any = None
+        self._node_cy: Any = None
+        if self.track_directions:
+            self._node_cx = np.zeros(capacity)
+            self._node_cy = np.zeros(capacity)
 
     # -- queries -------------------------------------------------------------
     def cluster_count(self) -> int:
@@ -213,7 +221,7 @@ class ColumnarClusterer:
         self._diry_sum.clear()
         self._cdir.clear()
         self._live = 0
-        self._node_slot = [-1] * self.capacity
+        self._node_slot.fill(-1)
 
     # -- the BSAS step --------------------------------------------------------
     def _place(
@@ -223,7 +231,6 @@ class ColumnarClusterer:
         speeds: Iterable[float],
         directions: Iterable[float],
         avg: list[float] | None,
-        nodes: tuple[Any, Any, Any, Any] | None = None,
     ) -> int:
         """Run the sequential BSAS step over *rows*, in order.
 
@@ -234,23 +241,21 @@ class ColumnarClusterer:
         is closer than ``alpha`` (or ``max_clusters`` is reached) and
         founds a new one otherwise.  When *avg* is given, ``avg[node]``
         receives the node's cluster mean speed right after its placement
-        (stopped nodes are left alone).  *nodes* stands in for the
-        per-node columns ``(slot, speed, cos, sin)``; batched mode passes
-        its arrays, with the rows already detached.  Returns the
-        reassignment count.
+        (stopped nodes are left alone).  Returns the reassignment count.
 
         Every float op matches :class:`SequentialClusterer`'s, and the
         nearest slot is the first minimum, so ties go to the
         earliest-created cluster and tombstones (speed inf) never win.
         """
-        if nodes is None:
-            nodes = (self._node_slot, self._node_speed, self._node_cx, self._node_cy)
-        node_slot, node_speed, node_cx, node_cy = nodes
+        node_slot = self._node_slot
+        node_speed = self._node_speed
+        node_cx = self._node_cx
+        node_cy = self._node_cy
         alpha = self.alpha
         maxc = self.max_clusters
         weight = self.direction_weight
         track = self.track_directions
-        # _tombstone and _compact rewrite these lists in place, so the
+        # _tombstone and _compact rewrite these columns in place, so the
         # locals stay valid; only the live count is handed back and forth.
         counts = self._count
         ssums = self._speed_sum
@@ -365,7 +370,8 @@ class ColumnarClusterer:
     def _compact(self) -> None:
         """Drop tombstoned slots in place, preserving live creation order."""
         keep = [s for s, c in enumerate(self._count) if c > 0]
-        remap = [-1] * len(self._count)
+        # The trailing entry maps slot -1 (unassigned) to itself.
+        remap = [-1] * (len(self._count) + 1)
         for new, old in enumerate(keep):
             remap[old] = new
         columns = [self._count, self._speed_sum, self._cspeed, self._cid]
@@ -373,9 +379,13 @@ class ColumnarClusterer:
             columns += [self._dirx_sum, self._diry_sum, self._cdir]
         for column in columns:
             column[:] = [column[s] for s in keep]
-        self._node_slot[:] = [
-            remap[s] if s >= 0 else -1 for s in self._node_slot
-        ]
+        # The slot column is a list inside an exact sweep and an array
+        # otherwise; _place holds it in a local, so remap it in place.
+        slots = self._node_slot
+        if isinstance(slots, list):
+            slots[:] = [remap[s] for s in slots]
+        else:
+            slots[:] = np.array(remap, dtype=slots.dtype)[slots]
 
     # -- the bulk sweep -------------------------------------------------------
     def place_all(
@@ -404,6 +414,14 @@ class ColumnarClusterer:
             return self._place_all_batched(stop, speeds, directions, avg)
         n = len(stop)
         avg_list = None if avg is None else [0.0] * n
+        # The sequential loop runs on list columns: Python indexes a list
+        # far faster than an array.  The arrays take the result back.
+        names = ["_node_slot", "_node_speed"]
+        if self.track_directions:
+            names += ["_node_cx", "_node_cy"]
+        arrays = [getattr(self, name) for name in names]
+        for name, array in zip(names, arrays):
+            setattr(self, name, array.tolist())
         moves = self._place(
             range(n),
             stop.tolist(),
@@ -411,6 +429,9 @@ class ColumnarClusterer:
             directions.tolist() if self.track_directions else itertools.repeat(0.0),
             avg_list,
         )
+        for name, array in zip(names, arrays):
+            array[:] = getattr(self, name)
+            setattr(self, name, array)
         if avg is not None:
             avg[:] = avg_list
         return moves
@@ -439,15 +460,12 @@ class ColumnarClusterer:
         moving = ~stop
         track = self.track_directions
         speed_arr = np.asarray(speeds, dtype=np.float64)
-        node_slot = np.asarray(self._node_slot, dtype=np.int64)
-        node_speed = np.asarray(self._node_speed, dtype=np.float64)
         if track:
             dir_arr = np.asarray(directions, dtype=np.float64)
-            node_cx = np.asarray(self._node_cx, dtype=np.float64)
-            node_cy = np.asarray(self._node_cy, dtype=np.float64)
-            nodes = (node_slot, node_speed, node_cx, node_cy)
-        else:
-            nodes = (node_slot, node_speed, self._node_cx, self._node_cy)
+        node_slot = self._node_slot
+        node_speed = self._node_speed
+        node_cx = self._node_cx
+        node_cy = self._node_cy
         # Slot -1 (unassigned) indexes the trailing -1.
         old_cids = np.array(self._cid + [-1])[node_slot]
         start = 0
@@ -527,7 +545,6 @@ class ColumnarClusterer:
                     speed_arr[outliers].tolist(),
                     dir_arr[outliers].tolist() if track else itertools.repeat(0.0),
                     None,
-                    nodes,
                 )
                 # Post-chunk centroid refresh (joins can revive a cluster
                 # that emptied during the leave phase, so recount live).
@@ -535,11 +552,6 @@ class ColumnarClusterer:
                 cspeed = self._refresh(counts, ssums)
             self._store_slots(counts, ssums, cspeed, dirx, diry)
             start = end
-        self._node_slot = node_slot.tolist()
-        self._node_speed = node_speed.tolist()
-        if track:
-            self._node_cx = node_cx.tolist()
-            self._node_cy = node_cy.tolist()
         if avg is not None:
             avg[:] = np.array(self._cspeed + [0.0])[node_slot]
         new_cids = np.array(self._cid + [-1])[node_slot]

@@ -86,8 +86,9 @@ def df_decide(
 
     Returns the transmit mask: nodes without a reference fix always
     transmit; others transmit when their displacement from the fix
-    exceeds their DTH.  Reference bookkeeping is the caller's (update
-    ``fix_x/fix_y/has_fix`` at the transmitting rows).
+    exceeds their DTH.  Reference bookkeeping is the caller's: the
+    engine passes the last fix the lane's broker received, which its
+    receive updates at the transmitting rows.
     """
     distance = kernel.hypot(x - fix_x, y - fix_y)
     return ~has_fix | (distance > dth)
@@ -113,6 +114,8 @@ class RegionResolver:
         self.code_of: dict[str, int] = {
             rid: i for i, rid in enumerate(self.region_ids)
         }
+        #: The narrowest signed dtype holding every region code and -1.
+        self.code_dtype = np.min_scalar_type(-len(self.region_ids))
         self.is_road = np.asarray(
             [campus.regions[rid].is_road for rid in self.region_ids], dtype=bool
         )
@@ -217,12 +220,12 @@ class _BrownBrokerState:
         self.alpha = alpha
         self.sp_s1 = np.zeros(n)
         self.sp_s2 = np.zeros(n)
-        self.sp_n = np.zeros(n, dtype=np.int64)
+        self.sp_n = np.zeros(n, dtype=np.int32)
         self.dc_s1 = np.zeros(n)
         self.dc_s2 = np.zeros(n)
         self.ds_s1 = np.zeros(n)
         self.ds_s2 = np.zeros(n)
-        self.dir_n = np.zeros(n, dtype=np.int64)
+        self.dir_n = np.zeros(n, dtype=np.int32)
         self.last_x = np.zeros(n)
         self.last_y = np.zeros(n)
         self.last_t = np.zeros(n)
@@ -247,99 +250,147 @@ class _BrownBrokerState:
         """Absorb the transmitting rows *idx* (Brown recurrences inlined)."""
         a = self.alpha
         sp = speeds[idx]
-        first = self.sp_n[idx] == 0
-        s1 = np.where(first, sp, a * sp + (1.0 - a) * self.sp_s1[idx])
-        s2 = np.where(first, sp, a * s1 + (1.0 - a) * self.sp_s2[idx])
-        self.sp_s1[idx] = s1
-        self.sp_s2[idx] = s2
+        _smooth(self.sp_s1, self.sp_s2, idx, sp, self.sp_n[idx] == 0, a)
         self.sp_n[idx] += 1
-        moving = sp > 1e-9
-        midx = idx[moving]
+        midx = idx[sp > 1e-9]
+        del sp
         if midx.size:
             ms = speeds[midx]
             firstd = self.dir_n[midx] == 0
-            c = vx[midx] / ms
-            c1 = np.where(firstd, c, a * c + (1.0 - a) * self.dc_s1[midx])
-            c2 = np.where(firstd, c, a * c1 + (1.0 - a) * self.dc_s2[midx])
-            self.dc_s1[midx] = c1
-            self.dc_s2[midx] = c2
-            s = vy[midx] / ms
-            t1 = np.where(firstd, s, a * s + (1.0 - a) * self.ds_s1[midx])
-            t2 = np.where(firstd, s, a * t1 + (1.0 - a) * self.ds_s2[midx])
-            self.ds_s1[midx] = t1
-            self.ds_s2[midx] = t2
+            _smooth(self.dc_s1, self.dc_s2, midx, vx[midx] / ms, firstd, a)
+            _smooth(self.ds_s1, self.ds_s2, midx, vy[midx] / ms, firstd, a)
             self.dir_n[midx] += 1
-        self.last_x[idx] = x[idx]
-        self.last_y[idx] = y[idx]
+            del ms, firstd
+        del midx
+        fix = x[idx]
+        self.last_x[idx] = fix
+        self.bel_x[idx] = fix
+        fix = y[idx]
+        self.last_y[idx] = fix
+        self.bel_y[idx] = fix
+        del fix
         self.last_t[idx] = now
-        d = dth[idx]
-        self.cap[idx] = np.where(d > 0.0, d, np.nan)
+        cap = dth[idx]
+        cap[~(cap > 0.0)] = np.nan
+        self.cap[idx] = cap
         self.known[idx] = True
         self.updated[idx] = True
-        self.bel_x[idx] = x[idx]
-        self.bel_y[idx] = y[idx]
 
     def tick(self, now: float, kernel: MathKernel) -> None:
         """Estimate every known-but-silent node (BrownTracker.predict)."""
-        silent = self.known & ~self.updated
+        idx = np.flatnonzero(self.known & ~self.updated)
         self.updated[:] = False
-        idx = np.flatnonzero(silent)
         if not idx.size:
             return
+        # A silent node believes its last fix unless it moves below.
         lx = self.last_x[idx]
         ly = self.last_y[idx]
-        px = lx.copy()
-        py = ly.copy()
-        dt = np.maximum(now - self.last_t[idx], 0.0)
+        self.bel_x[idx] = lx
+        self.bel_y[idx] = ly
         a = self.alpha
         q = a / (1.0 - a)
-        s1 = self.sp_s1[idx]
-        s2 = self.sp_s2[idx]
-        speed = np.maximum(2.0 * s1 - s2 + 1.0 * (q * (s1 - s2)), 0.0)
+        dt = now - self.last_t[idx]
+        np.maximum(dt, 0.0, out=dt)
+        speed = _trend(self.sp_s1, self.sp_s2, idx, q)
+        np.maximum(speed, 0.0, out=speed)
         active = (dt > 0.0) & (self.sp_n[idx] > 0)
         active &= (speed > 1e-9) & (self.dir_n[idx] > 0)
-        c1 = self.dc_s1[idx]
-        c2 = self.dc_s2[idx]
-        c = 2.0 * c1 - c2 + 1.0 * (q * (c1 - c2))
-        t1 = self.ds_s1[idx]
-        t2 = self.ds_s2[idx]
-        s = 2.0 * t1 - t2 + 1.0 * (q * (t1 - t2))
+        # From here on, only the rows that may move.
+        rows = idx[active]
+        lx, ly, dt, speed = lx[active], ly[active], dt[active], speed[active]
+        del idx, active
+        c = _trend(self.dc_s1, self.dc_s2, rows, q)
+        s = _trend(self.ds_s1, self.ds_s2, rows, q)
         norm = kernel.hypot(c, s)
-        active &= norm > 1e-9
-        over = active & (norm > 1.0)
-        c = np.divide(c, norm, out=c.copy(), where=over)
-        s = np.divide(s, norm, out=s.copy(), where=over)
-        k = speed * dt
-        cand_x = lx + c * k
-        cand_y = ly + s * k
-        ox = cand_x - lx
-        oy = cand_y - ly
+        moves = norm > 1e-9
+        over = moves & (norm > 1.0)
+        np.divide(c, norm, out=c, where=over)
+        np.divide(s, norm, out=s, where=over)
+        del norm, over
+        speed *= dt  # the step length k = speed * dt
+        c *= speed
+        c += lx  # candidate x = lx + c * k
+        s *= speed
+        s += ly
+        del dt, speed
+        ox = c - lx
+        oy = s - ly
         distance = kernel.hypot(ox, oy)
-        cap = self.cap[idx]
+        cap = self.cap[rows]
         # A NaN cap (no DTH on the last LU) never compares greater: no clamp.
-        capped = active & (distance > cap)
-        scale = np.divide(
-            cap, distance, out=np.ones_like(distance), where=capped
-        )
-        fx = np.where(capped, lx + ox * scale, cand_x)
-        fy = np.where(capped, ly + oy * scale, cand_y)
-        px = np.where(active, fx, px)
-        py = np.where(active, fy, py)
-        self.bel_x[idx] = px
-        self.bel_y[idx] = py
+        capped = moves & (distance > cap)
+        scale = cap[capped] / distance[capped]
+        c[capped] = lx[capped] + ox[capped] * scale
+        s[capped] = ly[capped] + oy[capped] * scale
+        rows = rows[moves]
+        self.bel_x[rows] = c[moves]
+        self.bel_y[rows] = s[moves]
+
+
+def _smooth(
+    s1: np.ndarray,
+    s2: np.ndarray,
+    rows: np.ndarray,
+    value: np.ndarray,
+    first: np.ndarray,
+    a: float,
+) -> None:
+    """Brown's double exponential smoothing of *value* at *rows*, in place.
+
+    ``s1 = a v + (1 - a) s1`` then ``s2 = a s1 + (1 - a) s2``; a row's
+    *first* observation seeds both with ``v`` (BrownTracker.update).
+    """
+    b = 1.0 - a
+    new1 = s1[rows]
+    new1 *= b
+    new1 += a * value
+    np.copyto(new1, value, where=first)
+    s1[rows] = new1
+    new2 = s2[rows]
+    new2 *= b
+    new1 *= a
+    new2 += new1
+    np.copyto(new2, value, where=first)
+    s2[rows] = new2
+
+
+def _trend(s1: np.ndarray, s2: np.ndarray, rows: np.ndarray, q: float) -> np.ndarray:
+    """Brown's one-step forecast ``2 s1 - s2 + q (s1 - s2)`` at *rows*."""
+    level = s1[rows]
+    smooth = s2[rows]
+    slope = level - smooth
+    slope *= q
+    level *= 2.0
+    level -= smooth
+    level += slope
+    return level
 
 
 class _LastKnownBrokerState:
     """Columnar no-LE broker: estimates repeat the last received fix.
 
     Its estimation sweep never moves a believed position, so only the
-    receive side exists.
+    receive side exists.  Next to a Brown broker it is a view of that
+    broker's last received fixes (:meth:`view_of`), which the Brown
+    receive already writes.
     """
 
-    def __init__(self, n: int) -> None:
-        self.known = np.zeros(n, dtype=bool)
-        self.bel_x = np.zeros(n)
-        self.bel_y = np.zeros(n)
+    def __init__(
+        self, known: np.ndarray, bel_x: np.ndarray, bel_y: np.ndarray
+    ) -> None:
+        self.known = known
+        self.bel_x = bel_x
+        self.bel_y = bel_y
+
+    @classmethod
+    def empty(cls, n: int) -> "_LastKnownBrokerState":
+        """A broker that has received nothing yet."""
+        return cls(np.zeros(n, dtype=bool), np.zeros(n), np.zeros(n))
+
+    @classmethod
+    def view_of(cls, brown: _BrownBrokerState) -> "_LastKnownBrokerState":
+        """The no-LE belief of a lane: its Brown broker's last fixes."""
+        return cls(brown.known, brown.last_x, brown.last_y)
 
     def receive(self, idx: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
         self.known[idx] = True
@@ -447,7 +498,14 @@ class _GdfBrain:
 
 
 class _ColumnarLane:
-    """Per-lane filter, meter and broker state in columnar form."""
+    """Per-lane filter, meter and broker state in columnar form.
+
+    Each per-node fact is held once.  The ideal lane transmits every row
+    every step, so its Location Estimator never has a silent node to
+    estimate: one last-known broker serves as both its with-LE and its
+    without-LE broker.  An ADF/GDF lane's distance-filter reference and
+    its no-LE belief are both the last fix its Brown broker received.
+    """
 
     def __init__(
         self,
@@ -461,10 +519,6 @@ class _ColumnarLane:
         self.name = name
         self.kind = kind
         self.dth_factor = dth_factor
-        # Distance-filter references.
-        self.fix_x = np.zeros(n)
-        self.fix_y = np.zeros(n)
-        self.has_fix = np.zeros(n, dtype=bool)
         self.received = 0
         self.transmitted = 0
         self.suppressed = 0
@@ -472,10 +526,17 @@ class _ColumnarLane:
         self.m_total = 0
         self.m_bytes = 0
         self.m_region = np.zeros(n_regions, dtype=np.int64)
-        self.m_node = np.zeros(n, dtype=np.int64)
+        self.m_node = np.zeros(n, dtype=np.int32)
         self.m_bins: Counter[int] = Counter()
-        self.with_le = _BrownBrokerState(n, smoothing_alpha)
-        self.without_le = _LastKnownBrokerState(n)
+        #: The Location Estimator; the ideal lane has none.
+        self.brown: _BrownBrokerState | None = None
+        if kind == "ideal":
+            self.without_le = _LastKnownBrokerState.empty(n)
+        else:
+            self.brown = _BrownBrokerState(n, smoothing_alpha)
+            self.without_le = _LastKnownBrokerState.view_of(self.brown)
+        #: The broker whose beliefs the with-LE error measures.
+        self.with_le = self.without_le if self.brown is None else self.brown
         self.rmse_with_le = TimeSeries()
         self.rmse_without_le = TimeSeries()
         self.region_errors_with_le = RegionErrors()
@@ -528,17 +589,19 @@ class ColumnarExperiment:
             source = ObjectMobilitySource(nodes)
         self.source = source
         self.state = source.build_state()
-        self.node_ids: list[str] = list(self.state.node_ids)
+        self.node_ids = self.state.node_ids
         n = len(self.state)
         if n == 0:
             raise ValueError("the mobility source produced no nodes")
         self.resolver = RegionResolver(self.campus)
-        self._home_codes = np.asarray(
-            [self.resolver.code_of[h] for h in source.home_regions()],
-            dtype=np.int64,
+        code_of = self.resolver.code_of
+        self._home_codes = np.fromiter(
+            (code_of[h] for h in source.home_regions()),
+            dtype=self.resolver.code_dtype,
+            count=n,
         )
         # Association view (one for the whole experiment, as in the harness).
-        self._serving = np.full(n, -1, dtype=np.int64)
+        self._serving = np.full(n, -1, dtype=self.resolver.code_dtype)
         self.handoffs = 0
         self.associations = 0
         self.registration_messages = 0
@@ -571,7 +634,8 @@ class ColumnarExperiment:
             cfg.adf_config(cfg.dth_factors[0]), n, kernel, cluster_mode
         )
         self.gdf_brain = _GdfBrain() if cfg.include_general_df else None
-        self._zero_dth = np.zeros(n)
+        # The ideal lane's DTH: zero for every row, held as one element.
+        self._zero_dth = np.broadcast_to(np.float64(0.0), (n,))
 
     # -- one reporting interval ---------------------------------------------
     def _step(self, now: float) -> None:
@@ -609,7 +673,9 @@ class ColumnarExperiment:
         if bin_index < 0:
             bin_index = 0
         for lane in self.lanes:
-            if lane.kind == "ideal":
+            brown = lane.brown
+            if brown is None:
+                # The ideal lane transmits every row.
                 dth_arr = self._zero_dth
                 idx = np.arange(n)
                 transmitted = n
@@ -619,14 +685,13 @@ class ColumnarExperiment:
                 else:
                     dth_arr = (lane.dth_factor * gdf_avg) * interval
                 lane.received += n
-                transmit = df_decide(
-                    x, y, lane.fix_x, lane.fix_y, lane.has_fix, dth_arr, kernel
+                # The filter's reference is the last fix the broker got.
+                idx = np.flatnonzero(
+                    df_decide(
+                        x, y, brown.last_x, brown.last_y, brown.known, dth_arr, kernel
+                    )
                 )
-                idx = np.flatnonzero(transmit)
                 transmitted = idx.size
-                lane.fix_x[idx] = x[idx]
-                lane.fix_y[idx] = y[idx]
-                lane.has_fix[idx] = True
                 lane.suppressed += n - transmitted
             lane.transmitted += transmitted
             lane.m_total += transmitted
@@ -636,8 +701,10 @@ class ColumnarExperiment:
             )
             lane.m_node[idx] += 1
             lane.m_bins[bin_index] += transmitted
-            lane.with_le.receive(idx, x, y, vx, vy, speeds, dth_arr, now)
-            lane.without_le.receive(idx, x, y)
+            if brown is None:
+                lane.without_le.receive(idx, x, y)
+            else:
+                brown.receive(idx, x, y, vx, vy, speeds, dth_arr, now)
             if self._lu_observer is not None:
                 self._lu_observer(
                     lane.name, now, idx, x, y, vx, vy, codes, dth_arr
@@ -647,7 +714,8 @@ class ColumnarExperiment:
         for lane in self.lanes:
             if lane.kind == "adf":
                 lane.cluster_series.append(now, cluster_count)
-            lane.with_le.tick(now, kernel)
+            if lane.brown is not None:
+                lane.brown.tick(now, kernel)
         self._measure(now, x, y, on_road)
         valid = state.pattern >= 0
         self._classified_total += int(np.count_nonzero(valid))

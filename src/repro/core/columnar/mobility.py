@@ -27,7 +27,7 @@ from repro.campus import Campus
 from repro.mobility.node import MobileNode
 from repro.mobility.population import PopulationSpec, table1_spec
 from repro.mobility.states import MobilityState
-from repro.core.columnar.state import PATTERN_CODES, ColumnarNodeState
+from repro.core.columnar.state import PATTERN_CODES, BlockNodeIds, ColumnarNodeState
 
 __all__ = ["MobilitySource", "ObjectMobilitySource", "ColumnarMobilitySource"]
 
@@ -83,6 +83,11 @@ class ColumnarMobilitySource:
     whole-population array arithmetic; all randomness comes from one
     seeded ``default_rng`` in a fixed draw order, so runs are exactly
     reproducible for a given (campus, spec, seed).
+
+    Nodes are laid out in contiguous (region, kind) blocks.  Values that
+    belong to the map (segment, speed band, bounds) live in per-block
+    tables that a per-node block index gathers from, and the node ids
+    are derived from the row (:class:`BlockNodeIds`).
     """
 
     #: Probability an RMS node pauses when it reaches its waypoint, and
@@ -108,38 +113,13 @@ class ColumnarMobilitySource:
     # -- construction --------------------------------------------------------
     def _build_columns(self) -> None:
         spec = self.spec
-        node_ids: list[str] = []
-        pattern: list[int] = []
-        home: list[str] = []
-        seg_ax: list[float] = []
-        seg_ay: list[float] = []
-        seg_bx: list[float] = []
-        seg_by: list[float] = []
-        lo: list[float] = []
-        hi: list[float] = []
-        bx0: list[float] = []
-        bx1: list[float] = []
-        by0: list[float] = []
-        by1: list[float] = []
-
-        def add(nid: str, code: int, region_id: str, a, b, band, bounds) -> None:
-            node_ids.append(nid)
-            pattern.append(code)
-            home.append(region_id)
-            seg_ax.append(a[0])
-            seg_ay.append(a[1])
-            seg_bx.append(b[0])
-            seg_by.append(b[1])
-            lo.append(band[0])
-            hi.append(band[1])
-            bx0.append(bounds[0])
-            bx1.append(bounds[1])
-            by0.append(bounds[2])
-            by1.append(bounds[3])
-
         linear = PATTERN_CODES[MobilityState.LINEAR]
         random_code = PATTERN_CODES[MobilityState.RANDOM]
         stop = PATTERN_CODES[MobilityState.STOP]
+        # One row per block of nodes that share a region, a kind and so
+        # every per-map value: (region id, kind, count, pattern code,
+        # segment a, segment b, speed band, region bounds).
+        blocks = []
         for region in self.campus.roads():
             centerline = region.centerline
             assert centerline is not None
@@ -154,10 +134,12 @@ class ColumnarMobilitySource:
             hb = (spec.road_human_band.low, spec.road_human_band.high)
             vb = (spec.road_vehicle_band.low, spec.road_vehicle_band.high)
             rid = region.region_id
-            for i in range(spec.road_humans_per_road):
-                add(f"{rid}-human-{i:06d}", linear, rid, a, b, hb, bounds)
-            for i in range(spec.road_vehicles_per_road):
-                add(f"{rid}-vehicle-{i:06d}", linear, rid, a, b, vb, bounds)
+            blocks.append(
+                (rid, "human", spec.road_humans_per_road, linear, a, b, hb, bounds)
+            )
+            blocks.append(
+                (rid, "vehicle", spec.road_vehicles_per_road, linear, a, b, vb, bounds)
+            )
         for region in self.campus.buildings():
             bounds = (
                 region.bounds.x_min,
@@ -176,130 +158,153 @@ class ColumnarMobilitySource:
             sb = (spec.building_stop_band.low, spec.building_stop_band.high)
             rb = (spec.building_random_band.low, spec.building_random_band.high)
             lb = (spec.building_linear_band.low, spec.building_linear_band.high)
-            for i in range(spec.building_stop):
-                add(f"{rid}-SS-{i:06d}", stop, rid, a, b, sb, bounds)
-            for i in range(spec.building_random):
-                add(f"{rid}-RMS-{i:06d}", random_code, rid, a, b, rb, bounds)
-            for i in range(spec.building_linear):
-                add(f"{rid}-LMS-{i:06d}", linear, rid, a, b, lb, bounds)
+            blocks.append((rid, "SS", spec.building_stop, stop, a, b, sb, bounds))
+            blocks.append(
+                (rid, "RMS", spec.building_random, random_code, a, b, rb, bounds)
+            )
+            blocks.append(
+                (rid, "LMS", spec.building_linear, linear, a, b, lb, bounds)
+            )
 
-        n = len(node_ids)
-        self.node_ids = node_ids
-        self._home_regions = home
-        self._pattern = np.asarray(pattern, dtype=np.int8)
-        self._seg_ax = np.asarray(seg_ax)
-        self._seg_ay = np.asarray(seg_ay)
-        self._seg_bx = np.asarray(seg_bx)
-        self._seg_by = np.asarray(seg_by)
-        self._band_lo = np.asarray(lo)
-        self._band_hi = np.asarray(hi)
-        self._bx0 = np.asarray(bx0)
-        self._bx1 = np.asarray(bx1)
-        self._by0 = np.asarray(by0)
-        self._by1 = np.asarray(by1)
+        #: Node ids, derived from the row index: ``f"{rid}-{kind}-{i:06d}"``.
+        self.node_ids = BlockNodeIds(
+            (f"{rid}-{kind}-", count) for rid, kind, count, *_ in blocks
+        )
+        self._block_home = [rid for rid, *_ in blocks]
+        self._block_count = [count for _, _, count, *_ in blocks]
+        # Per-block tables; a node's row in them is self._block[node].
+        (
+            self._ax, self._ay, bx, by, self._lo, self._hi,
+            self._x0, self._x1, self._y0, self._y1,
+        ) = np.array(
+            [(*a, *b, *band, *bounds) for *_, a, b, band, bounds in blocks],
+            dtype=np.float64,
+        ).reshape(len(blocks), 10).T.copy()
+        self._dx = bx - self._ax
+        self._dy = by - self._ay
+        self._seg_len = np.hypot(self._dx, self._dy)
+        self._seg_len[self._seg_len <= 0.0] = 1.0
+        self._block_pattern = np.array([b[3] for b in blocks], dtype=np.int8)
+        self._block = np.repeat(
+            np.arange(len(blocks), dtype=np.min_scalar_type(-len(blocks))),
+            self._block_count,
+        )
+        block = self._block
+        n = len(block)
+        pattern = self._block_pattern[block]
+        self._is_linear = pattern == linear
+        self._is_random = pattern == random_code
+        del pattern
         rng = self._rng
-        self._is_linear = self._pattern == linear
-        self._is_random = self._pattern == random_code
         # LMS: arc-length fraction along the segment plus shuttle direction.
         self._arc = rng.uniform(0.0, 1.0, n)
-        self._direction = np.where(rng.random(n) < 0.5, 1.0, -1.0)
-        self._base_speed = rng.uniform(self._band_lo, self._band_hi)
-        seg_dx = self._seg_bx - self._seg_ax
-        seg_dy = self._seg_by - self._seg_ay
-        self._seg_len = np.hypot(seg_dx, seg_dy)
-        self._seg_len[self._seg_len <= 0.0] = 1.0
+        self._direction = np.where(rng.random(n) < 0.5, 1, -1).astype(np.int8)
+        self._base_speed = rng.uniform(self._lo[block], self._hi[block])
         # RMS: a current waypoint inside the building plus pause state.
-        self._start_x = rng.uniform(self._bx0, self._bx1)
-        self._start_y = rng.uniform(self._by0, self._by1)
-        self._target_x = rng.uniform(self._bx0, self._bx1)
-        self._target_y = rng.uniform(self._by0, self._by1)
-        self._walk_speed = np.maximum(
-            rng.uniform(self._band_lo, self._band_hi), 0.1
-        )
+        x0, x1 = self._x0[block], self._x1[block]
+        self._start_x = rng.uniform(x0, x1)
+        y0, y1 = self._y0[block], self._y1[block]
+        self._start_y = rng.uniform(y0, y1)
+        self._target_x = rng.uniform(x0, x1)
+        self._target_y = rng.uniform(y0, y1)
+        del x0, x1, y0, y1
+        self._walk_speed = rng.uniform(self._lo[block], self._hi[block])
+        np.maximum(self._walk_speed, 0.1, out=self._walk_speed)
         self._pause = np.zeros(n)
+
+    def _place_linear(self, state: ColumnarNodeState) -> None:
+        """Put the LMS nodes at their arc fraction along their segment."""
+        lin = self._is_linear
+        block = self._block[lin]
+        arc = self._arc[lin]
+        state.x[lin] = self._ax[block] + self._dx[block] * arc
+        state.y[lin] = self._ay[block] + self._dy[block] * arc
 
     # -- the MobilitySource protocol ----------------------------------------
     def build_state(self) -> ColumnarNodeState:
         state = ColumnarNodeState(self.node_ids)
-        state.pattern[:] = self._pattern
-        lin = self._is_linear
+        state.pattern[:] = self._block_pattern[self._block]
         state.x[:] = self._start_x
         state.y[:] = self._start_y
-        state.x[lin] = (
-            self._seg_ax[lin]
-            + (self._seg_bx[lin] - self._seg_ax[lin]) * self._arc[lin]
-        )
-        state.y[lin] = (
-            self._seg_ay[lin]
-            + (self._seg_by[lin] - self._seg_ay[lin]) * self._arc[lin]
-        )
+        self._place_linear(state)
         return state
 
     def home_regions(self) -> list[str]:
-        return list(self._home_regions)
+        return [
+            rid
+            for rid, count in zip(self._block_home, self._block_count)
+            for _ in range(count)
+        ]
 
     def advance(self, state: ColumnarNodeState, dt: float) -> None:
-        old_x = state.x.copy()
-        old_y = state.y.copy()
         rng = self._rng
         n = len(state)
+        x, y, vx, vy = state.x, state.y, state.vx, state.vy
+        block = self._block
+        # Velocities are derived from displacement, as MobileNode.advance
+        # derives them from the model step: start from the negated old
+        # position, add the new one at the end.
+        np.negative(x, out=vx)
+        np.negative(y, out=vy)
         # LMS: jittered shuttle along the segment, reflecting at the ends.
+        # One buffer goes jitter -> speed -> signed arc step.
         lin = self._is_linear
-        jitter = 1.0 + self._SPEED_JITTER * rng.standard_normal(n)
-        speed = np.clip(
-            self._base_speed * np.maximum(jitter, 0.1),
-            self._band_lo,
-            self._band_hi,
-        )
-        frac_step = speed * dt / self._seg_len
-        arc = self._arc + np.where(lin, self._direction * frac_step, 0.0)
+        step = rng.standard_normal(n)
+        step *= self._SPEED_JITTER
+        step += 1.0
+        np.maximum(step, 0.1, out=step)
+        step *= self._base_speed
+        np.clip(step, self._lo[block], self._hi[block], out=step)
+        step *= dt
+        step /= self._seg_len[block]
+        step *= self._direction
+        np.copyto(step, 0.0, where=~lin)
+        arc = self._arc
+        arc += step
+        del step
         # Reflect out-of-range arcs back into [0, 1] and flip direction.
         over = arc > 1.0
         under = arc < 0.0
         arc[over] = 2.0 - arc[over]
         arc[under] = -arc[under]
-        arc = np.clip(arc, 0.0, 1.0)
-        self._direction[over | under] *= -1.0
-        self._arc = arc
-        state.x[lin] = (
-            self._seg_ax[lin] + (self._seg_bx[lin] - self._seg_ax[lin]) * arc[lin]
-        )
-        state.y[lin] = (
-            self._seg_ay[lin] + (self._seg_by[lin] - self._seg_ay[lin]) * arc[lin]
-        )
+        np.clip(arc, 0.0, 1.0, out=arc)
+        over |= under
+        np.negative(self._direction, out=self._direction, where=over)
+        del over, under
+        self._place_linear(state)
         # RMS: walk toward the waypoint; redraw (maybe pausing) on arrival.
         rnd = self._is_random
         if np.any(rnd):
-            dx = self._target_x - state.x
-            dy = self._target_y - state.y
+            dx = self._target_x - x
+            dy = self._target_y - y
             dist = np.hypot(dx, dy)
-            paused = self._pause > 0.0
-            self._pause = np.maximum(self._pause - dt, 0.0)
+            moving = rnd & (self._pause <= 0.0)
+            self._pause -= dt
+            np.maximum(self._pause, 0.0, out=self._pause)
             travel = self._walk_speed * dt
-            moving = rnd & ~paused
             reach = moving & (travel >= dist)
             partial = moving & ~reach
-            scale = np.divide(
-                travel, dist, out=np.zeros_like(dist), where=dist > 0.0
-            )
-            state.x[partial] += dx[partial] * scale[partial]
-            state.y[partial] += dy[partial] * scale[partial]
-            state.x[reach] = self._target_x[reach]
-            state.y[reach] = self._target_y[reach]
+            # Partial moves have dist > travel > 0: scale = travel / dist.
+            scale = travel[partial] / dist[partial]
+            x[partial] += dx[partial] * scale
+            y[partial] += dy[partial] * scale
+            del dx, dy, dist, travel, scale
+            x[reach] = self._target_x[reach]
+            y[reach] = self._target_y[reach]
             # Arrivals: pick the next waypoint (and maybe a pause) for all
             # nodes at once; unused draws keep the stream layout fixed.
-            new_tx = rng.uniform(self._bx0, self._bx1)
-            new_ty = rng.uniform(self._by0, self._by1)
-            pause_draw = rng.random(n)
+            new = rng.uniform(self._x0[block], self._x1[block])
+            self._target_x[reach] = new[reach]
+            new = rng.uniform(self._y0[block], self._y1[block])
+            self._target_y[reach] = new[reach]
+            del new
+            pausing = reach & (rng.random(n) < self._PAUSE_PROBABILITY)
             pause_len = rng.uniform(1.0, self._MAX_PAUSE, n)
-            self._target_x[reach] = new_tx[reach]
-            self._target_y[reach] = new_ty[reach]
-            pausing = reach & (pause_draw < self._PAUSE_PROBABILITY)
             self._pause[pausing] = pause_len[pausing]
-        # Velocities are derived from displacement, as MobileNode.advance
-        # derives them from the model step.
-        state.vx[:] = (state.x - old_x) / dt
-        state.vy[:] = (state.y - old_y) / dt
+        vx += x
+        vx /= dt
+        vy += y
+        vy /= dt
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"ColumnarMobilitySource(n={len(self.node_ids)}, seed={self.seed})"

@@ -218,7 +218,7 @@ class ColumnarTraceRecorder:
         self._region_ids: list[str] | None = None
         self._seq = 0
 
-    def bind(self, node_ids: list[str], region_ids: list[str]) -> None:
+    def bind(self, node_ids: Sequence[str], region_ids: Sequence[str]) -> None:
         """Attach the id tables that turn row/code integers into strings."""
         self._node_ids = list(node_ids)
         self._region_ids = list(region_ids)

@@ -260,6 +260,38 @@ class TestCompaction:
         # Far fewer slots than the ~320 clusters ever created.
         assert len(col._count) < 60
 
+    @pytest.mark.parametrize("weight", [0.0, 0.5])
+    def test_compaction_inside_an_exact_sweep(self, weight):
+        """A fleet of singleton clusters that stops en masse tombstones
+        far more than _COMPACT_SLACK slots inside one place_all, so
+        compaction runs while the sweep holds the per-node slot column as
+        a list; the rows swept after it must still leave the right
+        clusters."""
+        n = 200
+        seq = SequentialClusterer(0.1, direction_weight=weight)
+        col = ColumnarClusterer(0.1, capacity=n, direction_weight=weight)
+        speed = 0.5 * np.arange(n)
+        direction = np.linspace(-3.0, 3.0, n)
+
+        def sweep(stop):
+            for i in range(n):
+                if stop[i]:
+                    seq.unassign(f"n{i}")
+                else:
+                    feature = MotionFeature(float(speed[i]), float(direction[i]))
+                    seq.assign(f"n{i}", feature)
+            directions = direction if col.track_directions else None
+            col.place_all(stop, speed, directions)
+
+        sweep(np.zeros(n, bool))
+        assert col.cluster_count() == n
+        # Four nodes in five stop; the fifth leaves its singleton and
+        # founds a new one, so every row tombstones a slot.
+        sweep(np.arange(n) % 5 != 0)
+        assert col.cluster_count() == n // 5
+        assert len(col._count) < n
+        assert_parity(seq, col, n)
+
 
 class TestPlaceAllParity:
     @pytest.mark.parametrize("config", CONFIGS)
