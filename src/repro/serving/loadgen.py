@@ -57,11 +57,14 @@ class ReplayConfig:
     serving: ServingConfig = field(default_factory=ServingConfig)
 
     def __post_init__(self) -> None:
-        if self.rate < 0:
-            raise ValueError(f"rate must be >= 0, got {self.rate}")
-        if self.sweep_interval < 0:
+        # Written so NaN fails too: a NaN rate would put every arrival
+        # in window 0, a NaN sweep interval would never sweep.
+        if not 0 <= self.rate < math.inf:
+            raise ValueError(f"rate must be finite and >= 0, got {self.rate}")
+        if not 0 <= self.sweep_interval < math.inf:
             raise ValueError(
-                f"sweep_interval must be >= 0, got {self.sweep_interval}"
+                f"sweep_interval must be finite and >= 0, got "
+                f"{self.sweep_interval}"
             )
 
 
@@ -136,35 +139,48 @@ def replay_trace_full(
     window = config.serving.flush_interval
     # Window k (event at time k*window) carries records whose nominal
     # arrival lies in ((k-1)*window, k*window]; arrival 0 lands in k=0.
-    batches: dict[int, list[tuple[float, TraceRecord]]] = {}
-    for arrival, record in zip(arrivals, records):
+    # Each window holds index runs [start, stop) of consecutive records,
+    # in record order: one run per window when arrivals never decrease.
+    windows: dict[int, list[tuple[int, int]]] = {}
+    current: int | None = None
+    start = 0
+    for index, arrival in enumerate(arrivals):
         k = math.ceil(arrival / window) if arrival > 0 else 0
-        batches.setdefault(k, []).append((arrival, record))
+        if k != current:
+            if current is not None:
+                windows.setdefault(current, []).append((start, index))
+            current = k
+            start = index
+    if current is not None:
+        windows.setdefault(current, []).append((start, len(arrivals)))
 
     sweep_interval = config.sweep_interval
     sweep_state = {"next": None}
     if sweep_interval > 0 and records:
         sweep_state["next"] = records[0].time + sweep_interval
 
-    def submit_batch(batch: list[tuple[float, TraceRecord]]) -> None:
+    def submit_window(runs: list[tuple[int, int]]) -> None:
         submit = service.submit
-        for arrival, record in batch:
-            boundary = sweep_state["next"]
-            if boundary is not None and record.time >= boundary:
-                # The submitted stream crossed a trace-time boundary: run
-                # the estimation/quarantine sweep up to it.  Queued (not
-                # yet flushed) LUs behind the boundary resync on apply —
-                # the broker's skip_db path keeps the DB monotonic.
-                while record.time >= boundary:
-                    service.tick(boundary)
-                    boundary += sweep_interval
-                sweep_state["next"] = boundary
-            submit(record.to_update(), arrival=arrival)
+        boundary = sweep_state["next"]
+        for start, stop in runs:
+            for index in range(start, stop):
+                record = records[index]
+                if boundary is not None and record.time >= boundary:
+                    # The submitted stream crossed a trace-time boundary:
+                    # run the estimation/quarantine sweep up to it.  Queued
+                    # (not yet flushed) LUs behind the boundary resync on
+                    # apply — the broker's skip_db path keeps the DB
+                    # monotonic.
+                    while record.time >= boundary:
+                        service.tick(boundary)
+                        boundary += sweep_interval
+                submit(record.to_update(), arrival=arrivals[index])
+        sweep_state["next"] = boundary
 
-    for k in sorted(batches):
+    for k in sorted(windows):
         sim.schedule_at(
             k * window,
-            lambda batch=batches[k]: submit_batch(batch),
+            lambda runs=windows[k]: submit_window(runs),
             label="loadgen:submit",
         )
 

@@ -36,7 +36,7 @@ from typing import Any, Callable
 
 from repro.network.messages import LocationUpdate
 from repro.serving.durability import DurabilityManager
-from repro.serving.store import IngestOutcome, ShardedLocationStore, shard_for
+from repro.serving.store import IngestOutcome, ShardedLocationStore
 from repro.simkernel import Simulator
 from repro.telemetry import NULL_TELEMETRY
 from repro.telemetry.metrics import Histogram
@@ -230,7 +230,7 @@ class IngestService:
     # -- intake ---------------------------------------------------------------
     def shard_index(self, update: LocationUpdate) -> int:
         """Which shard queue *update* routes to."""
-        return shard_for(update.region_id, self.config.shards)
+        return self.store.shard_for_update(update)
 
     def has_capacity(self, update: LocationUpdate) -> bool:
         """Whether *update* would currently be accepted (not shed).
@@ -258,7 +258,7 @@ class IngestService:
         stats.offered += 1
         if self._instrumented:
             self._t_offered.inc()
-        index = self.shard_index(update)
+        index = self.store.shard_for_update(update)
         if self.store.shard_is_down(index):
             stats.shed += 1
             stats.shed_down += 1

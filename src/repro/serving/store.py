@@ -162,6 +162,11 @@ class ShardedLocationStore:
         #: pays a single lookup and a single write, and so crash recovery
         #: and the convergence export read one structure.
         self._gates: dict[str, tuple[int, float, int, float, float]] = {}
+        #: region id -> shard index, written by the gate (under the lock
+        #: when there is one) and read by the ingest service's routing, so
+        #: a region's CRC32 is taken until its first LU is applied, not
+        #: twice for every LU.
+        self._routes: dict[str, int] = {}
         #: Shard indices currently crashed (refusing ingest, skipped by tick).
         self._down: set[int] = set()
         self.applied = 0
@@ -204,7 +209,11 @@ class ShardedLocationStore:
             if self._instrumented:
                 self._t_reordered.inc()
             return IngestOutcome.STALE
-        shard_index = shard_for(update.region_id, self.shard_count)
+        region_id = update.region_id
+        shard_index = self._routes.get(region_id)
+        if shard_index is None:
+            shard_index = shard_for(region_id, self.shard_count)
+            self._routes[region_id] = shard_index
         if shard_index in self._down:
             self.down_dropped += 1
             return IngestOutcome.DOWN
@@ -314,8 +323,14 @@ class ShardedLocationStore:
         return index in self._down
 
     def shard_for_update(self, update: LocationUpdate) -> int:
-        """The shard index *update* routes to."""
-        return shard_for(update.region_id, self.shard_count)
+        """The shard index *update* routes to.
+
+        Reads the route map :meth:`apply` fills, so a region already
+        applied once routes without another CRC32.
+        """
+        region_id = update.region_id
+        index = self._routes.get(region_id)
+        return shard_for(region_id, self.shard_count) if index is None else index
 
     def crash_shard(self, index: int) -> list[str]:
         """Kill shard *index*: drop its broker and owned gates.

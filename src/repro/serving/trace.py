@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable, Sequence
+import re
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -56,6 +57,28 @@ TRACE_FORMAT = "repro-lu-trace"
 TRACE_VERSION = 1
 
 _INF = math.inf
+
+#: Exact types a decoded JSON number has (``bool`` is an ``int`` subclass
+#: but decodes from ``true``/``false``, so it is not in the set).
+_NUMBER_TYPES = frozenset({int, float})
+
+#: The canonical row encoder: compact separators, the C encoder's
+#: repr-based floats.  Encoding a list of rows with it yields the rows'
+#: own encodings joined by commas inside one pair of brackets.
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+#: Rows validated between two canonical-encoding checks in :func:`read_trace`.
+_CHUNK_ROWS = 1024
+
+#: The C scanner ``json.loads`` runs.  ``JSONDecoder`` builds it per
+#: instance, as an attribute its type stubs leave out (hence ``getattr``).
+#: Called directly, it skips two Python frames per line.
+_scan_once: Callable[[str, int], tuple[Any, int]] = getattr(
+    json.JSONDecoder(), "scan_once"
+)
+
+#: JSON insignificant whitespace, as ``json.loads`` skips it.
+_skip_ws = re.compile(r"[ \t\n\r]*").match
 
 
 class TraceError(ValueError):
@@ -134,43 +157,52 @@ class TraceRecord:
 
     @classmethod
     def from_row(cls, row: Sequence[Any]) -> "TraceRecord":
-        """Parse one trace line's JSON array (strict arity and types)."""
-        if len(row) != 9:
-            raise TraceError(f"trace row needs 9 fields, got {len(row)}")
-        time, seq, node_id, x, y, vx, vy, region_id, dth = row
-        if not isinstance(node_id, str) or not isinstance(region_id, str):
-            raise TraceError(f"trace row ids must be strings: {row!r}")
-        if not isinstance(seq, int):
-            raise TraceError(f"trace row seq must be an int: {row!r}")
-        time = float(time)
-        x = float(x)
-        y = float(y)
-        vx = float(vx)
-        vy = float(vy)
-        dth = float(dth)
-        # Chained comparisons instead of math.isfinite calls: NaN fails
-        # every one of them, so this rejects NaN, ±inf and a negative dth.
-        if not (
-            -_INF < time < _INF
-            and -_INF < x < _INF
-            and -_INF < y < _INF
-            and -_INF < vx < _INF
-            and -_INF < vy < _INF
-            and 0.0 <= dth < _INF
-        ):
-            raise TraceError(
-                f"trace row needs finite numbers and dth >= 0: {row!r}"
-            )
-        values = [time, seq, node_id, x, y, vx, vy, region_id, dth]
-        # Re-encode canonically (not the raw input line) so every consumer
-        # of ``encoded`` sees the exact bytes :func:`write_trace` would
-        # produce, whatever whitespace the source file used.
-        return cls(
-            *values,
-            encoded=json.dumps(
-                values, sort_keys=True, separators=(",", ":")
-            ).encode("utf-8"),
-        )
+        """Parse one trace line's decoded JSON array (strict arity and types)."""
+        values = _row_values(row)
+        return cls(*values, encoded=_encode_row(values))
+
+
+def _row_values(row: Sequence[Any]) -> tuple[Any, ...]:
+    """Validate one decoded row; returns its nine values, numbers as floats."""
+    if len(row) != 9:
+        raise TraceError(f"trace row needs 9 fields, got {len(row)}")
+    time, seq, node_id, x, y, vx, vy, region_id, dth = row
+    if not isinstance(node_id, str) or not isinstance(region_id, str):
+        raise TraceError(f"trace row ids must be strings: {row!r}")
+    if type(seq) is not int:
+        raise TraceError(f"trace row seq must be an int: {row!r}")
+    if not (
+        type(time) in _NUMBER_TYPES
+        and type(x) in _NUMBER_TYPES
+        and type(y) in _NUMBER_TYPES
+        and type(vx) in _NUMBER_TYPES
+        and type(vy) in _NUMBER_TYPES
+        and type(dth) in _NUMBER_TYPES
+    ):
+        raise TraceError(f"trace row needs finite numbers and dth >= 0: {row!r}")
+    time = float(time)
+    x = float(x)
+    y = float(y)
+    vx = float(vx)
+    vy = float(vy)
+    dth = float(dth)
+    # Chained comparisons instead of math.isfinite calls: NaN fails
+    # every one of them, so this rejects NaN, ±inf and a negative dth.
+    if not (
+        -_INF < time < _INF
+        and -_INF < x < _INF
+        and -_INF < y < _INF
+        and -_INF < vx < _INF
+        and -_INF < vy < _INF
+        and 0.0 <= dth < _INF
+    ):
+        raise TraceError(f"trace row needs finite numbers and dth >= 0: {row!r}")
+    return (time, seq, node_id, x, y, vx, vy, region_id, dth)
+
+
+def _encode_row(values: tuple[Any, ...]) -> bytes:
+    """The canonical bytes :func:`write_trace` writes for *values*."""
+    return _ROW_ENCODER.encode(values).encode("utf-8")
 
 
 class TraceRecorder:
@@ -299,11 +331,7 @@ def write_trace(
         )
         handle.write("\n")
         for record in rows:
-            handle.write(
-                json.dumps(
-                    record.to_row(), sort_keys=True, separators=(",", ":")
-                )
-            )
+            handle.write(_ROW_ENCODER.encode(record.to_row()))
             handle.write("\n")
     return out
 
@@ -340,15 +368,21 @@ def read_trace(
             )
         body = handle.readlines()
     records: list[TraceRecord] = []
+    # Validated rows wait here, with their line text, until a chunk is
+    # full; only the chunk's rows are ever alive next to the records.
+    # They are tuples of scalars, which the garbage collector stops
+    # tracking, so waiting rows do not bring collections forward.
+    pending: list[tuple[Any, ...]] = []
+    texts: list[str] = []
     last_lineno = 1 + len(body)
     for lineno, line in enumerate(body, start=2):
         if not line.strip():
             continue
         try:
-            row = json.loads(line)
+            row = _decode_line(line)
             if not isinstance(row, list):
                 raise TraceError(f"{source}:{lineno}: row is not an array")
-            record = TraceRecord.from_row(row)
+            values = _row_values(row)
         except (json.JSONDecodeError, TraceError) as exc:
             if lineno == last_lineno:
                 if allow_partial:
@@ -356,10 +390,17 @@ def read_trace(
                 raise TraceError(
                     f"{source}:{lineno}: truncated final row (torn write "
                     f"from a crashed writer?) — pass allow_partial=True to "
-                    f"recover the {len(records)}-record valid prefix"
+                    f"recover the {len(records) + len(pending)}-record valid "
+                    f"prefix"
                 ) from exc
             raise TraceError(f"{source}:{lineno}: unreadable row") from exc
-        records.append(record)
+        pending.append(values)
+        texts.append(line[:-1] if line[-1] == "\n" else line)
+        if len(pending) == _CHUNK_ROWS:
+            _append_chunk(records, pending, texts)
+            pending = []
+            texts = []
+    _append_chunk(records, pending, texts)
     declared = header.get("records")
     if isinstance(declared, int) and declared != len(records):
         if not (allow_partial and declared > len(records)):
@@ -369,6 +410,41 @@ def read_trace(
             )
     meta = header.get("meta")
     return (meta if isinstance(meta, dict) else {}), records
+
+
+def _decode_line(line: str) -> Any:
+    """``json.loads(line)``: one JSON value, only whitespace around it."""
+    if line.startswith("\ufeff"):
+        raise json.JSONDecodeError(
+            "Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0
+        )
+    try:
+        value, end = _scan_once(line, _skip_ws(line, 0).end())
+    except StopIteration as err:
+        raise json.JSONDecodeError("Expecting value", line, err.value) from None
+    end = _skip_ws(line, end).end()
+    if end != len(line):
+        raise json.JSONDecodeError("Extra data", line, end)
+    return value
+
+
+def _append_chunk(
+    records: list[TraceRecord], rows: list[tuple[Any, ...]], texts: list[str]
+) -> None:
+    """Build the records of validated *rows* read from lines *texts*.
+
+    When the rows re-encode to exactly their lines, each line's own bytes
+    are its canonical encoding; otherwise every row is encoded on its own.
+    """
+    if _ROW_ENCODER.encode(rows) == "[" + ",".join(texts) + "]":
+        records.extend(
+            TraceRecord(*values, encoded=text.encode("utf-8"))
+            for values, text in zip(rows, texts)
+        )
+    else:
+        records.extend(
+            TraceRecord(*values, encoded=_encode_row(values)) for values in rows
+        )
 
 
 def record_trace(

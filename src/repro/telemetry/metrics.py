@@ -20,6 +20,7 @@ paths cache them once.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Any
 
 __all__ = [
@@ -170,63 +171,77 @@ class P2Quantile:
         self.q = q
         self._heights: list[float] = []
         self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0]
-        self._increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
+        # Desired positions and their per-sample increments of the three
+        # interior markers; the end markers always sit at 1 and count.
+        self._desired = [1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q]
+        self._increments = [q / 2.0, q, (1.0 + q) / 2.0]
         self._count = 0
 
     def observe(self, x: float) -> None:
         """Absorb one observation."""
         self._count += 1
-        heights = self._heights
-        if len(heights) < 5:
-            heights.append(x)
-            heights.sort()
+        h = self._heights
+        if len(h) < 5:
+            h.append(x)
+            h.sort()
             return
+        n = self._positions
         # Locate the cell containing x, extending extremes when needed.
-        if x < heights[0]:
-            heights[0] = x
-            k = 0
-        elif x >= heights[4]:
-            heights[4] = x
-            k = 3
-        else:
-            k = 0
-            while k < 3 and not (heights[k] <= x < heights[k + 1]):
-                k += 1
-        for i in range(k + 1, 5):
-            self._positions[i] += 1.0
-        for i in range(5):
-            self._desired[i] += self._increments[i]
-        # Adjust the three interior markers.
+        # The chain tests the cells in order, so a NaN lands in cell 3.
+        if x < h[0]:
+            h[0] = x
+            n[1] += 1.0
+            n[2] += 1.0
+            n[3] += 1.0
+        elif x >= h[4]:
+            h[4] = x
+        elif h[0] <= x < h[1]:
+            n[1] += 1.0
+            n[2] += 1.0
+            n[3] += 1.0
+        elif h[1] <= x < h[2]:
+            n[2] += 1.0
+            n[3] += 1.0
+        elif h[2] <= x < h[3]:
+            n[3] += 1.0
+        n[4] += 1.0
+        desired = self._desired
+        increments = self._increments
+        desired[0] += increments[0]
+        desired[1] += increments[1]
+        desired[2] += increments[2]
+        # Adjust the three interior markers, each toward its desired
+        # position by one step: parabolic (P²) when that keeps the heights
+        # ordered, else linear toward the neighbour it moves to.
         for i in (1, 2, 3):
-            d = self._desired[i] - self._positions[i]
-            n_prev = self._positions[i - 1]
-            n_here = self._positions[i]
-            n_next = self._positions[i + 1]
-            if (d >= 1.0 and n_next - n_here > 1.0) or (
-                d <= -1.0 and n_prev - n_here < -1.0
-            ):
-                step = 1.0 if d >= 1.0 else -1.0
-                candidate = self._parabolic(i, step)
-                if heights[i - 1] < candidate < heights[i + 1]:
-                    heights[i] = candidate
-                else:
-                    heights[i] = self._linear(i, step)
-                self._positions[i] += step
-
-    def _parabolic(self, i: int, step: float) -> float:
-        h = self._heights
-        n = self._positions
-        return h[i] + step / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + step) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - step) * (h[i] - h[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, step: float) -> float:
-        h = self._heights
-        n = self._positions
-        j = i + int(step)
-        return h[i] + step * (h[j] - h[i]) / (n[j] - n[i])
+            n_here = n[i]
+            d = desired[i - 1] - n_here
+            if d >= 1.0:
+                if not n[i + 1] - n_here > 1.0:
+                    continue
+                step = 1.0
+            elif d <= -1.0:
+                if not n[i - 1] - n_here < -1.0:
+                    continue
+                step = -1.0
+            else:
+                continue
+            n_prev = n[i - 1]
+            n_next = n[i + 1]
+            h_prev = h[i - 1]
+            h_here = h[i]
+            h_next = h[i + 1]
+            candidate = h_here + step / (n_next - n_prev) * (
+                (n_here - n_prev + step) * (h_next - h_here) / (n_next - n_here)
+                + (n_next - n_here - step) * (h_here - h_prev) / (n_here - n_prev)
+            )
+            if h_prev < candidate < h_next:
+                h[i] = candidate
+            elif step > 0.0:
+                h[i] = h_here + step * (h_next - h_here) / (n_next - n_here)
+            else:
+                h[i] = h_here + step * (h_prev - h_here) / (n_prev - n_here)
+            n[i] = n_here + step
 
     @property
     def count(self) -> int:
@@ -292,15 +307,11 @@ class Histogram(_Instrument):
             self._min = value
         if value > self._max:
             self._max = value
-        # Linear scan: bucket lists are short and this avoids bisect's
-        # per-call import indirection on the hot path.
-        placed = False
-        for i, upper in enumerate(self._buckets):
-            if value <= upper:
-                self._bucket_counts[i] += 1
-                placed = True
-                break
-        if not placed:
+        # The first bound >= value; past the last bound (or NaN, which no
+        # bound admits) the sample lands in the final +inf bucket.
+        if value == value:
+            self._bucket_counts[bisect_left(self._buckets, value)] += 1
+        else:
             self._bucket_counts[-1] += 1
         for estimator in self._quantiles.values():
             estimator.observe(value)

@@ -122,3 +122,10 @@ class TestWorkloadShape:
             ReplayConfig(rate=-1.0)
         with pytest.raises(ValueError, match="sweep_interval"):
             ReplayConfig(sweep_interval=-0.1)
+        # NaN fails every comparison, so a bare "< 0" check let it through:
+        # a NaN rate replayed as one burst, a NaN interval never swept.
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="rate"):
+                ReplayConfig(rate=bad)
+            with pytest.raises(ValueError, match="sweep_interval"):
+                ReplayConfig(sweep_interval=bad)

@@ -105,6 +105,14 @@ class TestValidation:
         row[1] = "7"
         with pytest.raises(TraceError, match="seq must be an int"):
             TraceRecord.from_row(row)
+        # ``true`` decodes to a bool, an int subclass: it is not a seq.
+        row[1] = True
+        with pytest.raises(TraceError, match="seq must be an int"):
+            TraceRecord.from_row(row)
+        with pytest.raises(TraceError, match="seq must be an int"):
+            TraceRecord.from_row(
+                [True, True, "n1", "5.0", " 2 ", False, "1e3", "R1", True]
+            )
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -186,6 +194,14 @@ class TestNonFiniteRows:
             (8, float("inf")),
             (8, -0.5),
             (3, "nan"),
+            (0, True),
+            (3, "5.0"),
+            (4, " 2 "),
+            (5, False),
+            (6, "1e3"),
+            (8, True),
+            (3, None),
+            (0, [1.0]),
         ],
         ids=[
             "time-nan",
@@ -196,6 +212,14 @@ class TestNonFiniteRows:
             "dth-inf",
             "dth-negative",
             "x-nan-string",
+            "time-bool",
+            "x-number-string",
+            "y-padded-string",
+            "vx-bool",
+            "vy-exponent-string",
+            "dth-bool",
+            "x-null",
+            "time-array",
         ],
     )
     def test_from_row_rejects(self, field, value):
@@ -235,6 +259,72 @@ class TestNonFiniteRows:
             read_trace(path)
         _, got = read_trace(path, allow_partial=True)
         assert [r.seq for r in got] == [0, 1, 2]
+
+
+class TestDecodeChunks:
+    """``read_trace`` reuses a line's own bytes as ``encoded`` when its
+    chunk of rows re-encodes to exactly those lines; any other spelling
+    of the same values gets the canonical per-row encoding."""
+
+    def _mixed_lines(self):
+        lines = [
+            json.dumps(
+                make_record(time=0.1 * t + 0.2, seq=t, node=f"n{t % 7}").to_row(),
+                separators=(",", ":"),
+            )
+            for t in range(2600)
+        ]
+        # An int for a float, an exponent, spaced separators, and a raw
+        # non-ASCII id (the canonical form escapes it), in three chunks.
+        lines[5] = '[0.7,5,"n5",5,20.0,1.5,-0.5,"road-1",4]'
+        lines[1500] = '[150.2,1500,"n2",1e2,20.0,1.5,-0.5,"road-1",4.0]'
+        lines[1501] = '[150.3, 1501, "n3", 10.0, 20.0, 1.5, -0.5, "road-1", 4.0]'
+        lines[2590] = '[259.2,2590,"n\\u00f8",10.0,20.0,1.5,-0.5,"road-1",4.0]'
+        lines[2591] = '[259.3,2591,"nø",10.0,20.0,1.5,-0.5,"road-1",4.0]'
+        return lines
+
+    def test_matches_per_row_parse(self, tmp_path):
+        lines = self._mixed_lines()
+        body = list(lines)
+        body.insert(1200, "")
+        body.insert(10, "   ")
+        header = json.dumps(
+            {"format": "repro-lu-trace", "meta": {}, "records": len(lines),
+             "version": 1},
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        path = tmp_path / "mixed.jsonl"
+        path.write_bytes("\r\n".join([header, *body, ""]).encode("utf-8"))
+        _, loaded = read_trace(path)
+        expected = [TraceRecord.from_row(json.loads(line)) for line in lines]
+        assert loaded == expected
+        assert [r.encoded for r in loaded] == [r.encoded for r in expected]
+        assert loaded[0].encoded == lines[0].encode("utf-8")
+        assert loaded[5].encoded == (
+            b'[0.7,5,"n5",5.0,20.0,1.5,-0.5,"road-1",4.0]'
+        )
+        assert loaded[1500].encoded == (
+            b'[150.2,1500,"n2",100.0,20.0,1.5,-0.5,"road-1",4.0]'
+        )
+        assert loaded[2591].encoded == lines[2590].encode("utf-8").replace(
+            b"259.2,2590", b"259.3,2591"
+        )
+
+    def test_row_split_across_lines_is_unreadable(self, tmp_path):
+        """Joined with a comma, the two halves would parse as one row;
+        each line on its own does not, and the first half is reported."""
+        records = [make_record(time=float(t), seq=t) for t in range(4)]
+        path = write_trace(records, tmp_path / "t.jsonl")
+        lines = path.read_text().splitlines()
+        row = lines[2]
+        cut = row.index(",", row.index(",") + 1)
+        lines[2:3] = [row[:cut], row[cut + 1 :]]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TraceError, match=r"t\.jsonl:3: unreadable row"):
+            read_trace(path)
+        with pytest.raises(TraceError, match=r"t\.jsonl:3: unreadable row"):
+            read_trace(path, allow_partial=True)
 
 
 class TestRecorder:

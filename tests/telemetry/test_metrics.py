@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 
 import pytest
 
@@ -110,6 +111,62 @@ class TestP2Quantile:
             return q.value
 
         assert run() == run()
+
+
+class TestGolden:
+    """Bit-exact P² and bucket state on a fixed stream.
+
+    The expected values were recorded from the original straight-line
+    implementation; any reordering of the float operations in
+    ``P2Quantile.observe`` or ``Histogram.observe`` shows up here.
+    """
+
+    BUCKETS = (0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0)
+
+    def _stream(self):
+        rng = random.Random(20240517)
+        out = []
+        while len(out) < 20_000:
+            kind = rng.randrange(4)
+            if kind == 0:
+                # One replay window: arrivals 10 us apart, all applied at
+                # the window's end, so the latencies decrease.
+                width = rng.randrange(50, 600)
+                out.extend(0.05 - i * 1e-05 for i in range(width))
+            elif kind == 1:
+                # Ties on a coarse grid.
+                out.extend(
+                    round(rng.uniform(0.0, 0.3), 2)
+                    for _ in range(rng.randrange(5, 80))
+                )
+            elif kind == 2:
+                # Exactly on the bucket bounds.
+                out.extend(
+                    rng.choice(self.BUCKETS) for _ in range(rng.randrange(5, 40))
+                )
+            else:
+                # A heavy tail, some of it past the last bound.
+                out.extend(
+                    rng.expovariate(rng.choice((8.0, 8.0, 0.3)))
+                    for _ in range(rng.randrange(5, 120))
+                )
+        return out[:20_000]
+
+    def test_histogram_state_is_bit_exact(self):
+        h = Histogram("h", buckets=self.BUCKETS, quantiles=(0.5, 0.9, 0.99))
+        for value in self._stream():
+            h.observe(value)
+        assert h.quantile(0.5) == 0.04883350409764691
+        assert h.quantile(0.9) == 0.23793875386415383
+        assert h.quantile(0.99) == 5.398660634705871
+        assert h.count == 20_000
+        assert h.sum == 5422.705593809006
+        assert h.min == 0.0
+        assert h.max == 22.99973396867283
+        assert [count for _, count in h.bucket_counts()] == [
+            120, 264, 492, 878, 15500, 16357, 18065, 18793, 19066, 19450,
+            19782, 20000,
+        ]
 
 
 class TestRegistry:
