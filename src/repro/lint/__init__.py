@@ -8,16 +8,15 @@ flags never hand-set, sorted-key JSON export).  This package checks
 those invariants statically on every source file so they are enforced
 by the lint gate instead of rediscovered by debugging.
 
-Since PR 10 the checker is whole-program: a cached cross-file project
-model (symbol table, import graph, class attribute inventory) and a
-per-function dataflow layer (CFG + held-locks lattice) power the
-RACE001/RACE002 lock-discipline analyses on the serving path, the
-DET005 order-taint check, and the API001 cross-module symbol check.
+The checker is whole-program: a cached cross-file project model
+(symbol table and import edges) powers the API001 cross-module symbol
+check, and a per-function dataflow layer (CFG + held-locks lattice)
+powers the RACE002 worker-handoff check; DET005 follows order-tainted
+values into JSON exports.
 
 Usage::
 
     python -m repro.lint src tests
-    python -m repro.lint --jobs auto           # multiprocess file fan-out
     python -m repro.lint --format json src
     python -m repro.lint --sarif-file lint.sarif src tests   # CI annotations
     python -m repro.lint --write-baseline      # grandfather current findings
@@ -28,14 +27,13 @@ Usage::
 Architecture (one module each):
 
 - :mod:`repro.lint.findings`      — the :class:`Finding` record + fingerprints
-- :mod:`repro.lint.engine`        — two-phase driver: cached/parallel
-  per-file pass, then whole-program rules over the project model
-- :mod:`repro.lint.project`       — cross-file symbol/import/class model
-- :mod:`repro.lint.dataflow`      — per-function CFGs, held-locks lattice,
-  self-alias reaching definitions
+- :mod:`repro.lint.engine`        — two-phase driver: cached per-file
+  pass, then whole-program rules over the project model
+- :mod:`repro.lint.project`       — cross-file symbol/import model
+- :mod:`repro.lint.dataflow`      — per-function CFGs, held-locks lattice
 - :mod:`repro.lint.rules`         — the per-file rule catalog
-- :mod:`repro.lint.rules_program` — dataflow/project rules (RACE*, DET005,
-  API001)
+- :mod:`repro.lint.rules_program` — dataflow/project rules (RACE002,
+  DET005, API001)
 - :mod:`repro.lint.cache`         — content-hash per-file result cache
 - :mod:`repro.lint.suppressions`  — ``# lint: disable=CODE`` comment handling
 - :mod:`repro.lint.baseline`      — committed grandfathered-findings file

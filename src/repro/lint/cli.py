@@ -1,14 +1,14 @@
 """The ``python -m repro.lint`` front-end.
 
 Exit codes: 0 — no non-baselined findings; 1 — findings (or a stale
-baseline under ``--strict-baseline``); 2 — usage errors.
+baseline under ``--strict-baseline``); 2 — usage errors, including a
+path argument that does not exist.
 
 The default paths (``src tests``) and baseline location
 (``lint-baseline.json`` at the repo root, when present) match the CI
 lint gate, so a bare ``python -m repro.lint`` reproduces CI locally.
 Results are cached under ``.lint-cache/`` keyed by content hash (pass
-``--no-cache`` to disable); ``--jobs auto`` fans files out across
-worker processes.
+``--no-cache`` to disable).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.lint.engine import (
     CACHE_DIR_NAME,
     LintEngine,
     find_repo_root,
-    resolve_jobs,
     rule_catalog,
 )
 
@@ -43,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="report format (default: text)",
     )
@@ -51,8 +50,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--sarif-file",
         metavar="PATH",
         default=None,
-        help="also write a SARIF report to PATH (independent of --format, "
-        "so one run can gate on text output and feed CI code scanning)",
+        help="also write a SARIF report to PATH, so one run can gate on "
+        "text output and feed CI code scanning",
     )
     parser.add_argument(
         "--baseline",
@@ -86,13 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="lint only files git reports changed against REF "
         "(default HEAD: working-tree changes, for pre-commit; CI passes "
         "the PR base ref to lint exactly the PR's files)",
-    )
-    parser.add_argument(
-        "--jobs",
-        metavar="N",
-        default="1",
-        help="worker processes for the per-file phase: a number, or "
-        "'auto' for the CPU count (default: 1)",
     )
     parser.add_argument(
         "--no-cache",
@@ -149,17 +141,19 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.list_rules:
         return _list_rules()
+    missing = [p for p in args.paths if not Path(p).exists()]
+    if missing:
+        print(
+            f"error: no such file or directory: {', '.join(missing)}",
+            file=sys.stderr,
+        )
+        return 2
     anchor = Path(args.paths[0]) if args.paths else Path.cwd()
     root = find_repo_root(anchor if anchor.is_dir() else anchor.parent)
     select = args.select.split(",") if args.select else None
-    try:
-        jobs = resolve_jobs(args.jobs)
-    except ValueError:
-        print(f"error: invalid --jobs value {args.jobs!r}", file=sys.stderr)
-        return 2
     cache_dir = None if args.no_cache else root / CACHE_DIR_NAME
     try:
-        engine = LintEngine(root=root, select=select, jobs=jobs, cache_dir=cache_dir)
+        engine = LintEngine(root=root, select=select, cache_dir=cache_dir)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -203,9 +197,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.sarif_file:
         sarif = render_sarif(new, grandfathered, engine.rules)
         Path(args.sarif_file).write_text(sarif + "\n", encoding="utf-8")
-    if args.format == "sarif":
-        print(render_sarif(new, grandfathered, engine.rules))
-    elif args.format == "json":
+    if args.format == "json":
         print(render_json(new, grandfathered, stale))
     else:
         print(render_text(new, grandfathered, stale))

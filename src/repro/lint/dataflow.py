@@ -1,31 +1,23 @@
 """The intraprocedural dataflow layer: per-function CFGs and lattices.
 
-The race/determinism analyses need more than a syntax walk: *where* a
+The handoff analysis (RACE002) needs more than a syntax walk: *where* a
 write happens matters less than *what is known on every path reaching
-it* — which locks are held, which local names alias which ``self``
-attributes.  This module provides the shared machinery:
+it* — which statements follow the handoff, which locks are held there.
+This module provides the shared machinery:
 
 - :func:`build_cfg` — a control-flow graph over a function's ``ast``
   statements.  Nodes are simple statements plus explicit
-  ``with_enter``/``with_exit`` events (so a ``with lock:`` body is a
-  region between an acquire and a release node) and ``assume`` nodes on
-  conditional edges (so a branch guarded by ``if self._lock is None:``
-  can refine the lock state on its true arm).
+  ``with_enter``/``with_exit`` events, so a ``with lock:`` body is a
+  region between an acquire and a release node.
 - :func:`solve_forward` — a worklist fixpoint solver for any forward
   analysis expressed as ``initial``/``transfer``/``join``.
-- :class:`HeldLocks` — the lock-discipline lattice: the set of lock
-  expressions held on *every* path into each node.  ``with lock:``,
-  ``lock.acquire()``/``lock.release()`` and the repo's conditional-lock
-  idiom are all understood: code dominated by ``self._lock is None``
-  runs in declared single-threaded mode, which the lattice models as
-  the lock being (vacuously) held.
-- :class:`SelfAliases` — reaching-definition tracking of local names
-  that alias ``self`` attributes (``gates = self._gates``), so a write
-  through the alias is attributed to the attribute it mutates.
+- :class:`HeldLocks` — the lock lattice: the set of lock expressions
+  held on *every* path into each node.  ``with lock:`` and
+  ``lock.acquire()``/``lock.release()`` are understood.
 
-Everything here is pure-stdlib and per-function: whole-program context
-(which classes are threaded, which attributes matter) is supplied by
-the rules in :mod:`repro.lint.rules_program`.
+Everything here is pure-stdlib and per-function: which expressions
+count as locks and which writes matter is supplied by the rules in
+:mod:`repro.lint.rules_program`.
 """
 
 from __future__ import annotations
@@ -33,7 +25,7 @@ from __future__ import annotations
 import ast
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator
 
 __all__ = [
     "CFG",
@@ -41,9 +33,7 @@ __all__ = [
     "build_cfg",
     "solve_forward",
     "HeldLocks",
-    "SelfAliases",
     "dotted_expr",
-    "SELF_VALUE_OTHER",
 ]
 
 FunctionNode = ast.FunctionDef | ast.AsyncFunctionDef
@@ -65,16 +55,13 @@ def dotted_expr(node: ast.AST) -> str | None:
 class CFGNode:
     """One event in the flow graph.
 
-    ``kind`` is one of ``entry``, ``exit``, ``stmt``, ``with_enter``,
-    ``with_exit`` or ``assume``.  ``stmt`` carries the statement for
-    ``stmt`` nodes, the context-manager expression for with events, and
-    the test expression for assumes (with :attr:`polarity` telling which
-    arm the edge enters).
+    ``kind`` is one of ``entry``, ``exit``, ``stmt``, ``with_enter`` or
+    ``with_exit``.  ``stmt`` carries the statement for ``stmt`` nodes
+    and the context-manager expression for with events.
     """
 
     kind: str
     stmt: ast.AST | None = None
-    polarity: bool = True
 
 
 @dataclass
@@ -139,13 +126,7 @@ class _Builder:
     def statement(self, stmt: ast.stmt, frontier: list[int]) -> list[int]:
         cfg = self.cfg
         if isinstance(stmt, ast.If):
-            true_in = cfg.add(CFGNode("assume", stmt.test, True))
-            false_in = cfg.add(CFGNode("assume", stmt.test, False))
-            self._link(frontier, true_in)
-            self._link(frontier, false_in)
-            out = self.body(stmt.body, [true_in])
-            out += self.body(stmt.orelse, [false_in])
-            return out
+            return self.body(stmt.body, frontier) + self.body(stmt.orelse, frontier)
         if isinstance(stmt, (ast.While, ast.For, ast.AsyncFor)):
             header = cfg.add(CFGNode("stmt", stmt))
             after = cfg.add(CFGNode("stmt", None))  # join placeholder
@@ -263,8 +244,7 @@ class HeldLocks:
     State is a frozenset of dotted lock expressions (``self._lock``);
     the join over paths is set intersection, so a lock counts as held
     only when *every* path into the node holds it.  *is_lock* decides
-    which expressions are locks (the race rule passes the class's
-    inventory of ``threading.Lock``-assigned attributes).
+    which expressions are locks.
     """
 
     def __init__(self, is_lock: Callable[[str], bool]) -> None:
@@ -290,30 +270,9 @@ class HeldLocks:
             if key is not None:
                 return held - {key}
             return held
-        if node.kind == "assume":
-            refined = self._refine(node.stmt, node.polarity)
-            if refined is not None:
-                return held | {refined}
-            return held
         if node.kind == "stmt" and node.stmt is not None:
             return self._transfer_stmt(node.stmt, held)
         return held
-
-    def _refine(self, test: ast.AST | None, polarity: bool) -> str | None:
-        """``self._lock is None`` (true arm) declares single-threaded
-        mode: the lock is vacuously held there.  The inverted test's
-        false arm is the same region."""
-        if not isinstance(test, ast.Compare) or len(test.ops) != 1:
-            return None
-        op = test.ops[0]
-        right = test.comparators[0]
-        if not (isinstance(right, ast.Constant) and right.value is None):
-            return None
-        wants_true = isinstance(op, ast.Is)
-        wants_false = isinstance(op, ast.IsNot)
-        if (wants_true and polarity) or (wants_false and not polarity):
-            return self._lock_key(test.left)
-        return None
 
     def _transfer_stmt(self, stmt: ast.AST, held: frozenset[str]) -> object:
         # Loop headers are CFG nodes carrying the whole compound
@@ -334,10 +293,10 @@ class HeldLocks:
                 held = held | {key} if func.attr == "acquire" else held - {key}
         return held
 
-    def solve(self, cfg: CFG, *, entry: frozenset[str] = frozenset()) -> dict[int, frozenset[str]]:
+    def solve(self, cfg: CFG) -> dict[int, frozenset[str]]:
         states = solve_forward(
             cfg,
-            initial=entry,
+            initial=frozenset(),
             transfer=self.transfer,
             join=lambda a, b: a & b,  # type: ignore[operator]
         )
@@ -348,61 +307,3 @@ def _calls_in(stmt: ast.AST) -> Iterator[ast.Call]:
     for node in ast.walk(stmt):
         if isinstance(node, ast.Call):
             yield node
-
-
-# -- reaching self-attribute aliases ----------------------------------------
-
-#: Abstract value for "anything that is not a tracked self attribute".
-SELF_VALUE_OTHER = "<other>"
-
-
-class SelfAliases:
-    """Reaching definitions restricted to ``local = self.attr`` aliases.
-
-    The state maps each local name to the set of ``self`` attributes it
-    may currently alias (or :data:`SELF_VALUE_OTHER`).  The join is a
-    pointwise union, so a name aliasing ``self._gates`` on one path and
-    something else on another still reports the attribute — writes
-    through a *possible* alias count.
-    """
-
-    @staticmethod
-    def _eval(value: ast.AST, state: Mapping[str, frozenset[str]]) -> frozenset[str]:
-        if (
-            isinstance(value, ast.Attribute)
-            and isinstance(value.value, ast.Name)
-            and value.value.id == "self"
-        ):
-            return frozenset({value.attr})
-        if isinstance(value, ast.Name):
-            return state.get(value.id, frozenset({SELF_VALUE_OTHER}))
-        return frozenset({SELF_VALUE_OTHER})
-
-    def transfer(self, node: CFGNode, state: object) -> object:
-        if node.kind != "stmt" or not isinstance(node.stmt, ast.Assign):
-            return state
-        bindings: dict[str, frozenset[str]] = dict(state)  # type: ignore[arg-type]
-        value = SelfAliases._eval(node.stmt.value, bindings)
-        for target in node.stmt.targets:
-            if isinstance(target, ast.Name):
-                bindings[target.id] = value
-        return bindings
-
-    @staticmethod
-    def _join(
-        a: object, b: object
-    ) -> dict[str, frozenset[str]]:
-        left: dict[str, frozenset[str]] = dict(a)  # type: ignore[arg-type]
-        right: Mapping[str, frozenset[str]] = b  # type: ignore[assignment]
-        for name, values in right.items():
-            left[name] = left.get(name, frozenset()) | values
-        return left
-
-    def solve(self, cfg: CFG) -> dict[int, dict[str, frozenset[str]]]:
-        states = solve_forward(
-            cfg,
-            initial={},
-            transfer=self.transfer,
-            join=self._join,
-        )
-        return {index: dict(state) for index, state in states.items()}  # type: ignore[arg-type]

@@ -8,12 +8,11 @@ exemption rely on).  The :class:`FileContext` a rule sees now carries
 the file's :class:`~repro.lint.project.ModuleInfo` summary, so import
 resolution is shared with the whole-program model instead of each rule
 re-walking the tree.  Per-file results are a pure function of the
-file's bytes and the rule set, which makes two accelerations sound:
-a content-hash result cache (:mod:`repro.lint.cache`) and
-multiprocessing fan-out across files (``jobs > 1``).
+file's bytes and the rule set, which makes a content-hash result cache
+(:mod:`repro.lint.cache`) sound.
 
 Phase 2 — **project rules**: rules with :attr:`LintRule.project_wide`
-set run once in the main process against a repo-wide
+set run once against a repo-wide
 :class:`~repro.lint.project.ProjectModel` (itself content-hash cached),
 regardless of how few files were selected for phase 1 — a cross-module
 check needs the whole repo as context even when linting one file.
@@ -25,7 +24,6 @@ suppressions before being returned.
 from __future__ import annotations
 
 import ast
-import os
 from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
 from typing import Callable
@@ -50,7 +48,6 @@ __all__ = [
     "find_repo_root",
     "iter_python_files",
     "lint_paths",
-    "resolve_jobs",
 ]
 
 #: Code used for files the engine cannot parse at all.
@@ -109,8 +106,8 @@ class LintRule:
     so per-file state in ``begin_file`` is safe.
 
     Whole-program rules set :attr:`project_wide` and override
-    :meth:`check_project` instead; they run once per engine run, in the
-    main process, after the per-file phase.
+    :meth:`check_project` instead; they run once per engine run, after
+    the per-file phase.
     """
 
     code: str = ""
@@ -204,56 +201,31 @@ def find_repo_root(start: Path) -> Path:
 def iter_python_files(paths: Sequence[Path]) -> Iterator[Path]:
     """All ``.py`` files under *paths*, deterministically ordered.
 
-    Directories are walked recursively; hidden directories and
-    ``__pycache__`` are skipped.
+    Directories are walked recursively, skipping hidden entries and
+    ``__pycache__`` *below* each directory argument; where the argument
+    itself lives does not matter, so a checkout under a hidden directory
+    still lints.
     """
     seen: set[Path] = set()
     for path in paths:
         if path.is_file() and path.suffix == ".py":
             candidates: Iterable[Path] = (path,)
         elif path.is_dir():
-            candidates = sorted(path.rglob("*.py"))
+            candidates = (
+                candidate
+                for candidate in sorted(path.rglob("*.py"))
+                if not any(
+                    part == "__pycache__" or part.startswith(".")
+                    for part in candidate.relative_to(path).parts
+                )
+            )
         else:
             candidates = ()
         for candidate in candidates:
             resolved = candidate.resolve()
-            parts = resolved.parts
-            if any(p == "__pycache__" or p.startswith(".") for p in parts[1:]):
-                continue
             if resolved not in seen:
                 seen.add(resolved)
                 yield resolved
-
-
-def resolve_jobs(value: str | int) -> int:
-    """``--jobs`` semantics: a positive int, or ``auto`` = CPU count."""
-    if isinstance(value, int):
-        return max(1, value)
-    if value.strip().lower() == "auto":
-        return os.cpu_count() or 1
-    return max(1, int(value))
-
-
-# -- worker-process plumbing -------------------------------------------------
-#
-# Each worker builds one engine at pool start (initializer) and reuses
-# it for every file it lints; results cross the pipe as plain dicts.
-
-_WORKER_ENGINE: "LintEngine | None" = None
-
-
-def _worker_init(root: str, select: tuple[str, ...] | None) -> None:
-    global _WORKER_ENGINE
-    _WORKER_ENGINE = LintEngine(
-        root=Path(root), select=list(select) if select else None
-    )
-
-
-def _worker_lint(task: tuple[str, str]) -> tuple[str, list[dict[str, object]]]:
-    path_str, rel = task
-    assert _WORKER_ENGINE is not None
-    findings = _WORKER_ENGINE.lint_file(Path(path_str))
-    return rel, [finding.to_payload() for finding in findings]
 
 
 class LintEngine:
@@ -265,7 +237,6 @@ class LintEngine:
         rules: Sequence[LintRule] | None = None,
         select: Sequence[str] | None = None,
         *,
-        jobs: int = 1,
         cache_dir: Path | None = None,
     ) -> None:
         self.root = (root or find_repo_root(Path.cwd())).resolve()
@@ -277,9 +248,7 @@ class LintEngine:
                 raise ValueError(f"unknown rule code(s): {sorted(unknown)}")
             catalog = tuple(r for r in catalog if r.code in wanted)
         self.rules = catalog
-        self.jobs = max(1, jobs)
         self.cache_dir = cache_dir
-        self._select = tuple(sorted(select)) if select else None
 
     def rel_path(self, path: Path) -> str:
         """Repo-relative ``/``-separated path (absolute when outside root)."""
@@ -362,23 +331,12 @@ class LintEngine:
             )
 
         findings: list[Finding] = []
-        pending: list[tuple[Path, str]] = []
         for path, rel in order:
             cached = cache.get(rel, hashes[rel]) if cache is not None else None
             if cached is not None:
                 findings.extend(cached)
-            else:
-                pending.append((path, rel))
-
-        if self.jobs > 1 and len(pending) > 1:
-            results = self._lint_parallel(pending)
-        else:
-            results = {
-                rel: self._lint_source(path, rel, sources[rel])
-                for path, rel in pending
-            }
-        for path, rel in pending:
-            file_findings = results[rel]
+                continue
+            file_findings = self._lint_source(path, rel, sources[rel])
             findings.extend(file_findings)
             if cache is not None:
                 cache.put(rel, hashes[rel], file_findings)
@@ -387,24 +345,6 @@ class LintEngine:
 
         findings.extend(self._project_findings(files, sources))
         return sorted(findings, key=Finding.sort_key)
-
-    def _lint_parallel(
-        self, pending: Sequence[tuple[Path, str]]
-    ) -> dict[str, list[Finding]]:
-        from concurrent.futures import ProcessPoolExecutor
-
-        tasks = [(str(path), rel) for path, rel in pending]
-        workers = min(self.jobs, len(tasks))
-        chunksize = max(1, len(tasks) // (workers * 4))
-        results: dict[str, list[Finding]] = {}
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_worker_init,
-            initargs=(str(self.root), self._select),
-        ) as pool:
-            for rel, payloads in pool.map(_worker_lint, tasks, chunksize=chunksize):
-                results[rel] = [Finding.from_payload(p) for p in payloads]
-        return results
 
     def _project_findings(
         self, files: Sequence[Path], sources: dict[str, str]
@@ -456,9 +396,8 @@ def lint_paths(
     *,
     root: Path | None = None,
     select: Sequence[str] | None = None,
-    jobs: int = 1,
     cache_dir: Path | None = None,
 ) -> list[Finding]:
     """Convenience wrapper: lint *paths* with the full built-in rule set."""
-    engine = LintEngine(root=root, select=select, jobs=jobs, cache_dir=cache_dir)
+    engine = LintEngine(root=root, select=select, cache_dir=cache_dir)
     return engine.lint([Path(p) for p in paths])

@@ -1,19 +1,19 @@
-"""The whole-program project model: symbols, imports, class attributes.
+"""The whole-program project model: symbols, exports and imports.
 
 Per-file rules see one tree at a time; the analyses added with the
 whole-program engine (``API001`` cross-module symbol checks, the
 project-aware import resolution every ``_ImportTrackingRule`` now rides
 on) need a repo-wide view.  :class:`ProjectModel` provides it as a
 *summary* — one :class:`ModuleInfo` per file holding the module's
-defined names, ``__all__`` exports, resolved import edges, class
-attribute inventory and the set of identifiers it references — rather
-than retained ASTs, so the model is cheap to hold for a 230+-file repo,
-JSON-serialisable, and cacheable by content hash (a file whose bytes
-did not change is never re-parsed; see :class:`ModelCache`).
+defined names, ``__all__`` exports, resolved import edges and the set
+of identifiers it references — rather than retained ASTs, so the model
+is cheap to hold for a 230+-file repo, JSON-serialisable, and cacheable
+by content hash (a file whose bytes did not change is never re-parsed;
+see :class:`ModelCache`).
 
 Import edges resolve ``from``-imports, aliases and relative imports the
 same way DET002's per-file tracker always has, but to *absolute dotted
-module names*, so the import graph can be joined against the symbol
+module names*, so import edges can be joined against the symbol
 table: ``from ..broker import GridBroker`` inside
 ``repro.serving.store`` becomes an edge to module ``repro.broker``
 importing name ``GridBroker``.
@@ -24,13 +24,12 @@ from __future__ import annotations
 import ast
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 __all__ = [
     "ImportEdge",
-    "ClassSummary",
     "ModuleInfo",
     "ProjectModel",
     "ModelCache",
@@ -41,7 +40,7 @@ __all__ = [
 
 #: Bump when the extracted summary shape changes: stale cache entries
 #: from older engine versions must never be reused.
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 def content_hash(source: str) -> str:
@@ -87,39 +86,6 @@ class ImportEdge:
 
 
 @dataclass
-class ClassSummary:
-    """Attribute inventory of one class definition."""
-
-    name: str
-    lineno: int
-    bases: tuple[str, ...]
-    #: methods defined directly in the class body
-    methods: tuple[str, ...]
-    #: every attribute the class binds: ``self.x = ...`` in any method
-    #: plus class-level assignments/annotations
-    attributes: tuple[str, ...]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "lineno": self.lineno,
-            "bases": list(self.bases),
-            "methods": list(self.methods),
-            "attributes": list(self.attributes),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ClassSummary":
-        return cls(
-            name=data["name"],
-            lineno=int(data["lineno"]),
-            bases=tuple(data["bases"]),
-            methods=tuple(data["methods"]),
-            attributes=tuple(data["attributes"]),
-        )
-
-
-@dataclass
 class ModuleInfo:
     """The whole-program summary of one python file."""
 
@@ -133,7 +99,6 @@ class ModuleInfo:
     #: None when the module has no statically-resolvable ``__all__``
     exports: tuple[tuple[str, int], ...] | None
     imports: tuple[ImportEdge, ...]
-    classes: dict[str, ClassSummary] = field(default_factory=dict)
     #: every identifier the module mentions (Name ids + Attribute attrs);
     #: the usage side of the cross-module dead-symbol check
     refs: frozenset[str] = frozenset()
@@ -153,9 +118,6 @@ class ModuleInfo:
                 else [[name, line] for name, line in self.exports]
             ),
             "imports": [edge.to_list() for edge in self.imports],
-            "classes": {
-                name: cls.to_dict() for name, cls in sorted(self.classes.items())
-            },
             "refs": sorted(self.refs),
             "dynamic": self.dynamic,
         }
@@ -174,10 +136,6 @@ class ModuleInfo:
                 else tuple((name, int(line)) for name, line in exports)
             ),
             imports=tuple(ImportEdge.from_list(row) for row in data["imports"]),
-            classes={
-                name: ClassSummary.from_dict(raw)
-                for name, raw in data["classes"].items()
-            },
             refs=frozenset(data["refs"]),
             dynamic=bool(data["dynamic"]),
         )
@@ -191,17 +149,6 @@ def _resolve_relative(package_parts: list[str], level: int, module: str | None) 
     if module:
         base = base + module.split(".")
     return ".".join(base)
-
-
-def _dotted_name(node: ast.AST) -> str | None:
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 def _top_level_bindings(body: Iterable[ast.stmt], into: set[str]) -> None:
@@ -281,44 +228,6 @@ def _extract_exports(
     return None
 
 
-def _extract_class(node: ast.ClassDef) -> ClassSummary:
-    methods: list[str] = []
-    attributes: set[str] = set()
-    for stmt in node.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            methods.append(stmt.name)
-        elif isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                if isinstance(target, ast.Name):
-                    attributes.add(target.id)
-        elif isinstance(stmt, ast.AnnAssign) and isinstance(
-            stmt.target, ast.Name
-        ):
-            attributes.add(stmt.target.id)
-    for sub in ast.walk(node):
-        if isinstance(sub, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-            raw_targets = (
-                list(sub.targets) if isinstance(sub, ast.Assign) else [sub.target]
-            )
-            for target in raw_targets:
-                if (
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "self"
-                ):
-                    attributes.add(target.attr)
-    bases = tuple(
-        name for name in (_dotted_name(base) for base in node.bases) if name
-    )
-    return ClassSummary(
-        name=node.name,
-        lineno=node.lineno,
-        bases=bases,
-        methods=tuple(methods),
-        attributes=tuple(sorted(attributes)),
-    )
-
-
 def extract_module(rel_path: str, source: str, tree: ast.Module) -> ModuleInfo:
     """Summarise one parsed file into a :class:`ModuleInfo`."""
     module = module_name_for(rel_path)
@@ -334,7 +243,6 @@ def extract_module(rel_path: str, source: str, tree: ast.Module) -> ModuleInfo:
     exports = _extract_exports(tree.body)
 
     imports: list[ImportEdge] = []
-    classes: dict[str, ClassSummary] = {}
     refs: set[str] = set()
     dynamic = False
     for stmt in tree.body:
@@ -368,8 +276,6 @@ def extract_module(rel_path: str, source: str, tree: ast.Module) -> ModuleInfo:
                         lineno=node.lineno,
                     )
                 )
-        elif isinstance(node, ast.ClassDef):
-            classes.setdefault(node.name, _extract_class(node))
         elif isinstance(node, ast.Name):
             refs.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -381,7 +287,6 @@ def extract_module(rel_path: str, source: str, tree: ast.Module) -> ModuleInfo:
         defined=frozenset(defined),
         exports=exports,
         imports=tuple(imports),
-        classes=classes,
         refs=frozenset(refs),
         dynamic=dynamic,
     )
@@ -443,7 +348,7 @@ class ModelCache:
 
 
 class ProjectModel:
-    """Repo-wide symbol table, import graph and attribute inventory."""
+    """Repo-wide symbol table and import edges."""
 
     def __init__(self, modules: dict[str, ModuleInfo]) -> None:
         #: rel_path -> summary
@@ -498,18 +403,6 @@ class ProjectModel:
         if any(edge.name == "*" for edge in info.imports):
             return True  # star import: definitions unknowable
         return f"{module}.{name}" in self.modules
-
-    def import_graph(self) -> dict[str, frozenset[str]]:
-        """Module -> imported in-project modules (the dependency graph)."""
-        graph: dict[str, frozenset[str]] = {}
-        for info in self.files.values():
-            targets = {
-                edge.module
-                for edge in info.imports
-                if edge.module in self.modules
-            }
-            graph[info.module] = frozenset(targets)
-        return graph
 
     def referenced_anywhere_except(self, name: str, rel_path: str) -> bool:
         """Whether *name* is mentioned in any file other than *rel_path*.

@@ -1,23 +1,14 @@
-"""Dataflow- and project-powered analyses: RACE*, DET005, API001.
+"""Dataflow- and project-powered analyses: RACE002, DET005, API001.
 
 These rules are what the whole-program engine exists for:
 
-- ``RACE001`` — lock-discipline race detection on the serving path.
-  For every class in ``serving/`` / ``experiments/runner.py`` that is
-  *concurrency-involved* (creates threads, registers executor
-  callbacks, or owns a ``threading.Lock``), every instance-attribute
-  write in a method reachable from a concurrent entry point (a thread
-  target, an executor-submitted method, or any public method — all of
-  which arbitrary threads may call) must happen with a lock held on
-  every path.  The :mod:`repro.lint.dataflow` lattice supplies the held
-  set, including the repo's conditional-lock idiom (``if self._lock is
-  None:`` declares single-threaded mode) and interprocedural entry
-  states (a private helper only ever called under the lock inherits it).
 - ``RACE002`` — handoff escape check: an object passed to a worker
   (``executor.submit(fn, obj)``, ``threading.Thread(args=(obj,))``)
   must not also be mutated by the submitting thread afterwards outside
   a lock; the worker may be reading it concurrently (threads) or
-  pickling it lazily (process pools).
+  pickling it lazily (process pools).  The :mod:`repro.lint.dataflow`
+  CFG supplies what is reachable after the handoff and the held-locks
+  lattice what is guarded there.
 - ``DET005`` — order-sensitive export detection.  DET003 flags raw
   set/``.keys()`` iteration syntactically; DET005 follows the *value*:
   a list built by iterating an unordered container (sets,
@@ -34,17 +25,8 @@ from __future__ import annotations
 
 import ast
 from collections.abc import Callable, Iterator
-from typing import Mapping
 
-from repro.lint.dataflow import (
-    CFG,
-    SELF_VALUE_OTHER,
-    FunctionNode,
-    HeldLocks,
-    SelfAliases,
-    build_cfg,
-    dotted_expr,
-)
+from repro.lint.dataflow import FunctionNode, HeldLocks, build_cfg, dotted_expr
 from repro.lint.engine import FileContext, LintRule, register_rule
 from repro.lint.findings import Finding
 from repro.lint.project import ProjectModel
@@ -79,295 +61,6 @@ MUTATOR_METHODS = frozenset(
         "update",
     }
 )
-
-_LOCK_FACTORIES = frozenset(
-    {
-        "threading.Lock",
-        "threading.RLock",
-        "threading.Condition",
-        "Lock",
-        "RLock",
-        "Condition",
-    }
-)
-
-
-def _lock_call_in(expr: ast.AST) -> bool:
-    """Whether *expr* constructs a lock (incl. ``Lock() if x else None``)."""
-    for node in ast.walk(expr):
-        if isinstance(node, ast.Call):
-            dotted = dotted_expr(node.func)
-            if dotted in _LOCK_FACTORIES:
-                return True
-    return False
-
-
-class _ClassModel:
-    """Everything RACE001 needs about one class definition."""
-
-    def __init__(self, node: ast.ClassDef) -> None:
-        self.node = node
-        self.methods: dict[str, FunctionNode] = {
-            stmt.name: stmt
-            for stmt in node.body
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        self.lock_attrs: set[str] = set()
-        self.thread_targets: set[str] = set()
-        self.registers_callbacks = False
-        self.creates_threads = False
-        for sub in ast.walk(node):
-            if isinstance(sub, (ast.Assign, ast.AnnAssign)):
-                value = sub.value
-                targets = (
-                    list(sub.targets) if isinstance(sub, ast.Assign) else [sub.target]
-                )
-                if value is not None and _lock_call_in(value):
-                    for target in targets:
-                        if (
-                            isinstance(target, ast.Attribute)
-                            and isinstance(target.value, ast.Name)
-                            and target.value.id == "self"
-                        ):
-                            self.lock_attrs.add(target.attr)
-            if isinstance(sub, ast.Call):
-                dotted = dotted_expr(sub.func)
-                if dotted in ("threading.Thread", "Thread"):
-                    self.creates_threads = True
-                    for keyword in sub.keywords:
-                        if keyword.arg == "target":
-                            self._note_target(keyword.value)
-                elif isinstance(sub.func, ast.Attribute):
-                    if sub.func.attr == "submit" and sub.args:
-                        self._note_target(sub.args[0])
-                    elif sub.func.attr == "add_done_callback":
-                        self.registers_callbacks = True
-                        if sub.args:
-                            self._note_target(sub.args[0])
-
-    def _note_target(self, expr: ast.AST) -> None:
-        if (
-            isinstance(expr, ast.Attribute)
-            and isinstance(expr.value, ast.Name)
-            and expr.value.id == "self"
-            and expr.attr in self.methods
-        ):
-            self.thread_targets.add(expr.attr)
-
-    @property
-    def concurrent(self) -> bool:
-        """Whether instances see genuine thread concurrency.
-
-        Creating threads or registering executor callbacks obviously
-        qualifies; owning a lock does too — the lock *is* the author's
-        declaration that methods race, so the discipline is checkable.
-        A class that only submits to a process pool synchronously stays
-        out of scope (no shared memory on the far side).
-        """
-        return bool(
-            self.creates_threads or self.registers_callbacks or self.lock_attrs
-        )
-
-    def entry_points(self) -> set[str]:
-        """Methods arbitrary threads may invoke concurrently."""
-        entries = set(self.thread_targets)
-        for name in self.methods:
-            if not name.startswith("_"):
-                entries.add(name)
-        return entries
-
-
-class _MethodFacts:
-    """Solved dataflow for one method under one entry lock state."""
-
-    def __init__(
-        self,
-        fn: FunctionNode,
-        is_lock: Callable[[str], bool],
-        entry_held: frozenset[str],
-    ) -> None:
-        self.fn = fn
-        self.cfg: CFG = build_cfg(fn)
-        self.locks = HeldLocks(is_lock).solve(self.cfg, entry=entry_held)
-        self.aliases = SelfAliases().solve(self.cfg)
-        #: intra-class call sites: method name -> held sets observed
-        self.calls: dict[str, list[frozenset[str]]] = {}
-        for index, stmt in self.cfg.stmt_nodes():
-            held = self.locks.get(index)
-            if held is None:
-                continue
-            for call in (
-                node for node in ast.walk(stmt) if isinstance(node, ast.Call)
-            ):
-                func = call.func
-                if (
-                    isinstance(func, ast.Attribute)
-                    and isinstance(func.value, ast.Name)
-                    and func.value.id == "self"
-                ):
-                    self.calls.setdefault(func.attr, []).append(held)
-
-
-def _attr_written(
-    stmt: ast.AST, aliases: Mapping[str, frozenset[str]]
-) -> Iterator[tuple[str, ast.AST]]:
-    """Yield ``(self_attribute, offending_node)`` for writes in *stmt*.
-
-    Covers direct stores (``self.a = ...``, ``self.a.b = ...``,
-    ``self.a[k] = ...``), deletes, augmented stores, stores through
-    local aliases of self attributes, and in-place mutator calls
-    (``self.a.add(x)``).
-    """
-    if isinstance(stmt, (ast.While,)):
-        stmt = stmt.test
-    elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-        stmt = stmt.iter
-
-    def owner_attrs(expr: ast.AST) -> Iterator[str]:
-        """Self attributes that *expr* may denote (as a mutation base)."""
-        if isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name):
-            if expr.value.id == "self":
-                yield expr.attr
-                return
-        if isinstance(expr, ast.Name):
-            for value in aliases.get(expr.id, frozenset()):
-                if value != SELF_VALUE_OTHER:
-                    yield value
-        if isinstance(expr, ast.Subscript):
-            yield from owner_attrs(expr.value)
-
-    targets: list[ast.AST] = []
-    if isinstance(stmt, ast.Assign):
-        targets = list(stmt.targets)
-    elif isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
-        targets = [stmt.target]
-    elif isinstance(stmt, ast.Delete):
-        targets = list(stmt.targets)
-    for target in targets:
-        if isinstance(target, ast.Attribute):
-            base = target.value
-            if isinstance(base, ast.Name) and base.id == "self":
-                yield target.attr, target
-            else:
-                for attr in owner_attrs(base):
-                    yield attr, target
-        elif isinstance(target, ast.Subscript):
-            for attr in owner_attrs(target.value):
-                yield attr, target
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for element in target.elts:
-                yield from _attr_written(
-                    ast.Assign(targets=[element], value=ast.Constant(value=None)),
-                    aliases,
-                )
-    for node in ast.walk(stmt):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in MUTATOR_METHODS
-        ):
-            for attr in owner_attrs(node.func.value):
-                yield attr, node
-
-
-@register_rule
-class LockDisciplineRule(LintRule):
-    """RACE001: shared attributes of serving-path classes need their lock.
-
-    A class that owns a lock or spawns threads has declared that its
-    instances are shared across threads; from then on *every* write to
-    an instance attribute from a method a foreign thread can reach must
-    hold a lock on every path.  Reachability is interprocedural within
-    the class (a private helper called only under the lock inherits the
-    held set), and ``if self._lock is None:`` branches count as locked —
-    that is the repo's declared single-threaded mode.  ``__init__`` is
-    exempt: the instance has not escaped yet.
-    """
-
-    code = "RACE001"
-    title = "unlocked write to a shared attribute"
-    hint = (
-        "hold the class lock (with self._lock:) around the write, or "
-        "confine the attribute to the conditional-lock single-thread mode"
-    )
-    node_types = ()
-
-    _SCOPE = ("src/repro/serving",)
-    _SCOPE_FILES = ("src/repro/experiments/runner.py",)
-
-    def applies_to(self, rel_path: str) -> bool:
-        return _under(rel_path, *self._SCOPE) or rel_path in self._SCOPE_FILES
-
-    def end_file(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ctx.tree.body:
-            if isinstance(node, ast.ClassDef):
-                yield from self._check_class(node, ctx)
-
-    def _check_class(
-        self, node: ast.ClassDef, ctx: FileContext
-    ) -> Iterator[Finding]:
-        model = _ClassModel(node)
-        if not model.concurrent:
-            return
-        lock_attrs = model.lock_attrs
-        is_lock = lambda key: (  # noqa: E731
-            key.startswith("self.") and key[5:] in lock_attrs
-        )
-        entries = model.entry_points()
-        entries.discard("__init__")
-
-        # Fixpoint over entry lock states: an entry point starts bare; a
-        # helper's entry state is the intersection over its call sites.
-        entry_held: dict[str, frozenset[str]] = {
-            name: frozenset() for name in entries
-        }
-        facts: dict[str, _MethodFacts] = {}
-        for _ in range(8):
-            changed = False
-            facts = {
-                name: _MethodFacts(model.methods[name], is_lock, held)
-                for name, held in entry_held.items()
-                if name in model.methods
-            }
-            callee_states: dict[str, list[frozenset[str]]] = {}
-            for fact in facts.values():
-                for callee, states in fact.calls.items():
-                    if callee in model.methods:
-                        callee_states.setdefault(callee, []).extend(states)
-            new_entry: dict[str, frozenset[str]] = {
-                name: frozenset() for name in entries
-            }
-            for callee, states in callee_states.items():
-                if callee in entries or callee == "__init__":
-                    continue
-                merged = states[0]
-                for state in states[1:]:
-                    merged = merged & state
-                new_entry[callee] = merged
-            if new_entry.keys() != entry_held.keys() or any(
-                new_entry[k] != entry_held.get(k) for k in new_entry
-            ):
-                entry_held = new_entry
-                changed = True
-            if not changed:
-                break
-
-        for name in sorted(facts):
-            fact = facts[name]
-            for index, stmt in fact.cfg.stmt_nodes():
-                held = fact.locks.get(index)
-                if held is None or held:
-                    continue  # unreachable, or some lock held
-                aliases = fact.aliases.get(index, {})
-                for attr, offender in _attr_written(stmt, aliases):
-                    if attr in lock_attrs:
-                        continue
-                    yield self.finding(
-                        ctx,
-                        offender if hasattr(offender, "lineno") else stmt,
-                        f"attribute .{attr} of {node.name} written without "
-                        f"a held lock in thread-reachable method {name}()",
-                    )
 
 
 @register_rule

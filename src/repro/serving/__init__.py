@@ -11,8 +11,6 @@ The serving layer lifts the paper's in-loop broker into a service shape:
   ingest front door with explicit shed-based backpressure;
 * :mod:`repro.serving.client` — an ARQ client adapter that turns shed
   into sender-side retry via the accept gate;
-* :mod:`repro.serving.frontend` — a thread-pool front end for genuinely
-  concurrent producers (validated by conservation laws);
 * :mod:`repro.serving.loadgen` / :mod:`repro.serving.report` — open-loop
   replay at configurable rates with a byte-reproducible SLO report;
 * :mod:`repro.serving.durability` — per-shard write-ahead log +
@@ -21,6 +19,10 @@ The serving layer lifts the paper's in-loop broker into a service shape:
 * :mod:`repro.serving.recovery` — the crash-recovery convergence gate:
   a mid-replay ``ShardCrash``/restart must reproduce the uncrashed
   store byte-identically outside the explicitly-accounted shed window.
+
+Ingest is single-threaded by design, like the paper's broker applying
+one LU stream: every entry point drives the store from one thread, so
+the store holds no lock.
 """
 
 from repro.serving.client import ReliableIngestClient
@@ -30,7 +32,6 @@ from repro.serving.durability import (
     WriteAheadLog,
     read_wal,
 )
-from repro.serving.frontend import ThreadedFrontEnd
 from repro.serving.loadgen import ReplayConfig, replay_trace, replay_trace_full
 from repro.serving.recovery import (
     RecoveryGateReport,
@@ -70,7 +71,6 @@ __all__ = [
     "ServingConfig",
     "ServingReport",
     "ShardedLocationStore",
-    "ThreadedFrontEnd",
     "TraceError",
     "TraceRecord",
     "TraceRecorder",

@@ -24,15 +24,13 @@ On top of that the store adds what a transport-facing service needs:
 * a store-level per-node latest pointer, because a moving node's records
   land in whichever shard serves the reporting region.
 
-``thread_safe=True`` guards every mutation with one lock for the
-threaded front end; the deterministic replay path runs single-threaded
-and skips the lock entirely.
+The store is single-threaded: ingest, sweeps, crashes and restores all
+run on the replay loop's thread, so none of them takes a lock.
 """
 
 from __future__ import annotations
 
 import enum
-import threading
 import zlib
 from dataclasses import dataclass
 from typing import Any
@@ -125,7 +123,6 @@ class ShardedLocationStore:
         quarantine_intervals: float = 30.0,
         smoothing_alpha: float = 0.4,
         use_location_estimator: bool = True,
-        thread_safe: bool = False,
         telemetry: Any = None,
         name: str = "serving",
     ) -> None:
@@ -162,10 +159,9 @@ class ShardedLocationStore:
         #: pays a single lookup and a single write, and so crash recovery
         #: and the convergence export read one structure.
         self._gates: dict[str, tuple[int, float, int, float, float]] = {}
-        #: region id -> shard index, written by the gate (under the lock
-        #: when there is one) and read by the ingest service's routing, so
-        #: a region's CRC32 is taken until its first LU is applied, not
-        #: twice for every LU.
+        #: region id -> shard index, written by the gate and read by the
+        #: ingest service's routing, so a region's CRC32 is taken until
+        #: its first LU is applied, not twice for every LU.
         self._routes: dict[str, int] = {}
         #: Shard indices currently crashed (refusing ingest, skipped by tick).
         self._down: set[int] = set()
@@ -173,7 +169,6 @@ class ShardedLocationStore:
         self.duplicates = 0
         self.reordered = 0
         self.down_dropped = 0
-        self._lock = threading.Lock() if thread_safe else None
         tm = telemetry if telemetry is not None else NULL_TELEMETRY
         self._instrumented = tm.enabled
         self._t_applied = tm.counter("serving.store.applied", store=name)
@@ -184,12 +179,6 @@ class ShardedLocationStore:
     # -- ingest ---------------------------------------------------------------
     def apply(self, update: LocationUpdate) -> IngestOutcome:
         """Ingest one LU; returns what the store did with it."""
-        if self._lock is None:
-            return self._apply(update)
-        with self._lock:
-            return self._apply(update)
-
-    def _apply(self, update: LocationUpdate) -> IngestOutcome:
         node_id = update.node_id
         gate = self._gates.get(node_id)
         if gate is not None and update.seq <= gate[0]:
@@ -251,12 +240,6 @@ class ShardedLocationStore:
         nodes get extrapolated (decaying to the last fix past the
         extrapolation budget) and long-silent ones are quarantined.
         """
-        if self._lock is not None:
-            with self._lock:
-                return self._tick(now)
-        return self._tick(now)
-
-    def _tick(self, now: float) -> int:
         if not self._down:
             return sum(shard.tick(now) for shard in self._shards)
         return sum(
@@ -337,17 +320,8 @@ class ShardedLocationStore:
 
         Returns the (sorted) node ids whose gates were purged — their
         store-level knowledge now lives only on disk until
-        :meth:`restore_shard` replays it back.  Under a thread-safe
-        store this must exclude concurrent :meth:`apply` calls: a
-        worker mid-apply could otherwise route into the broker being
-        replaced or resurrect a gate this crash just purged.
+        :meth:`restore_shard` replays it back.
         """
-        if self._lock is None:
-            return self._crash_shard(index)
-        with self._lock:
-            return self._crash_shard(index)
-
-    def _crash_shard(self, index: int) -> list[str]:
         if not 0 <= index < self.shard_count:
             raise ValueError(f"no shard {index} in a {self.shard_count}-shard store")
         if index in self._down:
@@ -384,24 +358,7 @@ class ShardedLocationStore:
         restored *conditionally*: a node that reported through another
         shard while this one was down already has a fresher gate, and
         recovery must not regress it.  Returns the replayed entry count.
-
-        Like :meth:`crash_shard`, the whole rebuild holds the store
-        lock when one exists: replay mutates the same gate dict the
-        ingest hot path writes through.
         """
-        if self._lock is None:
-            return self._restore_shard(index, state=state, gates=gates, entries=entries)
-        with self._lock:
-            return self._restore_shard(index, state=state, gates=gates, entries=entries)
-
-    def _restore_shard(
-        self,
-        index: int,
-        *,
-        state: dict[str, Any] | None,
-        gates: dict[str, Any],
-        entries: list[Any],
-    ) -> int:
         if index not in self._down:
             raise ValueError(f"shard {index} is not down")
         broker = self._shards[index]

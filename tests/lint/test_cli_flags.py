@@ -1,5 +1,5 @@
-"""The whole-program CLI surface: --changed, --prune-baseline, --jobs,
-SARIF output, and the content-hash result cache."""
+"""The whole-program CLI surface: --changed, --prune-baseline, path
+arguments, SARIF output, and the content-hash result cache."""
 
 from __future__ import annotations
 
@@ -119,34 +119,34 @@ class TestPruneBaseline:
         assert (root / "lint-baseline.json").read_text() == before
 
 
-class TestJobs:
-    def test_parallel_findings_match_serial_exactly(self, fake_repo, capsys):
-        root, write = fake_repo
-        for index in range(6):
-            write(f"src/repro/experiments/m{index}.py", TRIPPING)
-        src = str(root / "src")
+class TestPaths:
+    def test_a_checkout_under_a_hidden_directory_is_linted(
+        self, tmp_path, capsys
+    ):
+        # Only entries *below* a path argument are filtered; a checkout
+        # that itself sits under a dot-directory must not lint 0 files.
+        root = tmp_path / ".hidden" / "checkout"
+        (root / "src" / "repro" / "experiments").mkdir(parents=True)
+        (root / "pyproject.toml").touch()
+        (root / "src" / "repro" / "experiments" / "x.py").write_text(TRIPPING)
+        assert main([str(root / "src"), "--no-cache"]) == 1
+        assert "DET001" in capsys.readouterr().out
 
-        assert main([src, "--format", "json", "--no-cache"]) == 1
-        serial = json.loads(capsys.readouterr().out)
-        assert (
-            main([src, "--format", "json", "--no-cache", "--jobs", "2"]) == 1
-        )
-        parallel = json.loads(capsys.readouterr().out)
-        assert serial == parallel
-        assert serial["counts"]["new"] == 6
-
-    def test_invalid_jobs_value_is_a_usage_error(self, fake_repo, capsys):
-        root, _ = fake_repo
-        assert main([str(root / "src"), "--jobs", "many"]) == 2
-        assert "invalid --jobs" in capsys.readouterr().err
+    def test_missing_path_is_a_usage_error(self, tmp_path, capsys):
+        hidden = tmp_path / ".hidden"
+        hidden.mkdir()
+        (hidden / "pyproject.toml").touch()
+        assert main([str(hidden / "no_such_dir"), "--no-cache"]) == 2
+        assert "no_such_dir" in capsys.readouterr().err
 
 
 class TestSarif:
-    def test_format_sarif_emits_a_valid_log(self, fake_repo, capsys):
+    def test_format_sarif_emits_a_valid_log(self, fake_repo):
         root, write = fake_repo
         write("src/repro/experiments/x.py", TRIPPING)
-        assert main([str(root / "src"), "--format", "sarif"]) == 1
-        log = json.loads(capsys.readouterr().out)
+        report = root / "lint.sarif"
+        assert main([str(root / "src"), "--sarif-file", str(report)]) == 1
+        log = json.loads(report.read_text())
         assert log["version"] == "2.1.0"
         (run,) = log["runs"]
         assert run["tool"]["driver"]["name"] == "repro.lint"
@@ -167,9 +167,9 @@ class TestSarif:
         write("src/repro/experiments/x.py", TRIPPING)
         src = str(root / "src")
         assert main([src, "--write-baseline"]) == 0
-        capsys.readouterr()
-        assert main([src, "--format", "sarif"]) == 0
-        (result,) = json.loads(capsys.readouterr().out)["runs"][0]["results"]
+        report = root / "lint.sarif"
+        assert main([src, "--sarif-file", str(report)]) == 0
+        (result,) = json.loads(report.read_text())["runs"][0]["results"]
         assert result["level"] == "note"
         (suppression,) = result["suppressions"]
         assert suppression["kind"] == "external"

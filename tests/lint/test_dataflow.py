@@ -1,16 +1,11 @@
-"""The dataflow layer: CFG shape, held-locks lattice, self aliases."""
+"""The dataflow layer: CFG shape and the held-locks lattice."""
 
 from __future__ import annotations
 
 import ast
 import textwrap
 
-from repro.lint.dataflow import (
-    HeldLocks,
-    SelfAliases,
-    build_cfg,
-    dotted_expr,
-)
+from repro.lint.dataflow import HeldLocks, build_cfg, dotted_expr
 
 
 def _fn(source: str) -> ast.FunctionDef:
@@ -120,24 +115,6 @@ class TestHeldLocks:
         lines = _write_lines(cfg, HeldLocks(_self_lock).solve(cfg))
         assert lines[4] == frozenset()
 
-    def test_conditional_lock_idiom_counts_as_held(self):
-        # `if self._lock is None:` declares single-threaded mode: its
-        # true arm is vacuously safe, and the with-arm genuinely holds.
-        fn = _fn(
-            """
-            def f(self, u):
-                if self._lock is None:
-                    self.a = 1
-                else:
-                    with self._lock:
-                        self.a = 2
-            """
-        )
-        cfg = build_cfg(fn)
-        lines = _write_lines(cfg, HeldLocks(_self_lock).solve(cfg))
-        assert lines[3] == frozenset({"self._lock"})
-        assert lines[6] == frozenset({"self._lock"})
-
     def test_loop_body_acquire_does_not_leak_into_the_header(self):
         # The header node carries the whole For statement; only its
         # iterable executes there, so an acquire() in the body must not
@@ -156,62 +133,6 @@ class TestHeldLocks:
         lines = _write_lines(cfg, HeldLocks(_self_lock).solve(cfg))
         assert lines[4] == frozenset({"self._lock"})
         assert lines[6] == frozenset()
-
-    def test_entry_state_seeds_the_solve(self):
-        fn = _fn("def helper(self):\n    self.a = 1\n")
-        cfg = build_cfg(fn)
-        states = HeldLocks(_self_lock).solve(
-            cfg, entry=frozenset({"self._lock"})
-        )
-        lines = _write_lines(cfg, states)
-        assert lines[2] == frozenset({"self._lock"})
-
-
-class TestSelfAliases:
-    def _aliases_at_line(self, fn, lineno):
-        cfg = build_cfg(fn)
-        states = SelfAliases().solve(cfg)
-        for index, stmt in cfg.stmt_nodes():
-            if stmt.lineno == lineno:
-                return states.get(index, {})
-        raise AssertionError(f"no stmt node at line {lineno}")
-
-    def test_local_alias_of_a_self_attribute_is_tracked(self):
-        fn = _fn(
-            """
-            def f(self):
-                gates = self._gates
-                gates["n"] = 1
-            """
-        )
-        aliases = self._aliases_at_line(fn, 3)
-        assert aliases["gates"] == frozenset({"_gates"})
-
-    def test_rebinding_to_something_else_clears_the_alias(self):
-        fn = _fn(
-            """
-            def f(self):
-                gates = self._gates
-                gates = {}
-                gates["n"] = 1
-            """
-        )
-        aliases = self._aliases_at_line(fn, 4)
-        assert "_gates" not in aliases["gates"]
-
-    def test_joined_paths_union_possible_aliases(self):
-        fn = _fn(
-            """
-            def f(self, flag):
-                if flag:
-                    target = self._gates
-                else:
-                    target = self._down
-                target.clear()
-            """
-        )
-        aliases = self._aliases_at_line(fn, 6)
-        assert aliases["target"] == frozenset({"_gates", "_down"})
 
 
 def test_dotted_expr_handles_chains_and_rejects_calls():

@@ -102,22 +102,6 @@ class TestExtraction:
         assert edge.module == "repro.serving.store"
         assert edge.alias == "Store"
 
-    def test_class_summary_collects_self_attributes(self):
-        info = _info(
-            "src/repro/m.py",
-            """
-            class Store:
-                kind = "grid"
-                def __init__(self):
-                    self._gates = {}
-                def tick(self):
-                    self.count = 0
-            """,
-        )
-        summary = info.classes["Store"]
-        assert {"kind", "_gates", "count"} <= set(summary.attributes)
-        assert summary.methods == ("__init__", "tick")
-
     def test_module_getattr_marks_the_module_dynamic(self):
         info = _info(
             "src/repro/m.py",
@@ -166,13 +150,6 @@ class TestProjectModel:
             ("src/repro/__init__.py", "from repro.a import Foo\n"),
         )
         assert model.referenced_anywhere_except("Foo", "src/repro/a.py")
-
-    def test_import_graph_joins_on_in_project_modules(self):
-        model = self._model(
-            ("src/repro/a.py", "import json\nfrom repro.b import helper\n"),
-            ("src/repro/b.py", "def helper(): ...\n"),
-        )
-        assert model.import_graph()["repro.a"] == frozenset({"repro.b"})
 
 
 class TestModelCache:

@@ -1,201 +1,6 @@
-"""RACE001/RACE002: lock discipline and handoff escapes on the serving path."""
+"""RACE002: handoff escapes on the serving and experiment paths."""
 
 from __future__ import annotations
-
-import pytest
-
-from repro.lint.rules_program import LockDisciplineRule  # noqa: F401  (public API)
-
-
-#: The deliberately-injected race the whole analysis exists to catch: a
-#: thread-spawning class whose worker loop writes a shared counter with
-#: the lock only *sometimes* held.
-INJECTED_RACE = """
-    import threading
-
-    class RacyCounter:
-        def __init__(self):
-            self._lock = threading.Lock()
-            self.count = 0
-            self._worker = threading.Thread(target=self._loop, daemon=True)
-
-        def start(self):
-            self._worker.start()
-
-        def _loop(self):
-            while True:
-                self.count += 1  # unlocked shared write
-
-        def read(self):
-            with self._lock:
-                return self.count
-"""
-
-
-class TestLockDiscipline:
-    def test_injected_race_is_caught(self, lint_snippet):
-        findings = lint_snippet(
-            "src/repro/serving/racy.py", INJECTED_RACE, select=["RACE001"]
-        )
-        assert [f.code for f in findings] == ["RACE001"]
-        assert "count" in findings[0].message
-        assert "_loop" in findings[0].message
-
-    def test_scope_is_serving_and_runner_only(self, lint_snippet):
-        findings = lint_snippet(
-            "src/repro/network/racy.py", INJECTED_RACE, select=["RACE001"]
-        )
-        assert findings == []
-
-    def test_consistently_locked_class_is_clean(self, lint_snippet):
-        findings = lint_snippet(
-            "src/repro/serving/clean.py",
-            """
-            import threading
-
-            class LockedCounter:
-                def __init__(self):
-                    self._lock = threading.Lock()
-                    self.count = 0
-
-                def bump(self):
-                    with self._lock:
-                        self.count += 1
-            """,
-            select=["RACE001"],
-        )
-        assert findings == []
-
-    def test_conditional_lock_idiom_is_clean(self, lint_snippet):
-        # The store's declared single-threaded mode: `self._lock is
-        # None` branches count as safe, and the private helper called
-        # from both arms inherits the held state by intersection.
-        findings = lint_snippet(
-            "src/repro/serving/condstore.py",
-            """
-            import threading
-
-            class CondStore:
-                def __init__(self, thread_safe):
-                    self._lock = threading.Lock() if thread_safe else None
-                    self.applied = 0
-
-                def apply(self, update):
-                    if self._lock is None:
-                        return self._apply(update)
-                    with self._lock:
-                        return self._apply(update)
-
-                def _apply(self, update):
-                    self.applied += 1
-                    return update
-            """,
-            select=["RACE001"],
-        )
-        assert findings == []
-
-    def test_helper_reached_without_the_lock_is_flagged(self, lint_snippet):
-        findings = lint_snippet(
-            "src/repro/serving/leaky.py",
-            """
-            import threading
-
-            class Leaky:
-                def __init__(self):
-                    self._lock = threading.Lock()
-                    self.total = 0
-
-                def locked_path(self, n):
-                    with self._lock:
-                        self._bump(n)
-
-                def unlocked_path(self, n):
-                    self._bump(n)
-
-                def _bump(self, n):
-                    self.total += n
-            """,
-            select=["RACE001"],
-        )
-        assert len(findings) == 1
-        assert "_bump" in findings[0].message
-
-    def test_init_writes_are_exempt(self, lint_snippet):
-        findings = lint_snippet(
-            "src/repro/serving/initonly.py",
-            """
-            import threading
-
-            class Built:
-                def __init__(self):
-                    self._lock = threading.Lock()
-                    self.ready = True
-            """,
-            select=["RACE001"],
-        )
-        assert findings == []
-
-    def test_classes_without_concurrency_are_ignored(self, lint_snippet):
-        findings = lint_snippet(
-            "src/repro/serving/plain.py",
-            """
-            class PlainAccumulator:
-                def __init__(self):
-                    self.total = 0
-
-                def add(self, n):
-                    self.total += n
-            """,
-            select=["RACE001"],
-        )
-        assert findings == []
-
-    def test_mutator_calls_through_aliases_are_writes(self, lint_snippet):
-        findings = lint_snippet(
-            "src/repro/serving/aliased.py",
-            """
-            import threading
-
-            class Aliased:
-                def __init__(self):
-                    self._lock = threading.Lock()
-                    self._gates = {}
-
-                def purge(self, node_id):
-                    gates = self._gates
-                    gates.pop(node_id, None)
-            """,
-            select=["RACE001"],
-        )
-        assert len(findings) == 1
-        assert "_gates" in findings[0].message
-
-    def test_lock_guarded_write_paths_of_the_real_store_shape(self, lint_snippet):
-        # crash/restore wrapped in the conditional-lock idiom, mirroring
-        # the post-fix ShardedLocationStore shape.
-        findings = lint_snippet(
-            "src/repro/serving/storeish.py",
-            """
-            import threading
-
-            class Storeish:
-                def __init__(self, thread_safe):
-                    self._lock = threading.Lock() if thread_safe else None
-                    self._down = set()
-
-                def crash(self, index):
-                    if self._lock is None:
-                        return self._crash(index)
-                    with self._lock:
-                        return self._crash(index)
-
-                def _crash(self, index):
-                    self._down.add(index)
-                    return index
-            """,
-            select=["RACE001"],
-        )
-        assert findings == []
 
 
 class TestHandoffEscape:
@@ -271,25 +76,14 @@ class TestHandoffEscape:
 
 
 def test_runner_and_serving_modules_lint_clean_for_races():
-    """The real serving path holds its locks (post-fix regression gate)."""
+    """The real serving and experiment paths never mutate a handed-off object."""
     from pathlib import Path
 
     from repro.lint.engine import LintEngine, find_repo_root
 
     root = find_repo_root(Path(__file__).resolve())
-    engine = LintEngine(root=root, select=["RACE001", "RACE002"])
+    engine = LintEngine(root=root, select=["RACE002"])
     findings = engine.lint(
         [root / "src" / "repro" / "serving", root / "src" / "repro" / "experiments"]
     )
     assert findings == []
-
-
-@pytest.mark.parametrize("method", ["start", "stop"])
-def test_frontend_lifecycle_is_lock_guarded(method):
-    """start/stop flip their flags under the counter lock (the RACE001 fix)."""
-    import inspect
-
-    from repro.serving.frontend import ThreadedFrontEnd
-
-    source = inspect.getsource(getattr(ThreadedFrontEnd, method))
-    assert "with self._counter_lock:" in source

@@ -76,14 +76,15 @@ class TestEngineIntegration:
 
 
 class TestEdgeCases:
-    """Decorators, comma lists, and suppressions under lock-tracking."""
+    """Decorators, comma lists, and suppressions inside ``with`` blocks."""
 
     def test_multi_code_list_silences_both_findings_on_one_line(
         self, lint_snippet
     ):
-        # One line, two rules: a wall-clock read (DET001) written to a
-        # shared attribute without the lock (RACE001).
+        # One line, two rules: a wall-clock read (DET001) and a
+        # global-state RNG draw (DET002).
         source = """\
+        import random
         import threading
         import time
 
@@ -95,27 +96,27 @@ class TestEdgeCases:
                 self._worker = threading.Thread(target=self._tick)
 
             def _tick(self):
-                self.seen = time.time(){comment}
+                self.seen = time.time() + random.random(){comment}
         """
         both = lint_snippet(
             "src/repro/serving/meter.py",
             source.format(comment=""),
-            select=["DET001", "RACE001"],
+            select=["DET001", "DET002"],
         )
-        assert sorted(f.code for f in both) == ["DET001", "RACE001"]
-        assert {f.line for f in both} == {12}
+        assert sorted(f.code for f in both) == ["DET001", "DET002"]
+        assert {f.line for f in both} == {13}
 
         partial = lint_snippet(
             "src/repro/serving/meter.py",
             source.format(comment="  # lint: disable=DET001"),
-            select=["DET001", "RACE001"],
+            select=["DET001", "DET002"],
         )
-        assert [f.code for f in partial] == ["RACE001"]
+        assert [f.code for f in partial] == ["DET002"]
 
         silenced = lint_snippet(
             "src/repro/serving/meter.py",
-            source.format(comment="  # lint: disable=DET001, RACE001"),
-            select=["DET001", "RACE001"],
+            source.format(comment="  # lint: disable=DET001, DET002"),
+            select=["DET001", "DET002"],
         )
         assert silenced == []
 
@@ -161,11 +162,12 @@ class TestEdgeCases:
         self, lint_snippet
     ):
         # The suppressed wall-clock read sits *inside* `with self._lock:`;
-        # silencing DET001 there must not perturb the held-locks lattice —
-        # the unlocked write after the block is still flagged.
+        # silencing DET001 there must not bleed past the block — the
+        # global-state RNG draw after it is still flagged.
         findings = lint_snippet(
             "src/repro/serving/meter.py",
             """\
+            import random
             import threading
             import time
 
@@ -180,10 +182,10 @@ class TestEdgeCases:
                 def _tick(self):
                     with self._lock:
                         self.seen = time.time()  # lint: disable=DET001
-                    self.count += 1
+                    self.count += random.random()
             """,
-            select=["DET001", "RACE001"],
+            select=["DET001", "DET002"],
         )
-        assert [f.code for f in findings] == ["RACE001"]
-        assert findings[0].line == 15
-        assert "count" in findings[0].message
+        assert [f.code for f in findings] == ["DET002"]
+        assert findings[0].line == 16
+        assert "random.random" in findings[0].message

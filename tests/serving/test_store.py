@@ -237,15 +237,6 @@ class TestDegradationSweep:
 
 
 class TestThreadSafety:
-    def test_locked_store_same_semantics(self):
-        plain = ShardedLocationStore(2)
-        locked = ShardedLocationStore(2, thread_safe=True)
-        stream = [lu(t=float(t), seq=t) for t in range(1, 6)]
-        for update in stream:
-            assert plain.apply(update) == locked.apply(update)
-        assert locked.tick(10.0) == plain.tick(10.0)
-        assert locked.applied == plain.applied
-
     def test_shard_accounting(self):
         store = ShardedLocationStore(2)
         store.apply(lu(node="a", t=1.0, seq=1, region="r1"))
