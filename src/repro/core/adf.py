@@ -133,9 +133,6 @@ class AdaptiveDistanceFilter(FilterPolicy):
     def process(self, update: LocationUpdate) -> FilterDecision:
         """Run one LU through the full ADF pipeline."""
         instrumented = self._instrumented
-        self.stats.received += 1
-        if instrumented:
-            self._t_received.inc()
         node_id = update.node_id
         before = self.classifier.label(node_id) if instrumented else None
         # (1) classify from the update's velocity observation.  Speed and
@@ -146,8 +143,12 @@ class AdaptiveDistanceFilter(FilterPolicy):
         vx, vy = velocity.x, velocity.y
         speed = math.hypot(vx, vy)
         direction = 0.0 if vx == 0.0 and vy == 0.0 else math.atan2(vy, vx)
+        # observe() rejects a non-finite velocity before any state
+        # changes, so a rejected LU is not counted as received either.
         label = self.classifier.observe(node_id, speed, direction)
+        self.stats.received += 1
         if instrumented:
+            self._t_received.inc()
             after = self.classifier.label(node_id)
             if after is not before:
                 self._telemetry.counter(

@@ -21,6 +21,7 @@ from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
 
+from repro.core.clustering import MotionFeature
 from repro.mobility.states import MobilityState
 from repro.util.validation import check_non_negative, check_positive
 
@@ -58,90 +59,26 @@ class ClassifierConfig:
 
 
 class ObservationWindow:
-    """A sliding window of (speed, direction) observations for one MN."""
+    """A sliding window of (speed, direction) observations for one MN.
+
+    Plain state owned by :class:`MobilityClassifier`: ``observe`` appends
+    to it and refreshes the window means, which classification and the
+    clustering feature then read.  Headings are kept as unit vectors and
+    only for moving observations.
+    """
 
     def __init__(self, size: int) -> None:
         self._speeds: deque[float] = deque(maxlen=size)
         self._dir_x: deque[float] = deque(maxlen=size)
         self._dir_y: deque[float] = deque(maxlen=size)
-        # Memoized window statistics, invalidated on add.  Classification
-        # and feature extraction both read them for every LU, so without
-        # the cache each window is re-summed several times per step.
-        self._mean_speed: float | None = None
-        self._dir_means: tuple[float, float] | None = None
-
-    def add(self, speed: float, direction: float) -> None:
-        """Record one observation (direction ignored for ~zero speed)."""
-        self._speeds.append(speed)
-        self._mean_speed = None
-        if speed > 1e-9:
-            self._dir_x.append(math.cos(direction))
-            self._dir_y.append(math.sin(direction))
-            self._dir_means = None
+        # Window means, kept current by observe(): every LU is classified
+        # and almost every one is then placed, so both means are read per
+        # LU; (0, 0) heading components stand for "no moving observation".
+        self._mean_speed = 0.0
+        self._dir_means = (0.0, 0.0)
 
     def __len__(self) -> int:
         return len(self._speeds)
-
-    def mean_speed(self) -> float:
-        """Average observed speed in the window."""
-        mean = self._mean_speed
-        if mean is None:
-            if not self._speeds:
-                return 0.0
-            mean = self._mean_speed = sum(self._speeds) / len(self._speeds)
-        return mean
-
-    def _dir_mean_components(self) -> tuple[float, float]:
-        """Cached mean of the unit heading vectors (empty window: zeros)."""
-        means = self._dir_means
-        if means is None:
-            n = len(self._dir_x)
-            if n == 0:
-                return (0.0, 0.0)
-            means = self._dir_means = (
-                sum(self._dir_x) / n,
-                sum(self._dir_y) / n,
-            )
-        return means
-
-    def speed_std(self, mean: float | None = None) -> float:
-        """Standard deviation of the windowed speeds.
-
-        *mean* may be passed in when the caller already computed
-        :meth:`mean_speed`, sparing a second pass over the window.
-        """
-        n = len(self._speeds)
-        if n < 2:
-            return 0.0
-        if mean is None:
-            mean = self.mean_speed()
-        var = sum((s - mean) ** 2 for s in self._speeds) / n
-        return math.sqrt(var)
-
-    def direction_std(self) -> float:
-        """Circular standard deviation of the windowed headings.
-
-        Computed from the mean resultant length R of the unit heading
-        vectors: ``sqrt(-2 ln R)``.  Returns 0 for fewer than two moving
-        observations (no evidence of variation).
-        """
-        n = len(self._dir_x)
-        if n < 2:
-            return 0.0
-        mean_x, mean_y = self._dir_mean_components()
-        resultant = math.hypot(mean_x, mean_y)
-        if resultant <= 1e-12:
-            return math.inf
-        if resultant >= 1.0:
-            return 0.0
-        return math.sqrt(-2.0 * math.log(resultant))
-
-    def mean_direction(self) -> float:
-        """Circular mean heading of the window (radians)."""
-        if not self._dir_x:
-            return 0.0
-        mean_x, mean_y = self._dir_mean_components()
-        return math.atan2(mean_y, mean_x)
 
 
 class MobilityClassifier:
@@ -154,20 +91,31 @@ class MobilityClassifier:
         self._labels_view = types.MappingProxyType(self._labels)
 
     def observe(self, node_id: str, speed: float, direction: float) -> MobilityState:
-        """Absorb one observation and return the node's current label."""
-        if speed < 0:
-            raise ValueError(f"speed must be >= 0, got {speed}")
+        """Absorb one observation and return the node's current label.
+
+        The observation is validated before any state changes, so a
+        rejected one leaves the node's window and label as they were.
+        """
+        # Chained comparisons are False for NaN, so these also reject it.
+        if not 0.0 <= speed < math.inf:
+            raise ValueError(f"speed must be finite and >= 0, got {speed}")
+        if not -math.inf < direction < math.inf:
+            raise ValueError(f"direction must be finite, got {direction}")
         window = self._windows.get(node_id)
         if window is None:
             window = ObservationWindow(self.config.window)
             self._windows[node_id] = window
-        # Inlined ObservationWindow.add — one call per LU per filter.
-        window._speeds.append(speed)
-        window._mean_speed = None
+        speeds = window._speeds
+        speeds.append(speed)
+        window._mean_speed = sum(speeds) / len(speeds)
+        # A ~zero speed carries no heading.
         if speed > 1e-9:
-            window._dir_x.append(math.cos(direction))
-            window._dir_y.append(math.sin(direction))
-            window._dir_means = None
+            dir_x = window._dir_x
+            dir_y = window._dir_y
+            dir_x.append(math.cos(direction))
+            dir_y.append(math.sin(direction))
+            nd = len(dir_x)
+            window._dir_means = (sum(dir_x) / nd, sum(dir_y) / nd)
         label = self._classify(window, speed)
         self._labels[node_id] = label
         return label
@@ -185,34 +133,21 @@ class MobilityClassifier:
                 if speed > cfg.v_walk
                 else MobilityState.RANDOM
             )
-        # Window statistics inlined from mean_speed / speed_std /
-        # direction_std (identical arithmetic, shared memoized sums):
-        # classification runs once per LU per filter.
         mean_speed = window._mean_speed
-        if mean_speed is None:
-            mean_speed = window._mean_speed = sum(speeds) / n
         if mean_speed <= cfg.stop_speed:
             return MobilityState.STOP
         if mean_speed > cfg.v_walk:
             return MobilityState.LINEAR
-        if n < 2:
-            speed_std = 0.0
-        else:
-            var = sum([(s - mean_speed) ** 2 for s in speeds]) / n
-            speed_std = math.sqrt(var)
-        constant_speed = speed_std <= cfg.speed_std_threshold
-        dir_x = window._dir_x
-        nd = len(dir_x)
-        if nd < 2:
+        # Population standard deviation of the speeds.
+        var = sum([(s - mean_speed) ** 2 for s in speeds]) / n
+        constant_speed = math.sqrt(var) <= cfg.speed_std_threshold
+        # Circular standard deviation of the headings, sqrt(-2 ln R) from
+        # the mean resultant length R; fewer than two moving observations
+        # show no variation.
+        if len(window._dir_x) < 2:
             direction_std = 0.0
         else:
-            means = window._dir_means
-            if means is None:
-                means = window._dir_means = (
-                    sum(dir_x) / nd,
-                    sum(window._dir_y) / nd,
-                )
-            resultant = math.hypot(means[0], means[1])
+            resultant = math.hypot(*window._dir_means)
             if resultant <= 1e-12:
                 direction_std = math.inf
             elif resultant >= 1.0:
@@ -223,6 +158,21 @@ class MobilityClassifier:
         if constant_speed and constant_direction:
             return MobilityState.LINEAR
         return MobilityState.RANDOM
+
+    def feature(self, node_id: str) -> MotionFeature | None:
+        """The node's clustering feature, or ``None`` if never observed.
+
+        Mean speed and circular-mean heading of the window; the heading is
+        0.0 while the window holds no moving observation.
+        """
+        window = self._windows.get(node_id)
+        if window is None:
+            return None
+        mean_x, mean_y = window._dir_means
+        # Means of validated observations: in range by construction.
+        return MotionFeature.unchecked(
+            window._mean_speed, math.atan2(mean_y, mean_x)
+        )
 
     def label(self, node_id: str) -> MobilityState | None:
         """The node's latest label, or ``None`` if never observed."""
@@ -236,10 +186,6 @@ class MobilityClassifier:
     def labels_view(self) -> Mapping[str, MobilityState]:
         """Live read-only view of every node's latest label (no copy)."""
         return self._labels_view
-
-    def window(self, node_id: str) -> ObservationWindow | None:
-        """The node's observation window (for feature extraction)."""
-        return self._windows.get(node_id)
 
     def forget(self, node_id: str) -> None:
         """Drop all state about a node (e.g. after it leaves the grid)."""

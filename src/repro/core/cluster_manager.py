@@ -2,17 +2,16 @@
 
 The ADF "constructs, manages, and adjusts the MN clusters": nodes drift
 between patterns, so clusters must be reconstructed periodically.  The
-manager feeds the :class:`SequentialClusterer` from the classifier's
-observation windows and tracks reconstruction statistics.
+manager feeds the :class:`SequentialClusterer` the classifier's window
+features and tracks reconstruction statistics.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Any
 
 from repro.core.classifier import MobilityClassifier
-from repro.core.clustering import Cluster, MotionFeature, SequentialClusterer
+from repro.core.clustering import Cluster, SequentialClusterer
 from repro.mobility.states import MobilityState
 from repro.telemetry import NULL_TELEMETRY
 
@@ -32,9 +31,6 @@ class ClusterManager:
     ) -> None:
         self._classifier = classifier
         self._clusterer = clusterer
-        # place() reads one window per LU; keep a direct handle on the
-        # classifier's window map instead of a method call per lookup.
-        self._windows = classifier._windows
         self.reconstructions = 0
         self.reassignments = 0
         tm = telemetry if telemetry is not None else NULL_TELEMETRY
@@ -49,13 +45,6 @@ class ClusterManager:
     def clusterer(self) -> SequentialClusterer:
         """The underlying sequential clusterer."""
         return self._clusterer
-
-    def feature_of(self, node_id: str) -> MotionFeature | None:
-        """Current motion feature from the node's observation window."""
-        window = self._classifier.window(node_id)
-        if window is None or len(window) == 0:
-            return None
-        return MotionFeature(window.mean_speed(), window.mean_direction())
 
     def place(
         self, node_id: str, label: MobilityState | None = None
@@ -73,29 +62,9 @@ class ClusterManager:
         if label is None or label is MobilityState.STOP:
             self._clusterer.unassign(node_id)
             return None
-        # Inlined feature_of: mean speed + circular-mean direction straight
-        # from the window's memoized sums — this runs once per moving node
-        # per LU.
-        window = self._windows.get(node_id)
-        if window is None or not window._speeds:
+        feature = self._classifier.feature(node_id)
+        if feature is None:
             return None
-        mean = window._mean_speed
-        if mean is None:
-            mean = window._mean_speed = sum(window._speeds) / len(window._speeds)
-        if not window._dir_x:
-            direction = 0.0
-        else:
-            means = window._dir_means
-            if means is None:
-                n = len(window._dir_x)
-                means = window._dir_means = (
-                    sum(window._dir_x) / n,
-                    sum(window._dir_y) / n,
-                )
-            direction = math.atan2(means[1], means[0])
-        # Window means of validated observations are in range by
-        # construction — skip the feature re-check.
-        feature = MotionFeature.unchecked(mean, direction)
         cluster, moved = self._clusterer.assign(node_id, feature)
         if moved:
             self.reassignments += 1

@@ -96,32 +96,6 @@ class Cluster:
     def __contains__(self, node_id: str) -> bool:
         return node_id in self._members
 
-    def add(self, node_id: str, feature: MotionFeature) -> None:
-        """Add (or re-add with a new feature) a member."""
-        if node_id in self._members:
-            self.remove(node_id)
-        self._members[node_id] = feature
-        cx = math.cos(feature.direction)
-        sy = math.sin(feature.direction)
-        self._trig[node_id] = (cx, sy)
-        self._speed_sum += feature.speed
-        self._dir_x_sum += cx
-        self._dir_y_sum += sy
-        self._centroid = None
-
-    def remove(self, node_id: str) -> None:
-        """Remove a member (KeyError when absent)."""
-        feature = self._members.pop(node_id)
-        cx, sy = self._trig.pop(node_id)
-        self._speed_sum -= feature.speed
-        self._dir_x_sum -= cx
-        self._dir_y_sum -= sy
-        self._centroid = None
-
-    def member_feature(self, node_id: str) -> MotionFeature:
-        """The feature a member was inserted with."""
-        return self._members[node_id]
-
     # -- representative -----------------------------------------------------
     @property
     def centroid(self) -> MotionFeature:
@@ -213,15 +187,7 @@ class SequentialClusterer:
             for cluster in self._clusters.values():
                 c = cluster._centroid
                 if c is None:
-                    # Inlined Cluster.centroid rebuild (clusters in the live
-                    # dict are never empty, so n >= 1).
-                    n = len(cluster._members)
-                    c = cluster._centroid = MotionFeature.unchecked(
-                        max(cluster._speed_sum / n, 0.0),
-                        math.atan2(
-                            cluster._dir_y_sum / n, cluster._dir_x_sum / n
-                        ),
-                    )
+                    c = cluster.centroid
                 d = abs(f_speed - c.speed)
                 if d < best_d:
                     best, best_d = cluster, d
@@ -245,19 +211,7 @@ class SequentialClusterer:
         longer need a ``cluster_of`` pre-lookup before every placement.
         """
         clusters = self._clusters
-        # Inlined unassign + Cluster.remove using the stored trig values;
-        # reassignment runs once per moving node per step.
-        cid = self._assignment.pop(node_id, None)
-        if cid is not None:
-            old = clusters[cid]
-            previous = old._members.pop(node_id)
-            cx, sy = old._trig.pop(node_id)
-            old._speed_sum -= previous.speed
-            old._dir_x_sum -= cx
-            old._dir_y_sum -= sy
-            old._centroid = None
-            if not old._members:
-                del clusters[cid]
+        cid = self._detach(node_id)
         cluster, distance = self.nearest(feature)
         if cluster is not None and (
             distance < self.alpha
@@ -266,8 +220,7 @@ class SequentialClusterer:
                 and len(clusters) >= self.max_clusters
             )
         ):
-            # Inlined Cluster.add: the node was just unassigned, so it is
-            # never already a member here.
+            # The node was just detached, so it is never a member here.
             cluster._members[node_id] = feature
             cx = math.cos(feature.direction)
             sy = math.sin(feature.direction)
@@ -284,13 +237,27 @@ class SequentialClusterer:
 
     def unassign(self, node_id: str) -> None:
         """Remove a node from its cluster (no-op when unassigned)."""
+        self._detach(node_id)
+
+    def _detach(self, node_id: str) -> int | None:
+        """Take *node_id* out of its cluster; returns that cluster's id.
+
+        Subtracts the member's stored speed and heading trig from the
+        cluster's sums and drops the cluster once empty.  ``None`` when
+        the node was not clustered.
+        """
         cid = self._assignment.pop(node_id, None)
-        if cid is None:
-            return
-        cluster = self._clusters[cid]
-        cluster.remove(node_id)
-        if len(cluster) == 0:
-            del self._clusters[cid]
+        if cid is not None:
+            cluster = self._clusters[cid]
+            feature = cluster._members.pop(node_id)
+            cx, sy = cluster._trig.pop(node_id)
+            cluster._speed_sum -= feature.speed
+            cluster._dir_x_sum -= cx
+            cluster._dir_y_sum -= sy
+            cluster._centroid = None
+            if not cluster._members:
+                del self._clusters[cid]
+        return cid
 
     def clear(self) -> None:
         """Drop every cluster and assignment (used on reconstruction)."""

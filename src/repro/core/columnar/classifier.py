@@ -52,7 +52,7 @@ class ColumnarClassifier:
         self._ptr = 0
         self._count = 0
         # Direction rings are ragged: a slot is written only when the
-        # observation moves (speed > 1e-9), mirroring ObservationWindow.add.
+        # observation moves (speed > 1e-9), as in MobilityClassifier.observe.
         self._dir_ring_x = np.zeros((window, n), dtype=np.float64)
         self._dir_ring_y = np.zeros((window, n), dtype=np.float64)
         # The narrowest type for pointers and fill counts that also holds
@@ -177,7 +177,7 @@ class ColumnarClassifier:
 
         ``atan2`` of the cached mean heading components — the direction
         half of the cluster feature, matching
-        ``ObservationWindow.mean_direction``.
+        ``MobilityClassifier.feature``.
         """
         out = np.zeros(self.n, dtype=np.float64)
         idx = np.flatnonzero(self.dir_count > 0)

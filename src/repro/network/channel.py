@@ -205,21 +205,24 @@ class WirelessChannel:
 
         The pre-degradation parameters are saved on the first call; nested
         degradations keep the original save point, so a single restore
-        returns to the healthy configuration.
+        returns to the healthy configuration.  Invalid parameters raise
+        before anything changes: the channel stays as it was, undegraded
+        if it was healthy.
         """
-        if self._saved_params is None:
-            self._saved_params = (
-                self._base_latency,
-                self._latency_jitter,
-                self._loss_probability,
-                self._burst,
-            )
+        saved = (
+            self._base_latency,
+            self._latency_jitter,
+            self._loss_probability,
+            self._burst,
+        )
         self.configure(
             base_latency=base_latency,
             latency_jitter=latency_jitter,
             loss_probability=loss_probability,
             burst_loss=burst_loss,
         )
+        if self._saved_params is None:
+            self._saved_params = saved
 
     def restore(self) -> None:
         """Revert to the parameters saved by the first :meth:`degrade`."""

@@ -1,5 +1,7 @@
 """Tests for the full ADF pipeline."""
 
+import math
+
 import pytest
 
 from repro.core import AdaptiveDistanceFilter, AdfConfig, FilterDecision
@@ -92,6 +94,25 @@ class TestPipeline:
         assert adf.stats.suppressed == 1
         assert adf.stats.suppression_rate == 0.5
         assert adf.stats.transmission_rate == 0.5
+
+    @pytest.mark.parametrize(
+        "vx, vy", [(math.nan, 0.0), (math.inf, 0.0), (1.0, -math.inf)]
+    )
+    def test_non_finite_lu_rejected_and_node_keeps_working(self, vx, vy):
+        """A rejected LU changes nothing: the node's next valid LUs are
+        processed exactly as if it had never arrived."""
+        config = AdfConfig(dth_factor=1.0, alpha=0.75, recluster_interval=10.0)
+        hit, clean = AdaptiveDistanceFilter(config), AdaptiveDistanceFilter(config)
+        for t in range(4):
+            for f in (hit, clean):
+                f.process(lu("w", float(t), x=2.0 * t, vx=2.0))
+        with pytest.raises(ValueError):
+            hit.process(lu("w", 4.0, x=8.0, vx=vx, vy=vy))
+        for t in range(4, 10):
+            update = lu("w", float(t), x=2.0 * t, vx=2.0)
+            assert hit.process(update) is clean.process(update)
+            assert hit.dth_of("w") == clean.dth_of("w")
+        assert hit.summary() == clean.summary()
 
     def test_label_of_unknown(self, adf):
         assert adf.label_of("ghost") is None

@@ -3,8 +3,10 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import ClassifierConfig, MobilityClassifier
+from repro.geometry import angle_difference
 from repro.mobility.states import MobilityState
 
 
@@ -110,35 +112,143 @@ class TestBookkeeping:
             classifier.observe("n", -1.0, 0.0)
 
     def test_window_access(self, classifier):
+        assert classifier.feature("n") is None
         classifier.observe("n", 2.0, 0.5)
-        window = classifier.window("n")
-        assert window is not None and len(window) == 1
-        assert window.mean_speed() == 2.0
+        feature = classifier.feature("n")
+        assert feature.speed == 2.0
+        assert feature.direction == pytest.approx(0.5)
+        classifier.forget("n")
+        assert classifier.feature("n") is None
 
 
 class TestObservationWindow:
     def test_direction_std_wrap_safe(self, classifier):
-        """Headings straddling +/-pi have small circular spread."""
+        """Headings straddling +/-pi have small circular spread: LMS."""
         samples = [
             (1.0, math.pi - 0.05),
             (1.0, -math.pi + 0.05),
         ] * 4
-        observe_many(classifier, "n", samples)
-        window = classifier.window("n")
-        assert window.direction_std() < 0.2
+        assert observe_many(classifier, "n", samples) is MobilityState.LINEAR
 
     def test_mean_direction_wraps(self, classifier):
         samples = [(1.0, math.pi - 0.1), (1.0, -math.pi + 0.1)] * 3
         observe_many(classifier, "n", samples)
-        window = classifier.window("n")
-        assert abs(abs(window.mean_direction()) - math.pi) < 0.05
+        feature = classifier.feature("n")
+        assert abs(abs(feature.direction) - math.pi) < 0.05
+        assert feature.speed == 1.0
 
     def test_speed_std(self, classifier):
-        observe_many(classifier, "n", [(1.0, 0.0), (3.0, 0.0)])
-        window = classifier.window("n")
-        assert window.speed_std() == pytest.approx(1.0)
+        """Speeds 1, 3, 1, 3: mean 2 = V_walk, std 1 > 0.35 => RMS."""
+        label = observe_many(classifier, "n", [(1.0, 0.0), (3.0, 0.0)] * 2)
+        assert label is MobilityState.RANDOM
+        assert classifier.feature("n").speed == 2.0
+        # The same mean with a spread under the threshold is LMS.
+        label = observe_many(classifier, "m", [(1.8, 0.0), (2.2, 0.0)] * 2)
+        assert label is MobilityState.LINEAR
 
     def test_stationary_samples_have_no_direction(self, classifier):
-        observe_many(classifier, "n", [(0.0, 0.0)] * 5)
-        window = classifier.window("n")
-        assert window.direction_std() == 0.0
+        label = observe_many(classifier, "n", [(0.0, 1.0)] * 5)
+        assert label is MobilityState.STOP
+        feature = classifier.feature("n")
+        assert feature.speed == 0.0
+        assert feature.direction == 0.0
+
+
+class TestNonFiniteObservations:
+    @pytest.mark.parametrize(
+        "speed, direction",
+        [
+            (math.nan, 0.0),
+            (math.inf, 0.0),
+            (-math.inf, 0.0),
+            (1.0, math.nan),
+            (1.0, math.inf),
+            (1.0, -math.inf),
+            (0.0, math.nan),
+        ],
+    )
+    def test_rejected_before_state_changes(self, classifier, speed, direction):
+        observe_many(classifier, "n", [(1.0, 0.5)] * 4)
+        before = classifier.feature("n")
+        with pytest.raises(ValueError):
+            classifier.observe("n", speed, direction)
+        with pytest.raises(ValueError):
+            classifier.observe("fresh", speed, direction)
+        assert classifier.feature("n") == before
+        assert classifier.label("n") is MobilityState.LINEAR
+        assert classifier.feature("fresh") is None
+        assert "fresh" not in classifier.node_ids()
+
+
+def _reference(cfg, samples):
+    """Feature and Fig. 2 label after *samples*, written out longhand.
+
+    Returns ``(mean speed, mean heading, heading resultant, label)`` over
+    the last ``window`` samples (the last ``window`` moving ones for the
+    heading).
+    """
+    speeds = [s for s, _ in samples[-cfg.window:]]
+    moving = [d for s, d in samples if s > 1e-9][-cfg.window:]
+    mean = sum(speeds) / len(speeds)
+    mx = sum(math.cos(d) for d in moving) / len(moving) if moving else 0.0
+    my = sum(math.sin(d) for d in moving) / len(moving) if moving else 0.0
+    resultant = math.hypot(mx, my)
+    feature = (mean, math.atan2(my, mx), resultant)
+    if len(samples) < cfg.min_observations:
+        speed = samples[-1][0]
+    else:
+        speed = mean
+    if speed <= cfg.stop_speed:
+        return (*feature, MobilityState.STOP)
+    if speed > cfg.v_walk:
+        return (*feature, MobilityState.LINEAR)
+    if len(samples) < cfg.min_observations:
+        return (*feature, MobilityState.RANDOM)
+    speed_std = math.sqrt(sum((s - mean) ** 2 for s in speeds) / len(speeds))
+    if len(moving) < 2:
+        direction_std = 0.0
+    elif resultant <= 1e-12:
+        direction_std = math.inf
+    else:
+        direction_std = math.sqrt(-2.0 * math.log(min(resultant, 1.0)))
+    constant = (
+        speed_std <= cfg.speed_std_threshold
+        and direction_std <= cfg.direction_std_threshold
+    )
+    label = MobilityState.LINEAR if constant else MobilityState.RANDOM
+    return (*feature, label)
+
+
+# Speeds on and around the Fig. 2 thresholds (stop 0.05, V_walk 2.0) and
+# headings that either wander or hold a course, so windows land on both
+# sides of the speed and direction spread thresholds.
+observations = st.tuples(
+    st.one_of(
+        st.sampled_from([0.0, 1e-10, 0.05, 0.5, 1.0, 1.5, 2.0, 2.5]),
+        st.floats(min_value=0.0, max_value=4.0),
+    ),
+    st.one_of(
+        st.floats(min_value=-0.8, max_value=0.8),
+        st.floats(min_value=-math.pi, max_value=math.pi),
+    ),
+)
+
+
+class TestAgainstReference:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(observations, min_size=1, max_size=30))
+    @example([(0.05, 0.3)] * 5)  # mean exactly on the stop threshold
+    @example([(2.0, 0.3)] * 5)  # mean exactly on V_walk
+    def test_feature_and_label_match_the_reference(self, samples):
+        cfg = ClassifierConfig(window=4, min_observations=2)
+        classifier = MobilityClassifier(cfg)
+        for i, (speed, direction) in enumerate(samples, start=1):
+            label = classifier.observe("n", speed, direction)
+            mean, heading, resultant, want = _reference(cfg, samples[:i])
+            feature = classifier.feature("n")
+            assert feature.speed == pytest.approx(mean, abs=1e-12)
+            # atan2 of a near-cancelled mean heading is ill-conditioned.
+            if resultant > 1e-9:
+                delta = angle_difference(feature.direction, heading)
+                assert delta == pytest.approx(0.0, abs=1e-9)
+            assert label is want

@@ -57,12 +57,17 @@ class TestPlacement:
         assert manager.reassignments == 1
 
     def test_feature_of(self, setup):
+        """A placed node's cluster is built from the classifier's feature."""
         manager, classifier = setup
         teach(classifier, "n", 3.0, direction=0.5)
-        feature = manager.feature_of("n")
-        assert feature is not None
+        feature = classifier.feature("n")
         assert feature.speed == pytest.approx(3.0)
         assert feature.direction == pytest.approx(0.5)
+        centroid = manager.place("n").centroid
+        assert (centroid.speed, centroid.direction) == (
+            feature.speed,
+            feature.direction,
+        )
 
 
 class TestReconstruction:

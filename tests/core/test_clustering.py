@@ -188,7 +188,8 @@ class TestCentroidCache:
         c = SequentialClusterer(alpha=1.0)
         cluster, _ = c.assign("a", MotionFeature(1.0, 0.1))
         before = cluster.centroid
-        cluster.add("b", MotionFeature(1.5, 0.3))
+        joined, _ = c.assign("b", MotionFeature(1.5, 0.3))
+        assert joined is cluster
         after = cluster.centroid
         assert after is not before
         speed, direction = self._fresh_centroid(cluster)
@@ -198,12 +199,14 @@ class TestCentroidCache:
     def test_remove_invalidates(self):
         c = SequentialClusterer(alpha=1.0)
         cluster, _ = c.assign("a", MotionFeature(1.0, 0.1))
-        cluster.add("b", MotionFeature(1.5, 0.3))
+        c.assign("b", MotionFeature(1.5, 0.3))
         cluster.centroid  # prime the cache
-        cluster.remove("b")
+        c.unassign("b")
         speed, direction = self._fresh_centroid(cluster)
         assert cluster.centroid.speed == speed
         assert cluster.centroid.direction == direction
+        nearest, distance = c.nearest(MotionFeature(1.0, 0.1))
+        assert nearest is cluster and distance == 0.0
 
     def test_assign_reassignment_invalidates_both_clusters(self):
         c = SequentialClusterer(alpha=0.5)

@@ -44,15 +44,37 @@ class TestGoldenParity:
         want = json.loads(FIXTURE_PATH.read_text())
         assert got == want
 
-    def test_exact_kernel_matches_live_object_harness_off_fixture(self):
-        # Different seed, duration and factor set than the fixture: the
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ExperimentConfig(
+                duration=12.0,
+                seed=7,
+                dth_factors=(0.9, 1.1),
+                include_general_df=True,
+            ),
+            # Cluster reconstructions mid-run, on the weighted BSAS branch.
+            ExperimentConfig(
+                duration=65.0,
+                seed=9,
+                dth_factors=(1.0,),
+                direction_weight=0.5,
+                recluster_interval=20.0,
+            ),
+            # Reconstructions on the unweighted branch, with the GDF lanes.
+            ExperimentConfig(
+                duration=65.0,
+                seed=9,
+                dth_factors=(0.75, 1.25),
+                recluster_interval=20.0,
+                include_general_df=True,
+            ),
+        ],
+        ids=["short", "reclusters-weighted", "reclusters-gdf"],
+    )
+    def test_exact_kernel_matches_live_object_harness_off_fixture(self, config):
+        # Different seeds, durations and factor sets than the fixture: the
         # engines must agree on configurations nobody hand-tuned for.
-        config = ExperimentConfig(
-            duration=12.0,
-            seed=7,
-            dth_factors=(0.9, 1.1),
-            include_general_df=True,
-        )
         reference = collect_metrics(run_experiment(config))
         columnar = collect_metrics(
             run_columnar_experiment(config, kernel=EXACT_KERNEL)

@@ -117,6 +117,23 @@ class TestReconfigure:
         assert channel.loss_probability == 0.0
         assert channel._transparent is False  # latency 0.1 is back
 
+    def test_invalid_degrade_leaves_the_channel_healthy(self, sim, rng):
+        channel = WirelessChannel(sim, rng, base_latency=0.1)
+        with pytest.raises(ValueError):
+            channel.degrade(loss_probability=2.0)
+        with pytest.raises(TypeError):
+            channel.degrade(burst_loss="bursty")
+        assert not channel.degraded
+        assert channel.base_latency == 0.1
+        assert channel.loss_probability == 0.0
+        # A later valid degradation still saves the healthy parameters.
+        channel.degrade(base_latency=2.0)
+        with pytest.raises(ValueError):
+            channel.degrade(loss_probability=-1.0)
+        assert channel.degraded and channel.base_latency == 2.0
+        channel.restore()
+        assert channel.base_latency == 0.1
+
     def test_restore_without_degrade_is_noop(self, sim, rng):
         channel = WirelessChannel(sim, rng)
         channel.restore()
