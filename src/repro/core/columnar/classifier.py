@@ -76,7 +76,21 @@ class ColumnarClassifier:
 
     # -- the per-step pipeline ----------------------------------------------
     def observe(self, speeds: np.ndarray, directions: np.ndarray) -> np.ndarray:
-        """Absorb one observation per node and return all label codes."""
+        """Absorb one observation per node and return all label codes.
+
+        Raises :class:`ValueError` on a NaN, infinite or negative speed or
+        a non-finite direction, as ``MobilityClassifier.observe`` does,
+        before any window changes.
+        """
+        # One reduction each; NaN fails both comparisons.
+        good = (speeds >= 0.0) & (speeds < np.inf)
+        if not good.all():
+            bad = float(speeds[np.argmin(good)])
+            raise ValueError(f"speed must be finite and >= 0, got {bad}")
+        good = np.isfinite(directions)
+        if not good.all():
+            bad = float(directions[np.argmin(good)])
+            raise ValueError(f"direction must be finite, got {bad}")
         window = self._window
         self._speed_ring[self._ptr] = speeds
         self._ptr = (self._ptr + 1) % window

@@ -90,12 +90,6 @@ class LocationUpdate(Message):
     #: unfiltered).  Silence after this LU implies the node stayed within
     #: ``dth`` of ``position`` — the broker's estimator exploits that bound.
     dth: float = 0.0
-    #: Canonical serialized row this LU was decoded from (the
-    #: ``repro-lu-trace`` array encoding), when it arrived from a recorded
-    #: source.  Durability layers log these received bytes instead of
-    #: re-serializing the update.  Excluded from equality/repr: a decoded
-    #: update still compares equal to one rebuilt field by field.
-    wire: bytes | None = field(default=None, compare=False, repr=False)
 
     # header + node id + 4 floats (position, velocity) + region tag
     size_bytes: ClassVar[int] = 32 + 16 + 4 * 8 + 8

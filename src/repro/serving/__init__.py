@@ -5,8 +5,9 @@ The serving layer lifts the paper's in-loop broker into a service shape:
 * :mod:`repro.serving.trace` — record one harness lane's transmitted LU
   stream into a compact replayable log (``repro-lu-trace``);
 * :mod:`repro.serving.store` — a region-sharded location store whose
-  shards are PR 4 degraded-mode :class:`~repro.broker.broker.GridBroker`
-  instances (staleness, extrapolation, quarantine for free);
+  shards hold the state of a degraded-mode
+  :class:`~repro.broker.broker.GridBroker` (staleness, extrapolation,
+  quarantine) as columns, applying each flush window as array ops;
 * :mod:`repro.serving.service` — the bounded-queue, batch-draining
   ingest front door with explicit shed-based backpressure;
 * :mod:`repro.serving.client` — an ARQ client adapter that turns shed
@@ -41,13 +42,14 @@ from repro.serving.recovery import (
 from repro.serving.report import ServingReport
 from repro.serving.service import IngestService, RecoveryStats, ServingConfig
 from repro.serving.store import (
+    ColumnShard,
     IngestOutcome,
-    IngestTally,
     ShardedLocationStore,
     shard_for,
 )
 from repro.serving.trace import (
     ColumnarTraceRecorder,
+    TraceBatch,
     TraceError,
     TraceRecord,
     TraceRecorder,
@@ -58,12 +60,12 @@ from repro.serving.trace import (
 )
 
 __all__ = [
+    "ColumnShard",
     "ColumnarTraceRecorder",
     "DurabilityConfig",
     "DurabilityManager",
     "IngestOutcome",
     "IngestService",
-    "IngestTally",
     "RecoveryGateReport",
     "RecoveryStats",
     "ReliableIngestClient",
@@ -71,6 +73,7 @@ __all__ = [
     "ServingConfig",
     "ServingReport",
     "ShardedLocationStore",
+    "TraceBatch",
     "TraceError",
     "TraceRecord",
     "TraceRecorder",

@@ -17,7 +17,10 @@ carries every record whose nominal arrival falls inside it, passing the
 exact nominal time as the latency-accounting ``arrival``.  That keeps
 the event count proportional to replay *duration*, not message count —
 the 100k+ msg/s ceilings cost thousands of events, not hundreds of
-thousands.
+thousands.  A window offers its rows to the service in bulk, one run of
+row indices per shard (split where a sweep falls), and never builds a
+per-record object: a plain list of records is turned into a
+:class:`~repro.serving.trace.TraceBatch` once.
 
 Everything here is deterministic: same trace + same config ⇒ the same
 event sequence, the same shed decisions, the same P² latency estimates,
@@ -27,14 +30,17 @@ and a byte-identical :class:`~repro.serving.report.ServingReport`.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
+
+import numpy as np
+from numpy.typing import NDArray
 
 from repro.serving.durability import DurabilityManager
 from repro.serving.report import ServingReport
 from repro.serving.service import IngestService, ServingConfig
-from repro.serving.trace import TraceRecord
+from repro.serving.trace import TraceBatch, TraceRecord
 from repro.simkernel import Simulator
 
 __all__ = ["ReplayConfig", "replay_trace", "replay_trace_full"]
@@ -68,16 +74,24 @@ class ReplayConfig:
             )
 
 
-def _arrival_times(records: list[TraceRecord], rate: float) -> list[float]:
+def _as_batch(records: Sequence[TraceRecord]) -> TraceBatch:
+    """*records* as a :class:`TraceBatch` (converted once if a list)."""
+    if isinstance(records, TraceBatch):
+        return records
+    return TraceBatch.from_records(records)
+
+
+def _arrival_times(records: Sequence[TraceRecord], rate: float) -> NDArray[Any]:
     """Nominal arrival time per record (replay-clock seconds from 0)."""
+    batch = _as_batch(records)
     if rate > 0:
-        return [index / rate for index in range(len(records))]
-    base = records[0].time if records else 0.0
-    return [record.time - base for record in records]
+        return np.arange(len(batch)) / rate
+    base = batch.time[0] if len(batch) else 0.0
+    return batch.time - base
 
 
 def replay_trace(
-    records: list[TraceRecord],
+    records: Sequence[TraceRecord],
     config: ReplayConfig | None = None,
     *,
     trace_meta: dict[str, Any] | None = None,
@@ -100,7 +114,7 @@ def replay_trace(
 
 
 def replay_trace_full(
-    records: list[TraceRecord],
+    records: Sequence[TraceRecord],
     config: ReplayConfig | None = None,
     *,
     trace_meta: dict[str, Any] | None = None,
@@ -135,46 +149,57 @@ def replay_trace_full(
         injector = FaultInjector(faults, telemetry=telemetry)
         injector.attach(sim, service=service)
 
-    arrivals = _arrival_times(records, config.rate)
+    batch = _as_batch(records)
+    arrivals = _arrival_times(batch, config.rate)
     window = config.serving.flush_interval
     # Window k (event at time k*window) carries records whose nominal
     # arrival lies in ((k-1)*window, k*window]; arrival 0 lands in k=0.
     # Each window holds index runs [start, stop) of consecutive records,
     # in record order: one run per window when arrivals never decrease.
+    ks = np.where(arrivals > 0, np.ceil(arrivals / window), 0.0).astype(np.int64)
+    cuts = (np.flatnonzero(ks[1:] != ks[:-1]) + 1).tolist()
     windows: dict[int, list[tuple[int, int]]] = {}
-    current: int | None = None
-    start = 0
-    for index, arrival in enumerate(arrivals):
-        k = math.ceil(arrival / window) if arrival > 0 else 0
-        if k != current:
-            if current is not None:
-                windows.setdefault(current, []).append((start, index))
-            current = k
-            start = index
-    if current is not None:
-        windows.setdefault(current, []).append((start, len(arrivals)))
+    for start, stop in zip([0, *cuts], [*cuts, len(batch)]):
+        if stop > start:
+            windows.setdefault(int(ks[start]), []).append((start, stop))
+
+    # Each shard's record indices, ascending: a run's rows for one shard
+    # are a slice of them.
+    route = service.store.route(batch)
+    shard_rows = [np.flatnonzero(route == s) for s in range(config.serving.shards)]
+    times = batch.time
+
+    def submit(start: int, stop: int) -> None:
+        for index, rows in enumerate(shard_rows):
+            lo, hi = np.searchsorted(rows, (start, stop)).tolist()
+            if hi > lo:
+                run = rows[lo:hi]
+                service.submit_rows(batch, run, arrivals[run], index)
 
     sweep_interval = config.sweep_interval
     sweep_state = {"next": None}
-    if sweep_interval > 0 and records:
-        sweep_state["next"] = records[0].time + sweep_interval
+    if sweep_interval > 0 and len(batch):
+        sweep_state["next"] = float(times[0]) + sweep_interval
 
     def submit_window(runs: list[tuple[int, int]]) -> None:
-        submit = service.submit
         boundary = sweep_state["next"]
         for start, stop in runs:
-            for index in range(start, stop):
-                record = records[index]
-                if boundary is not None and record.time >= boundary:
-                    # The submitted stream crossed a trace-time boundary:
-                    # run the estimation/quarantine sweep up to it.  Queued
-                    # (not yet flushed) LUs behind the boundary resync on
-                    # apply — the broker's skip_db path keeps the DB
-                    # monotonic.
-                    while record.time >= boundary:
-                        service.tick(boundary)
-                        boundary += sweep_interval
-                submit(record.to_update(), arrival=arrivals[index])
+            while boundary is not None:
+                crossed = np.flatnonzero(times[start:stop] >= boundary)
+                if not len(crossed):
+                    break
+                cross = start + int(crossed[0])
+                submit(start, cross)
+                # The submitted stream crossed a trace-time boundary: run
+                # the estimation/quarantine sweep up to it.  Queued (not
+                # yet flushed) LUs behind the boundary resync on apply —
+                # the shards' skip_db path keeps the DB monotonic.
+                time = float(times[cross])
+                while time >= boundary:
+                    service.tick(boundary)
+                    boundary += sweep_interval
+                start = cross
+            submit(start, stop)
         sweep_state["next"] = boundary
 
     for k in sorted(windows):
@@ -191,7 +216,7 @@ def replay_trace_full(
         metrics = telemetry.registry.snapshot()
     report = ServingReport.from_service(
         service,
-        records=len(records),
+        records=len(batch),
         rate=config.rate,
         replay_seconds=sim.now,
         trace_meta=trace_meta,

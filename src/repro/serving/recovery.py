@@ -10,7 +10,7 @@ end-to-end on a recorded trace:
 2. **Crashed run** — replay the *same* trace with a WAL/snapshot
    :class:`~repro.serving.durability.DurabilityManager` attached and a
    deterministic :class:`~repro.faults.schedule.ShardCrash` window
-   injected mid-replay: the shard's broker and queued window die, the
+   injected mid-replay: the shard's state and queued window die, the
    down window sheds, the restart rebuilds the shard from snapshot +
    WAL tail.
 3. **Byte-compare** — both exports, minus the crash's explicitly
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -152,7 +153,7 @@ def write_filtered_export(
 
 
 def run_recovery_gate(
-    records: list[TraceRecord],
+    records: Sequence[TraceRecord],
     wal_dir: str | Path,
     *,
     replay: ReplayConfig | None = None,

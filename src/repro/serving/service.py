@@ -23,6 +23,12 @@ Backpressure is explicit and loss is visible:
   it into the ARQ accept gate, so a saturated service simply withholds
   acks and clients back off and retry instead of losing LUs.
 
+Queues hold rows, not objects: each entry is a run of row indices into
+a :class:`~repro.serving.trace.TraceBatch` with their arrival times.
+The load generator offers whole runs (:meth:`IngestService.submit_rows`);
+a lone LU (:meth:`IngestService.submit`, the client path) is a one-row
+batch.  A flush hands each shard's rows to the store in one call.
+
 Ingest latency (enqueue to batched-apply, in virtual seconds) feeds a
 telemetry histogram with streaming p50/p90/p99 — the SLO surface the
 load generator reports against.
@@ -34,15 +40,22 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+import numpy as np
+from numpy.typing import NDArray
+
 from repro.network.messages import LocationUpdate
 from repro.serving.durability import DurabilityManager
 from repro.serving.store import IngestOutcome, ShardedLocationStore
+from repro.serving.trace import TraceBatch, TraceRecord
 from repro.simkernel import Simulator
 from repro.telemetry import NULL_TELEMETRY
 from repro.telemetry.metrics import Histogram
 from repro.util.validation import check_positive
 
 __all__ = ["ServingConfig", "IngestService", "RecoveryStats"]
+
+#: Row index 0 of a one-row batch.
+_FIRST_ROW = np.zeros(1, dtype=np.intp)
 
 #: Latency buckets for the ingest histogram (virtual seconds).  Batched
 #: drains bound latency by the flush interval under light load, so the
@@ -197,9 +210,12 @@ class IngestService:
             telemetry=telemetry,
             name=name,
         )
-        self._queues: list[deque[tuple[float, LocationUpdate]]] = [
+        #: Per shard: queued (batch, rows, arrival times) runs, in order,
+        #: and how many rows they hold.
+        self._queues: list[deque[tuple[TraceBatch, NDArray[Any], NDArray[Any]]]] = [
             deque() for _ in range(self.config.shards)
         ]
+        self._depths = [0] * self.config.shards
         if durability is not None:
             durability.bind(self.config.shards)
         self._capacity = self.config.queue_capacity
@@ -243,44 +259,75 @@ class IngestService:
         index = self.shard_index(update)
         if self.store.shard_is_down(index):
             return False
-        return len(self._queues[index]) < self._capacity
+        return self._depths[index] < self._capacity
 
     def submit(
         self, update: LocationUpdate, *, arrival: float | None = None
     ) -> bool:
         """Offer one LU; returns False when backpressure sheds it.
 
-        *arrival* backdates the enqueue time for latency accounting (the
-        load generator submits whole windows of nominal arrivals from one
-        event); it defaults to the simulator's current time.
+        *arrival* backdates the enqueue time for latency accounting; it
+        defaults to the simulator's current time.
         """
-        stats = self.stats
-        stats.offered += 1
-        if self._instrumented:
-            self._t_offered.inc()
-        index = self.store.shard_for_update(update)
-        if self.store.shard_is_down(index):
-            stats.shed += 1
-            stats.shed_down += 1
-            stats.shed_per_shard[index] += 1
-            self._crash_shed[index] = self._crash_shed.get(index, 0) + 1
-            self._crash_affected.setdefault(index, set()).add(update.node_id)
-            if self._instrumented:
-                self._t_shed.inc()
-            return False
-        queue = self._queues[index]
-        if len(queue) >= self._capacity:
-            stats.shed += 1
-            stats.shed_per_shard[index] += 1
-            if self._instrumented:
-                self._t_shed.inc()
-            return False
         when = self._sim.now if arrival is None else arrival
-        queue.append((when, update))
-        stats.accepted += 1
-        if self._instrumented:
-            self._t_accepted.inc()
-        depth = len(queue)
+        batch = TraceBatch.from_records([TraceRecord.from_update(update)])
+        return bool(
+            self.submit_rows(
+                batch, _FIRST_ROW, np.array([when]), self.shard_index(update)
+            )
+        )
+
+    def submit_rows(
+        self,
+        batch: TraceBatch,
+        rows: NDArray[Any],
+        arrivals: NDArray[Any],
+        index: int,
+    ) -> int:
+        """Offer *batch*'s *rows*, all routed to shard *index*, in order.
+
+        *arrivals* are the rows' enqueue times for latency accounting
+        (the load generator submits whole windows of nominal arrivals
+        from one event).  Rows past the queue's free room are shed, and
+        all of them when the shard is down.  Returns how many were
+        accepted.
+        """
+        offered = len(rows)
+        stats = self.stats
+        stats.offered += offered
+        instrumented = self._instrumented
+        if instrumented:
+            self._t_offered.inc(offered)
+        if self.store.shard_is_down(index):
+            stats.shed += offered
+            stats.shed_down += offered
+            stats.shed_per_shard[index] += offered
+            self._crash_shed[index] = self._crash_shed.get(index, 0) + offered
+            self._crash_affected.setdefault(index, set()).update(
+                _node_ids(batch, rows)
+            )
+            if instrumented:
+                self._t_shed.inc(offered)
+            return 0
+        depth = self._depths[index]
+        accepted = min(offered, max(self._capacity - depth, 0))
+        shed = offered - accepted
+        if shed:
+            stats.shed += shed
+            stats.shed_per_shard[index] += shed
+            if instrumented:
+                self._t_shed.inc(shed)
+        if not accepted:
+            return 0
+        if shed:
+            rows = rows[:accepted]
+            arrivals = arrivals[:accepted]
+        self._queues[index].append((batch, rows, arrivals))
+        depth += accepted
+        self._depths[index] = depth
+        stats.accepted += accepted
+        if instrumented:
+            self._t_accepted.inc(accepted)
         if depth > stats.max_queue_depth:
             stats.max_queue_depth = depth
         if not self._flush_scheduled:
@@ -290,9 +337,35 @@ class IngestService:
                 self._flush,
                 label=f"{self.name}:flush",
             )
-        return True
+        return accepted
 
     # -- the drain ------------------------------------------------------------
+    def _take(
+        self, index: int, count: int
+    ) -> list[tuple[TraceBatch, NDArray[Any], NDArray[Any]]]:
+        """Dequeue the next *count* rows of shard *index*, joined into one
+        run per batch so that a flush applies them in one call (a replay
+        queues a run per shard for every sweep it splits a window at)."""
+        queue = self._queues[index]
+        self._depths[index] -= count
+        runs: list[tuple[TraceBatch, list[NDArray[Any]], list[NDArray[Any]]]] = []
+        while count:
+            batch, rows, arrivals = queue.popleft()
+            if len(rows) > count:
+                queue.appendleft((batch, rows[count:], arrivals[count:]))
+                rows = rows[:count]
+                arrivals = arrivals[:count]
+            count -= len(rows)
+            if runs and runs[-1][0] is batch:
+                runs[-1][1].append(rows)
+                runs[-1][2].append(arrivals)
+            else:
+                runs.append((batch, [rows], [arrivals]))
+        return [
+            (batch, np.concatenate(rows), np.concatenate(arrivals))
+            for batch, rows, arrivals in runs
+        ]
+
     def _flush(self) -> None:
         """Apply up to ``batch_size`` queued records per shard.
 
@@ -303,38 +376,29 @@ class IngestService:
         self._flush_scheduled = False
         now = self._sim.now
         batch_size = self.config.batch_size
-        observe = self.latency.observe
+        observe = self.latency.observe_many
         apply = self.store.apply
         durability = self.durability
-        applied_outcome = IngestOutcome.APPLIED
         backlog = 0
         total_before = 0
-        for index, queue in enumerate(self._queues):
-            total_before += len(queue)
-            take = len(queue)
-            if take > batch_size:
-                take = batch_size
-            if durability is None:
-                for _ in range(take):
-                    arrival, update = queue.popleft()
-                    apply(update)
-                    observe(now - arrival)
-            else:
-                # Log-after-apply straight onto the shard WAL (the
-                # per-record manager hop costs real throughput at 100k
-                # msg/s); bookkeeping settles once per batch below.
-                append = durability.wal(index).append_update
+        for index in range(self.config.shards):
+            depth = self._depths[index]
+            total_before += depth
+            take = min(depth, batch_size)
+            if take:
                 appended = 0
-                for _ in range(take):
-                    arrival, update = queue.popleft()
-                    if apply(update) is applied_outcome:
-                        # Made durable before this event ends: the crash
-                        # model is event-granular, so WAL contents exactly
-                        # track what the shard absorbed.
-                        append(update)
-                        appended += 1
-                    observe(now - arrival)
-                if take:
+                for batch, rows, arrivals in self._take(index, take):
+                    outcome = apply(batch, rows)
+                    if durability is not None:
+                        # Log-after-apply: made durable before this event
+                        # ends, so (the crash model being event-granular)
+                        # WAL contents exactly track what the shard absorbed.
+                        applied = rows[outcome == IngestOutcome.APPLIED]
+                        if len(applied):
+                            durability.wal(index).append_update(batch, applied)
+                            appended += len(applied)
+                    observe((now - arrivals).tolist())
+                if durability is not None:
                     if appended:
                         durability.note_appended(index, appended)
                     durability.flush_shard(index)
@@ -345,7 +409,7 @@ class IngestService:
                             self.store.shard_gates(index),
                         ),
                     )
-            backlog += len(queue)
+            backlog += self._depths[index]
         stats = self.stats
         stats.batches += 1
         if total_before > stats.max_total_depth:
@@ -380,7 +444,7 @@ class IngestService:
     def crash_shard(self, index: int) -> int:
         """Kill shard *index* deterministically; returns queued records lost.
 
-        Drops the in-memory broker, the shard's queued-but-unflushed
+        Drops the shard's in-memory state, its queued-but-unflushed
         window, and any WAL entries not yet flushed — exactly what a
         process crash between flush windows loses.  Requires durability:
         a crash with no disk behind it could never satisfy the recovery
@@ -392,9 +456,12 @@ class IngestService:
                 "shard with no WAL cannot be recovered"
             )
         queue = self._queues[index]
-        dropped = len(queue)
-        affected = {update.node_id for _, update in queue}
+        dropped = self._depths[index]
+        affected: set[str] = set()
+        for batch, rows, _ in queue:
+            affected.update(_node_ids(batch, rows))
         queue.clear()
+        self._depths[index] = 0
         self.durability.on_crash(index)
         affected.update(self.store.crash_shard(index))
         self._crash_affected[index] = affected
@@ -408,7 +475,7 @@ class IngestService:
     def restart_shard(self, index: int) -> RecoveryStats:
         """Recover shard *index* from snapshot + WAL tail replay.
 
-        Rebuilds the broker from disk, conditionally restores store
+        Rebuilds the shard from disk, conditionally restores store
         gates, then snapshots the recovered state (compacting the WAL)
         so a repeat crash replays a short tail.  Returns the recovery's
         stats, also appended to :attr:`recoveries`.
@@ -460,8 +527,14 @@ class IngestService:
     @property
     def backlog(self) -> int:
         """Records currently queued across all shards."""
-        return sum(len(queue) for queue in self._queues)
+        return sum(self._depths)
 
     def latency_quantile(self, q: float) -> float:
         """Streaming ingest-latency quantile estimate (virtual seconds)."""
         return self.latency.quantile(q)
+
+
+def _node_ids(batch: TraceBatch, rows: NDArray[Any]) -> list[str]:
+    """The distinct node ids of *batch*'s *rows*."""
+    node_ids = batch.node_ids
+    return [node_ids[code] for code in np.unique(batch.node[rows]).tolist()]

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections.abc import Iterable, Sequence
 from typing import Any
 
 __all__ = [
@@ -154,6 +155,30 @@ class Gauge(_Instrument):
         return {"kind": self.kind, "value": self._value}
 
 
+def _p2_step(
+    up: bool,
+    n_prev: float,
+    n_here: float,
+    n_next: float,
+    h_prev: float,
+    h_here: float,
+    h_next: float,
+) -> tuple[float, float]:
+    """One P² marker move (up or down a position): the new height and
+    position — parabolic when that keeps the heights ordered, else linear
+    toward the neighbour the marker moves to."""
+    step = 1.0 if up else -1.0
+    candidate = h_here + step / (n_next - n_prev) * (
+        (n_here - n_prev + step) * (h_next - h_here) / (n_next - n_here)
+        + (n_next - n_here - step) * (h_here - h_prev) / (n_here - n_prev)
+    )
+    if h_prev < candidate < h_next:
+        return candidate, n_here + step
+    if up:
+        return h_here + step * (h_next - h_here) / (n_next - n_here), n_here + step
+    return h_here + step * (h_prev - h_here) / (n_prev - n_here), n_here + step
+
+
 class P2Quantile:
     """Streaming quantile estimation via the P² algorithm.
 
@@ -179,69 +204,64 @@ class P2Quantile:
 
     def observe(self, x: float) -> None:
         """Absorb one observation."""
-        self._count += 1
+        self.observe_many((x,))
+
+    def observe_many(self, values: Iterable[float]) -> None:
+        """Absorb *values* in order (the same state as one observe each)."""
+        stream = iter(values)
         h = self._heights
-        if len(h) < 5:
-            h.append(x)
+        while len(h) < 5:
+            first = next(stream, None)
+            if first is None:
+                return
+            self._count += 1
+            h.append(first)
             h.sort()
-            return
-        n = self._positions
-        # Locate the cell containing x, extending extremes when needed.
-        # The chain tests the cells in order, so a NaN lands in cell 3.
-        if x < h[0]:
-            h[0] = x
-            n[1] += 1.0
-            n[2] += 1.0
-            n[3] += 1.0
-        elif x >= h[4]:
-            h[4] = x
-        elif h[0] <= x < h[1]:
-            n[1] += 1.0
-            n[2] += 1.0
-            n[3] += 1.0
-        elif h[1] <= x < h[2]:
-            n[2] += 1.0
-            n[3] += 1.0
-        elif h[2] <= x < h[3]:
-            n[3] += 1.0
-        n[4] += 1.0
-        desired = self._desired
-        increments = self._increments
-        desired[0] += increments[0]
-        desired[1] += increments[1]
-        desired[2] += increments[2]
-        # Adjust the three interior markers, each toward its desired
-        # position by one step: parabolic (P²) when that keeps the heights
-        # ordered, else linear toward the neighbour it moves to.
-        for i in (1, 2, 3):
-            n_here = n[i]
-            d = desired[i - 1] - n_here
-            if d >= 1.0:
-                if not n[i + 1] - n_here > 1.0:
-                    continue
-                step = 1.0
-            elif d <= -1.0:
-                if not n[i - 1] - n_here < -1.0:
-                    continue
-                step = -1.0
-            else:
-                continue
-            n_prev = n[i - 1]
-            n_next = n[i + 1]
-            h_prev = h[i - 1]
-            h_here = h[i]
-            h_next = h[i + 1]
-            candidate = h_here + step / (n_next - n_prev) * (
-                (n_here - n_prev + step) * (h_next - h_here) / (n_next - n_here)
-                + (n_next - n_here - step) * (h_here - h_prev) / (n_here - n_prev)
-            )
-            if h_prev < candidate < h_next:
-                h[i] = candidate
-            elif step > 0.0:
-                h[i] = h_here + step * (h_next - h_here) / (n_next - n_here)
-            else:
-                h[i] = h_here + step * (h_prev - h_here) / (n_prev - n_here)
-            n[i] = n_here + step
+        h0, h1, h2, h3, h4 = h
+        n0, n1, n2, n3, n4 = self._positions
+        d1, d2, d3 = self._desired
+        inc1, inc2, inc3 = self._increments
+        count = self._count
+        step = _p2_step
+        for x in stream:
+            count += 1
+            # Locate the cell containing x, extending extremes when needed.
+            # The chain tests the cells in order, so a NaN lands in cell 3.
+            if x < h0:
+                h0 = x
+                n1 += 1.0
+                n2 += 1.0
+                n3 += 1.0
+            elif x >= h4:
+                h4 = x
+            elif h0 <= x < h1:
+                n1 += 1.0
+                n2 += 1.0
+                n3 += 1.0
+            elif h1 <= x < h2:
+                n2 += 1.0
+                n3 += 1.0
+            elif h2 <= x < h3:
+                n3 += 1.0
+            n4 += 1.0
+            d1 += inc1
+            d2 += inc2
+            d3 += inc3
+            # Adjust the three interior markers in order, each toward its
+            # desired position by one step when it has room to move.
+            d = d1 - n1
+            if (d >= 1.0 and n2 - n1 > 1.0) or (d <= -1.0 and n0 - n1 < -1.0):
+                h1, n1 = step(d >= 1.0, n0, n1, n2, h0, h1, h2)
+            d = d2 - n2
+            if (d >= 1.0 and n3 - n2 > 1.0) or (d <= -1.0 and n1 - n2 < -1.0):
+                h2, n2 = step(d >= 1.0, n1, n2, n3, h1, h2, h3)
+            d = d3 - n3
+            if (d >= 1.0 and n4 - n3 > 1.0) or (d <= -1.0 and n2 - n3 < -1.0):
+                h3, n3 = step(d >= 1.0, n2, n3, n4, h2, h3, h4)
+        self._count = count
+        self._heights = [h0, h1, h2, h3, h4]
+        self._positions = [n0, n1, n2, n3, n4]
+        self._desired = [d1, d2, d3]
 
     @property
     def count(self) -> int:
@@ -301,20 +321,33 @@ class Histogram(_Instrument):
 
     def observe(self, value: float) -> None:
         """Record one sample."""
-        self._count += 1
-        self._sum += value
-        if value < self._min:
-            self._min = value
-        if value > self._max:
-            self._max = value
-        # The first bound >= value; past the last bound (or NaN, which no
-        # bound admits) the sample lands in the final +inf bucket.
-        if value == value:
-            self._bucket_counts[bisect_left(self._buckets, value)] += 1
-        else:
-            self._bucket_counts[-1] += 1
+        self.observe_many((value,))
+
+    def observe_many(self, values: Sequence[float]) -> None:
+        """Record *values* in order (the same state as one observe each)."""
+        total = self._sum
+        low = self._min
+        high = self._max
+        bounds = self._buckets
+        counts = self._bucket_counts
+        for value in values:
+            total += value
+            if value < low:
+                low = value
+            if value > high:
+                high = value
+            # The first bound >= value; past the last bound (or NaN, which
+            # no bound admits) the sample lands in the final +inf bucket.
+            if value == value:
+                counts[bisect_left(bounds, value)] += 1
+            else:
+                counts[-1] += 1
+        self._count += len(values)
+        self._sum = total
+        self._min = low
+        self._max = high
         for estimator in self._quantiles.values():
-            estimator.observe(value)
+            estimator.observe_many(values)
 
     @property
     def count(self) -> int:

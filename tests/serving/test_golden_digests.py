@@ -1,0 +1,135 @@
+"""Golden digests of a serving smoke replay: report, WALs, snapshots.
+
+The replay records the ``serving --smoke`` trace (20 s, a one-per-kind
+population, seed 42), replays it at 2000 msg/s with a sweep per trace
+second, a WAL with a snapshot every 32 LUs, and shard 0 crashed and
+restarted mid-replay — once with telemetry off and once on.  The
+sha256 of the report JSON and of every ``shard-*.wal`` and
+``shard-*.snap.json`` is pinned: any change to what the serving path
+computes, logs or snapshots changes a digest.  The digests were taken
+from the object store (one ``GridBroker`` per shard) that the column
+store replaced; the column store reproduces them byte for byte.
+"""
+
+import hashlib
+from pathlib import Path
+
+from repro.experiments import ExperimentConfig
+from repro.faults.schedule import FaultSchedule, ShardCrash
+from repro.mobility.population import PopulationSpec
+from repro.serving import (
+    DurabilityConfig,
+    DurabilityManager,
+    ReplayConfig,
+    record_trace,
+    replay_trace_full,
+)
+from repro.telemetry import Telemetry, TelemetryConfig
+
+GOLDEN = {
+    "plain/report.json": (
+        "f63a458a6dd58a2f076302538091637bcbd7655992f7031b4d3d275158434e05"
+    ),
+    "plain/shard-000.snap.json": (
+        "f8696f22d3af1b8612d0bfe3e8c28a9eb92579ea4538ac04978c86f83850f594"
+    ),
+    "plain/shard-000.wal": (
+        "a7237c19532b4efcc0db5234cf4bd1ef501aa04eadc77d194b44fe8662d6b1bb"
+    ),
+    "plain/shard-001.snap.json": (
+        "a0632abc636e993ad2214a78e46811154ffaa05ee22f4b251ab393187357c90c"
+    ),
+    "plain/shard-001.wal": (
+        "430fff160ad6f1b1381f5b0ca7f1148b48797212c24ce04f8aee45627d575773"
+    ),
+    "plain/shard-002.snap.json": (
+        "ba52399e175a627324c2966b8b5cac0ed6539343ad8490c3c42c3f767ba8ebfa"
+    ),
+    "plain/shard-002.wal": (
+        "4868f1e8b3b7859700c834cb2ca32a196cf1b306a5a917748592a85352f00941"
+    ),
+    "plain/shard-003.snap.json": (
+        "0c94462d5543a86f4b24bf3d617d2bf842cc8336d12d70a728bdeed80a96f73e"
+    ),
+    "plain/shard-003.wal": (
+        "841a13d5eb69333d8d544448ddd9e4223b3ef38127ab4bd9f6028e6b7cf1b0da"
+    ),
+    "telemetry/report.json": (
+        "832ebde061597355ece282ac843e5efc53ddf1e42dbe3251155e34882438b4dc"
+    ),
+    "telemetry/shard-000.snap.json": (
+        "f8696f22d3af1b8612d0bfe3e8c28a9eb92579ea4538ac04978c86f83850f594"
+    ),
+    "telemetry/shard-000.wal": (
+        "a7237c19532b4efcc0db5234cf4bd1ef501aa04eadc77d194b44fe8662d6b1bb"
+    ),
+    "telemetry/shard-001.snap.json": (
+        "a0632abc636e993ad2214a78e46811154ffaa05ee22f4b251ab393187357c90c"
+    ),
+    "telemetry/shard-001.wal": (
+        "430fff160ad6f1b1381f5b0ca7f1148b48797212c24ce04f8aee45627d575773"
+    ),
+    "telemetry/shard-002.snap.json": (
+        "ba52399e175a627324c2966b8b5cac0ed6539343ad8490c3c42c3f767ba8ebfa"
+    ),
+    "telemetry/shard-002.wal": (
+        "4868f1e8b3b7859700c834cb2ca32a196cf1b306a5a917748592a85352f00941"
+    ),
+    "telemetry/shard-003.snap.json": (
+        "0c94462d5543a86f4b24bf3d617d2bf842cc8336d12d70a728bdeed80a96f73e"
+    ),
+    "telemetry/shard-003.wal": (
+        "841a13d5eb69333d8d544448ddd9e4223b3ef38127ab4bd9f6028e6b7cf1b0da"
+    ),
+}
+
+
+def smoke_digests(directory):
+    config = ExperimentConfig(
+        duration=20.0,
+        seed=42,
+        population=PopulationSpec(
+            road_humans_per_road=1,
+            road_vehicles_per_road=1,
+            building_stop=1,
+            building_random=1,
+            building_linear=1,
+        ),
+    )
+    meta, records = record_trace(config)
+    replay = ReplayConfig(rate=2000.0, sweep_interval=1.0)
+    horizon = (len(records) - 1) / replay.rate
+    faults = FaultSchedule(
+        (ShardCrash(shard_index=0, start=0.45 * horizon, duration=0.3 * horizon),)
+    )
+    digests = {}
+    for label, telemetry in (
+        ("plain", None),
+        ("telemetry", Telemetry(TelemetryConfig(enabled=True))),
+    ):
+        wal_dir = Path(directory) / label
+        durability = DurabilityManager(
+            wal_dir, DurabilityConfig(snapshot_every=32), telemetry=telemetry
+        )
+        report, _ = replay_trace_full(
+            records,
+            replay,
+            trace_meta=meta,
+            telemetry=telemetry,
+            durability=durability,
+            faults=faults,
+        )
+        durability.close()
+        digests[f"{label}/report.json"] = report.to_json()
+        for path in sorted(wal_dir.iterdir()):
+            digests[f"{label}/{path.name}"] = path.read_bytes()
+    return {
+        name: hashlib.sha256(
+            data.encode("utf-8") if isinstance(data, str) else data
+        ).hexdigest()
+        for name, data in digests.items()
+    }
+
+
+def test_smoke_replay_outputs_match_the_golden_digests(tmp_path):
+    assert smoke_digests(tmp_path) == GOLDEN

@@ -14,13 +14,13 @@ class TestArrivalTimes:
         from tests.serving.test_trace import make_record
 
         records = [make_record(seq=s) for s in range(4)]
-        assert _arrival_times(records, 2.0) == [0.0, 0.5, 1.0, 1.5]
+        assert _arrival_times(records, 2.0).tolist() == [0.0, 0.5, 1.0, 1.5]
 
     def test_as_recorded_uses_trace_offsets(self):
         from tests.serving.test_trace import make_record
 
         records = [make_record(time=10.0), make_record(time=12.5)]
-        assert _arrival_times(records, 0.0) == [0.0, 2.5]
+        assert _arrival_times(records, 0.0).tolist() == [0.0, 2.5]
 
 
 class TestDeterminism:
