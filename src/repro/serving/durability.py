@@ -5,15 +5,15 @@ entirely in memory — a crash loses its location DB, tracker states and
 quarantine sets.  This module makes that state *reconstructible*: every
 applied LU and every estimation sweep is appended to a per-shard
 write-ahead log before the flush window ends, and periodic snapshots
-capture the shard's complete ``state_dict`` (the
-``GridBroker.state_dict`` document) so the log can be compacted.
+dump the shard's columns and owned store gates
+(:class:`~repro.serving.store.ShardImage`) so the log can be compacted.
 Recovery is then
 
-    snapshot state  +  WAL tail replay (entries past the snapshot LSN)
+    snapshot image  +  WAL tail replay (entries past the snapshot LSN)
 
 which reproduces the shard bit-exactly, because a shard is a
 deterministic function of its applied-LU/tick sequence and
-:meth:`~repro.serving.store.ColumnShard.load_state` restores the
+:meth:`~repro.serving.store.ColumnShard.load_image` restores the
 snapshot point exactly.
 
 WAL format (``repro-shard-wal`` version 1)
@@ -37,16 +37,28 @@ Entries carry implicit log sequence numbers: the first entry frame in a
 file has LSN ``base_lsn + 1``.  Compaction rewrites the file with a new
 ``base_lsn`` (atomically, via a temp file and ``os.replace``), so LSNs
 are absolute across the shard's lifetime and a snapshot taken at LSN
-``k`` pairs with any WAL whose ``base_lsn <= k``.
+``k`` pairs with any WAL whose ``base_lsn <= k``.  The writer keeps the
+end offset of every frame it flushed, so compaction copies the
+surviving frames' bytes from there without reading the rest back.
 
 Torn tails are expected, not fatal: :func:`read_wal` scans frames and
 stops at the first incomplete or checksum-failing one, returning the
 longest valid prefix plus how many trailing bytes it discarded —
 exactly the contract a killed writer needs.  One walker,
 :func:`_frame_spans`, owns those framing rules; it checks lengths and
-CRCs only, so compaction (which copies surviving frames verbatim) and
-recovery (which skips the frames a snapshot covers) decode no JSON they
-do not return.
+CRCs only, so recovery (which skips the frames a snapshot covers)
+decodes no JSON it does not return.
+
+Snapshot format (``repro-shard-snapshot`` version 2)
+----------------------------------------------------
+
+Two frames: a sorted-key JSON header (``format``, ``version``,
+``shard``, ``lsn``, the shard's ``counters``, its trackers' ``kind`` and
+``alpha``, the node ids of its rows and of its owned gates, and
+``[name, dtype, length]`` per column), then every column's raw
+little-endian bytes.  It is loaded with ``numpy.frombuffer`` (no
+pickle); a truncated, corrupt or version-1 (JSON) file raises
+:class:`WalError`.
 
 Durability versus determinism: WAL/snapshot writes happen inside
 simulator events and never read a wall clock (DET001); ``fsync`` is
@@ -60,11 +72,14 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass, field
+from itertools import accumulate, islice
 from pathlib import Path
 from typing import Any, Callable
 
+import numpy as np
 from numpy.typing import NDArray
 
+from repro.serving.store import ShardImage
 from repro.serving.trace import TraceBatch
 from repro.telemetry import NULL_TELEMETRY
 
@@ -89,7 +104,7 @@ __all__ = [
 WAL_FORMAT = "repro-shard-wal"
 WAL_VERSION = 1
 SNAPSHOT_FORMAT = "repro-shard-snapshot"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 #: Frame header: little-endian u32 payload length + u32 CRC32(payload).
 _FRAME_HEADER = struct.Struct("<II")
@@ -284,12 +299,14 @@ class WriteAheadLog:
         self.appended = 0
         self.flushes = 0
         self.fsyncs = 0
-        self._entries_in_file = 0
         self._buffer: list[bytes] = []
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = self.path.open("wb")
-        self._fh.write(frame(self._header_payload()))
+        header = frame(self._header_payload())
+        self._fh.write(header)
         self._fh.flush()
+        #: File offset where the header and each flushed entry frame end.
+        self._ends = [len(header)]
         if self.fsync:
             os.fsync(self._fh.fileno())
             self.fsyncs += 1
@@ -313,7 +330,7 @@ class WriteAheadLog:
         LSN already compacted *into* a snapshot, so "entries strictly
         past LSN k" is always ``entries[k - base_lsn:]``.
         """
-        return self.base_lsn + self._entries_in_file + len(self._buffer) + 1
+        return self.base_lsn + len(self._ends) + len(self._buffer)
 
     @property
     def last_lsn(self) -> int:
@@ -357,7 +374,9 @@ class WriteAheadLog:
         if self.fsync:
             os.fsync(self._fh.fileno())
             self.fsyncs += 1
-        self._entries_in_file += flushed
+        self._ends += islice(
+            accumulate(map(len, self._buffer), initial=self._ends[-1]), 1, None
+        )
         self._buffer.clear()
         self.flushes += 1
         return flushed
@@ -373,29 +392,28 @@ class WriteAheadLog:
         """Drop durable entries with LSN <= *upto_lsn*; returns how many.
 
         Rewrites the file as header(base_lsn=*upto_lsn*) + the surviving
-        frames' bytes, copied verbatim after a CRC-only scan, via a temp
-        file and an atomic ``os.replace``, so a crash mid-compaction
+        frames' bytes, read from the offsets this writer recorded, via a
+        temp file and an atomic ``os.replace``, so a crash mid-compaction
         leaves either the old or the new file intact; with ``fsync`` the
-        directory is fsynced after the rename.  A torn tail is dropped
-        with the compacted entries.
+        directory is fsynced after the rename.
         """
         self.flush()
-        wal = _read_frames(self.path)
-        keep_from = upto_lsn - wal.base_lsn
+        ends = self._ends
+        keep_from = min(upto_lsn - self.base_lsn, len(ends) - 1)
         if keep_from <= 0:
             return 0
-        keep_from = min(keep_from, len(wal.entry_spans))
-        # Frames are contiguous: the first survivor starts where the last
-        # compacted entry's payload ends.
-        survivors_from = (
-            wal.entry_spans[keep_from - 1][1] if keep_from else wal.end
-        )
+        survivors = b""
+        if keep_from < len(ends) - 1:
+            with self.path.open("rb") as source:
+                source.seek(ends[keep_from])
+                survivors = source.read(ends[-1] - ends[keep_from])
         self._fh.close()
-        self.base_lsn = wal.base_lsn + keep_from
+        self.base_lsn += keep_from
+        header = frame(self._header_payload())
         tmp = self.path.with_suffix(self.path.suffix + ".tmp")
         with tmp.open("wb") as out:
-            out.write(frame(self._header_payload()))
-            out.write(memoryview(wal.data)[survivors_from : wal.end])
+            out.write(header)
+            out.write(survivors)
             out.flush()
             if self.fsync:
                 os.fsync(out.fileno())
@@ -403,7 +421,8 @@ class WriteAheadLog:
         os.replace(tmp, self.path)
         if self.fsync:
             _fsync_directory(self.path.parent)
-        self._entries_in_file = len(wal.entry_spans) - keep_from
+        shift = len(header) - ends[keep_from]
+        self._ends = [end + shift for end in ends[keep_from:]]
         self._fh = self.path.open("ab")
         return keep_from
 
@@ -419,39 +438,40 @@ def write_snapshot(
     *,
     shard: int,
     lsn: int,
-    state: dict[str, Any],
-    gates: dict[str, Any],
+    image: ShardImage,
     fsync: bool = False,
 ) -> Path:
-    """Atomically write one shard snapshot (sorted-key JSON).
+    """Atomically write one shard snapshot: a header frame, then the
+    columns of *image* as one raw-bytes frame.
 
-    *state* is the shard's ``state_dict()``; *gates* the store's
-    per-node dedup/latest-fix gates for nodes owned by this shard
-    (``node -> [seq, time, x, y]``).  *lsn* names the last WAL entry the
-    snapshot includes — recovery replays strictly-later entries only.
-    With *fsync*, the temp file is fsynced before it replaces the old
-    snapshot and the directory after, so a WAL compacted afterwards
-    never outlives its snapshot.
-
-    The document is encoded by one ``json.dumps`` call: ``json.dump`` to
-    a file handle always takes the pure-Python encoder, which is about
-    three times slower on a whole shard and writes the same bytes.
+    *lsn* names the last WAL entry the snapshot includes — recovery
+    replays strictly-later entries only.  With *fsync*, the temp file is
+    fsynced before it replaces the old snapshot and the directory after,
+    so a WAL compacted afterwards never outlives its snapshot.
     """
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    document = {
+    columns = [
+        (name, column.astype(column.dtype.newbyteorder("<"), copy=False))
+        for name, column in image.columns.items()
+    ]
+    header = {
+        "alpha": image.alpha,
+        "columns": [[name, column.dtype.str, len(column)] for name, column in columns],
+        "counters": image.counters,
         "format": SNAPSHOT_FORMAT,
-        "gates": gates,
+        "gate_nodes": image.gate_ids,
+        "kind": image.kind,
         "lsn": lsn,
+        "nodes": image.node_ids,
         "shard": shard,
-        "state": state,
         "version": SNAPSHOT_VERSION,
     }
-    text = json.dumps(document, sort_keys=True, separators=(",", ":"))
+    text = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    out = Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
     tmp = out.with_suffix(out.suffix + ".tmp")
-    with tmp.open("w", encoding="utf-8") as handle:
-        handle.write(text)
-        handle.write("\n")
+    with tmp.open("wb") as handle:
+        handle.write(frame(text.encode("utf-8")))
+        handle.write(frame(b"".join(column.tobytes() for _, column in columns)))
         if fsync:
             handle.flush()
             os.fsync(handle.fileno())
@@ -461,24 +481,47 @@ def write_snapshot(
     return out
 
 
-def load_snapshot(path: str | Path) -> dict[str, Any]:
-    """Load and validate one shard snapshot document."""
+def load_snapshot(path: str | Path) -> tuple[int, ShardImage]:
+    """Load and validate one shard snapshot; returns its LSN and image.
+
+    Raises :class:`WalError` for a truncated, corrupt or version-1 file.
+    """
     source = Path(path)
-    try:
-        document = json.loads(source.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise WalError(f"{source}: unreadable snapshot") from exc
-    if (
-        not isinstance(document, dict)
-        or document.get("format") != SNAPSHOT_FORMAT
-    ):
+    data = source.read_bytes()
+    spans, end = _frame_spans(data)
+    if len(spans) != 2 or end != len(data):
+        try:  # a version-1 snapshot was one JSON document
+            document = json.loads(data)
+        except ValueError:
+            document = None
+        if isinstance(document, dict) and document.get("format") == SNAPSHOT_FORMAT:
+            raise WalError(
+                f"{source}: unsupported snapshot version {document.get('version')!r}"
+            )
+        raise WalError(f"{source}: not an intact {SNAPSHOT_FORMAT} file")
+    (start, stop), (offset, body_end) = spans
+    header = json.loads(data[start:stop])
+    if not isinstance(header, dict) or header.get("format") != SNAPSHOT_FORMAT:
         raise WalError(f"{source}: not a {SNAPSHOT_FORMAT} file")
-    if document.get("version") != SNAPSHOT_VERSION:
+    if header.get("version") != SNAPSHOT_VERSION:
         raise WalError(
-            f"{source}: unsupported snapshot version "
-            f"{document.get('version')!r}"
+            f"{source}: unsupported snapshot version {header.get('version')!r}"
         )
-    return document
+    columns: dict[str, NDArray[Any]] = {}
+    for name, dtype, length in header["columns"]:
+        columns[name] = np.frombuffer(data, np.dtype(dtype), length, offset)
+        offset += columns[name].nbytes
+    if offset != body_end:
+        raise WalError(f"{source}: snapshot columns do not fill its body")
+    image = ShardImage(
+        node_ids=header["nodes"],
+        columns=columns,
+        counters=header["counters"],
+        kind=header["kind"],
+        alpha=header["alpha"],
+        gate_ids=header["gate_nodes"],
+    )
+    return int(header["lsn"]), image
 
 
 @dataclass(frozen=True)
@@ -486,10 +529,8 @@ class RecoveredShard:
     """Everything recovery needs to rebuild one shard from disk."""
 
     shard: int
-    #: Shard ``state_dict`` from the snapshot, or None (cold start).
-    state: dict[str, Any] | None
-    #: Store gates at the snapshot point (``node -> [seq, time, x, y]``).
-    gates: dict[str, Any]
+    #: The snapshot's shard image, or None (cold start).
+    image: ShardImage | None
     #: WAL tail entries past the snapshot LSN, in append order.
     entries: list[Any]
     snapshot_lsn: int
@@ -542,7 +583,7 @@ class DurabilityStats:
 class DurabilityManager:
     """Owns the per-shard WALs and snapshots under one directory.
 
-    Layout: ``shard-000.wal`` / ``shard-000.snap.json`` (index
+    Layout: ``shard-000.wal`` / ``shard-000.snap`` (index
     zero-padded to three digits).  Bind to a shard count once (the
     :class:`~repro.serving.service.IngestService` does this at
     construction), then the service appends each applied batch on
@@ -578,7 +619,7 @@ class DurabilityManager:
 
     def snapshot_path(self, index: int) -> Path:
         """The shard's snapshot file path."""
-        return self.directory / f"shard-{index:03d}.snap.json"
+        return self.directory / f"shard-{index:03d}.snap"
 
     @property
     def shard_count(self) -> int:
@@ -637,25 +678,20 @@ class DurabilityManager:
         return flushed
 
     def maybe_snapshot(
-        self,
-        index: int,
-        state_fn: Callable[[], tuple[dict[str, Any], dict[str, Any]]],
+        self, index: int, image_fn: Callable[[], ShardImage]
     ) -> bool:
         """Snapshot + compact the shard if its cadence is due.
 
-        *state_fn* is called only when a snapshot is actually taken; it
-        returns ``(shard_state_dict, store_gates)``.
+        *image_fn* is called only when a snapshot is actually taken; it
+        returns the shard's :class:`~repro.serving.store.ShardImage`.
         """
         every = self.config.snapshot_every
         if every <= 0 or self._lus_since_snapshot[index] < every:
             return False
-        state, gates = state_fn()
-        self.snapshot_now(index, state=state, gates=gates)
+        self.snapshot_now(index, image_fn())
         return True
 
-    def snapshot_now(
-        self, index: int, *, state: dict[str, Any], gates: dict[str, Any]
-    ) -> int:
+    def snapshot_now(self, index: int, image: ShardImage) -> int:
         """Write the shard's snapshot at its current LSN, then compact."""
         wal = self._wals[index]
         wal.flush()
@@ -664,8 +700,7 @@ class DurabilityManager:
             self.snapshot_path(index),
             shard=index,
             lsn=lsn,
-            state=state,
-            gates=gates,
+            image=image,
             fsync=self.config.fsync,
         )
         self._snapshot_lsn[index] = lsn
@@ -693,22 +728,15 @@ class DurabilityManager:
         CRC-checked but not decoded.
         """
         snapshot_lsn = 0
-        state: dict[str, Any] | None = None
-        gates: dict[str, Any] = {}
+        image: ShardImage | None = None
         snap_path = self.snapshot_path(index)
         if snap_path.exists():
-            document = load_snapshot(snap_path)
-            snapshot_lsn = int(document["lsn"])
-            raw_state = document["state"]
-            state = raw_state if isinstance(raw_state, dict) else None
-            raw_gates = document.get("gates")
-            gates = raw_gates if isinstance(raw_gates, dict) else {}
+            snapshot_lsn, image = load_snapshot(snap_path)
         wal = _read_frames(self.wal_path(index))
         entries, torn_bytes = wal.decode(max(snapshot_lsn - wal.base_lsn, 0))
         recovered = RecoveredShard(
             shard=index,
-            state=state,
-            gates=gates,
+            image=image,
             entries=entries,
             snapshot_lsn=snapshot_lsn,
             torn_bytes=torn_bytes,

@@ -403,11 +403,7 @@ class IngestService:
                         durability.note_appended(index, appended)
                     durability.flush_shard(index)
                     durability.maybe_snapshot(
-                        index,
-                        lambda index=index: (
-                            self.store.shard(index).state_dict(),
-                            self.store.shard_gates(index),
-                        ),
+                        index, lambda index=index: self.store.shard_image(index)
                     )
             backlog += self._depths[index]
         stats = self.stats
@@ -486,16 +482,9 @@ class IngestService:
         started = clock() if clock is not None else 0.0
         recovered = self.durability.recover_shard(index)
         replayed = self.store.restore_shard(
-            index,
-            state=recovered.state,
-            gates=recovered.gates,
-            entries=recovered.entries,
+            index, image=recovered.image, entries=recovered.entries
         )
-        self.durability.snapshot_now(
-            index,
-            state=self.store.shard(index).state_dict(),
-            gates=self.store.shard_gates(index),
-        )
+        self.durability.snapshot_now(index, self.store.shard_image(index))
         wall_s = (clock() - started) if clock is not None else 0.0
         stats = RecoveryStats(
             shard=index,

@@ -19,7 +19,8 @@ The Location Estimator is Brown's double exponential smoothing of speed
 and heading (:mod:`repro.core.columnar.brown`, exact kernel), or the
 last-known rule when ``use_location_estimator`` is off.  A shard's
 :meth:`ColumnShard.state_dict` is the ``GridBroker.state_dict`` document
-of the same history, so snapshots and recovery are unchanged.
+of the same history, the view parity checks compare; snapshots carry the
+columns themselves (:meth:`ColumnShard.image`).
 
 On top of that the store adds what a transport-facing service needs:
 
@@ -48,6 +49,7 @@ from __future__ import annotations
 import enum
 import zlib
 from collections.abc import Iterable
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -62,16 +64,42 @@ from repro.serving.trace import TraceBatch
 from repro.telemetry import NULL_TELEMETRY, Severity
 from repro.util.validation import check_in_range, check_positive
 
-__all__ = ["ColumnShard", "IngestOutcome", "ShardedLocationStore", "shard_for"]
+__all__ = [
+    "ColumnShard", "IngestOutcome", "ShardImage", "ShardedLocationStore", "shard_for"
+]
 
 #: ``db_src`` codes of a shard's location DB rows (0: no record).
 _RECEIVED = 1
 _ESTIMATED = 2
 _SOURCES = {_RECEIVED: RecordSource.RECEIVED, _ESTIMATED: RecordSource.ESTIMATED}
-_SOURCE_CODES = {source.value: code for code, source in _SOURCES.items()}
 
 #: The location DB's history length a broker snapshot records.
 _HISTORY_LENGTH = 128
+
+#: The broker counters a shard image carries.
+_COUNTERS = (
+    "updates_received", "estimates_made", "quarantines", "resyncs",
+    "stale_lus_dropped", "stored_received", "stored_estimated",
+)
+
+
+@dataclass
+class ShardImage:
+    """One shard's snapshot content, as columns.
+
+    ``columns`` holds the shard's row columns, one entry per ``node_ids``
+    row (``code`` and ``born`` aside: a restore renumbers them), and the
+    store gates ``gate_seq``, ``gate_time``, ``gate_x`` and ``gate_y``,
+    one entry per ``gate_ids`` node the shard owns.
+    """
+
+    node_ids: list[str]
+    columns: dict[str, NDArray[Any]]
+    counters: dict[str, int]
+    #: The trackers' kind (``"brown"`` or ``"last_known"``) and alpha.
+    kind: str
+    alpha: float
+    gate_ids: list[str] = field(default_factory=list)
 
 
 def shard_for(region_id: str, shard_count: int) -> int:
@@ -478,8 +506,8 @@ class ColumnShard(_Growable):
     def state_dict(self) -> dict[str, Any]:
         """The ``GridBroker.state_dict`` document of this shard.
 
-        A fresh shard's :meth:`load_state` of it reproduces ingest,
-        sweeps and beliefs exactly.
+        The parity and diagnostic view of its state; a snapshot carries
+        :meth:`image` instead.
         """
         n = self.n
         ids = self._ids
@@ -553,60 +581,58 @@ class ColumnShard(_Growable):
                 state["speed"] = {"alpha": alpha, "n": sp_n, "s1": sp_s1, "s2": sp_s2}
         return states
 
-    def load_state(self, state: dict[str, Any]) -> None:
-        """Restore a fresh shard from a :meth:`state_dict` document."""
+    def image(self) -> ShardImage:
+        """This shard's rows as a snapshot image (views of the live columns)."""
+        n = self.n
+        ids = self._ids
+        return ShardImage(
+            node_ids=[ids[code] for code in self.code[:n].tolist()],
+            columns={name: getattr(self, name)[:n] for name in _IMAGE_COLUMNS},
+            counters={name: getattr(self, name) for name in _COUNTERS},
+            kind="brown" if self._brown else "last_known",
+            alpha=self.alpha,
+        )
+
+    def load_image(self, image: ShardImage) -> None:
+        """Restore a fresh shard from an :meth:`image`.
+
+        Rows are created as a broker restores its ``state_dict``: nodes
+        with a tracker by node id, then nodes with only a DB record by
+        node id, born in that order (quarantine events follow it).
+        """
         if self.n:
-            raise ValueError(f"{self.name}: load_state needs a fresh shard")
+            raise ValueError(f"{self.name}: load_image needs a fresh shard")
         kind = "brown" if self._brown else "last_known"
-        trackers = state["trackers"]
-        latest = state["db"]["latest"]
-        for node_id, tracker in trackers.items():
-            if tracker.get("kind") != kind:
-                raise ValueError(
-                    f"tracker state kind {tracker.get('kind')!r} of {node_id} "
-                    f"does not match this shard ({kind!r})"
-                )
-        node_ids = list(trackers) + [n for n in latest if n not in trackers]
-        rows = self._add_rows(self._codes_of(node_ids), np.arange(len(node_ids)))
-        self._born_next = len(node_ids)
-        tracked = rows[: len(trackers)]
-        states = list(trackers.values())
-        self.known[tracked] = True
-        self.cap[tracked] = [
-            np.nan if st["displacement_cap"] is None else st["displacement_cap"]
-            for st in states
-        ]
-        self.last_t[tracked] = [st["last_time"] for st in states]
-        self.last_x[tracked] = [st["last_position"][0] for st in states]
-        self.last_y[tracked] = [st["last_position"][1] for st in states]
-        self.upd_n[tracked] = [st["updates"] for st in states]
-        if self._brown:
-            for prefix, key in (("sp", "speed"), ("dc", "dir_cos"), ("ds", "dir_sin")):
-                getattr(self, f"{prefix}_s1")[tracked] = [st[key]["s1"] for st in states]
-                getattr(self, f"{prefix}_s2")[tracked] = [st[key]["s2"] for st in states]
-            self.sp_n[tracked] = [st["speed"]["n"] for st in states]
-            self.dir_n[tracked] = [st["dir_cos"]["n"] for st in states]
-        row_of_id = dict(zip(node_ids, rows.tolist()))
-        records = list(latest.values())
-        stored = [row_of_id[node_id] for node_id in latest]
-        self.db_t[stored] = [record[0] for record in records]
-        self.db_x[stored] = [record[1] for record in records]
-        self.db_y[stored] = [record[2] for record in records]
-        self.db_src[stored] = [_SOURCE_CODES[record[3]] for record in records]
-        self.db_nodes = len(latest)
-        for node_id in state["updated_since_tick"]:
-            self.updated[row_of_id[node_id]] = True
-        for node_id in state["quarantined"]:
-            self.quarantined[row_of_id[node_id]] = True
-        self.stored_estimated = int(state["db"]["stored_estimated"])
-        self.stored_received = int(state["db"]["stored_received"])
-        self.estimates_made = int(state["estimates_made"])
-        self.quarantines = int(state["quarantines"])
-        self.resyncs = int(state["resyncs"])
-        self.stale_lus_dropped = int(state["stale_lus_dropped"])
-        self.updates_received = int(state["updates_received"])
+        if (image.kind, image.alpha) != (kind, self.alpha):
+            raise ValueError(
+                f"snapshot trackers ({image.kind!r}, alpha {image.alpha}) do not "
+                f"match this shard ({kind!r}, alpha {self.alpha})"
+            )
+        columns = image.columns
+        node_ids = image.node_ids
+        known = columns["known"]
+        keep = sorted(np.flatnonzero(known).tolist(), key=node_ids.__getitem__)
+        keep += sorted(
+            np.flatnonzero(~known & (columns["db_src"] != 0)).tolist(),
+            key=node_ids.__getitem__,
+        )
+        rows = self._add_rows(
+            self._codes_of([node_ids[row] for row in keep]), np.arange(len(keep))
+        )
+        self._born_next = len(keep)
+        for name in _IMAGE_COLUMNS:
+            getattr(self, name)[rows] = columns[name][keep]
+        for name in _COUNTERS:
+            setattr(self, name, int(image.counters[name]))
+        self.db_nodes = int(np.count_nonzero(self.db_src[rows]))
         if self._instrumented:
             self._t_db_nodes.set(self.db_nodes)
+
+
+#: The row columns a shard image carries.
+_IMAGE_COLUMNS = [
+    name for name in ColumnShard._COLUMNS if name not in ("code", "born")
+]
 
 
 class ShardedLocationStore(_Growable):
@@ -863,26 +889,15 @@ class ShardedLocationStore(_Growable):
         return self._gated
 
     # -- durability hooks -----------------------------------------------------
-    def _gates(self, mask: NDArray[Any]) -> dict[str, list[Any]]:
-        """``node -> [seq, time, x, y]`` of the codes in *mask*, by node id."""
-        codes = np.flatnonzero(mask)
-        ids = self._ids
-        gates = zip(
-            self._g_seq[codes].tolist(),
-            self._g_time[codes].tolist(),
-            self._g_x[codes].tolist(),
-            self._g_y[codes].tolist(),
-        )
-        return dict(sorted((ids[c], list(g)) for c, g in zip(codes.tolist(), gates)))
-
-    def shard_gates(self, index: int) -> dict[str, list[Any]]:
-        """Snapshot-ready gates of nodes owned by shard *index*.
-
-        ``node -> [seq, time, x, y]`` for every node whose freshest
-        applied LU landed in this shard, sorted by node id so snapshot
-        bytes are deterministic.
-        """
-        return self._gates(self._g_shard[: len(self._ids)] == index)
+    def shard_image(self, index: int) -> ShardImage:
+        """Shard *index*'s snapshot content: its rows, and the store gates
+        of the nodes whose freshest applied LU landed in it."""
+        image = self._shards[index].image()
+        owned = np.flatnonzero(self._g_shard[: len(self._ids)] == index)
+        image.gate_ids = [self._ids[code] for code in owned.tolist()]
+        for name in ("seq", "time", "x", "y"):
+            image.columns[f"gate_{name}"] = getattr(self, f"_g_{name}")[owned]
+        return image
 
     def export_state(self) -> dict[str, list[Any]]:
         """Per-node latest *applied* fix — the convergence export.
@@ -892,7 +907,15 @@ class ShardedLocationStore(_Growable):
         absorbed the same applied stream export byte-identical documents
         even when their estimation sweeps diverged during a down window.
         """
-        return self._gates(self._g_shard[: len(self._ids)] >= 0)
+        codes = np.flatnonzero(self._g_shard[: len(self._ids)] >= 0)
+        ids = self._ids
+        gates = zip(
+            self._g_seq[codes].tolist(),
+            self._g_time[codes].tolist(),
+            self._g_x[codes].tolist(),
+            self._g_y[codes].tolist(),
+        )
+        return dict(sorted((ids[c], list(g)) for c, g in zip(codes.tolist(), gates)))
 
     def shard_is_down(self, index: int) -> bool:
         """Whether shard *index* is currently crashed."""
@@ -924,14 +947,13 @@ class ShardedLocationStore(_Growable):
         self,
         index: int,
         *,
-        state: dict[str, Any] | None,
-        gates: dict[str, Any],
+        image: ShardImage | None,
         entries: list[Any],
     ) -> int:
         """Rebuild crashed shard *index* from snapshot + WAL tail.
 
-        *state* (the shard's ``state_dict`` at the snapshot point, or
-        ``None`` for a cold start) is loaded first, then *entries* are
+        *image* (the shard's :meth:`shard_image` at the snapshot point,
+        or ``None`` for a cold start) is loaded first, then *entries* are
         replayed in append order — runs of ``lu`` rows through the same
         round apply as ingest, minus the gate (the WAL holds the
         post-dedup stream), and ``tick`` boundaries through the sweep.
@@ -943,18 +965,17 @@ class ShardedLocationStore(_Growable):
         if index not in self._down:
             raise ValueError(f"shard {index} is not down")
         shard = self._shards[index]
-        if state is not None:
-            shard.load_state(state)
-        for code, (seq, timestamp, x, y) in zip(
-            self._codes_of(gates).tolist(), gates.values()
-        ):
-            if self._g_shard[code] < 0 or seq > self._g_seq[code]:
-                self._gated += int(self._g_shard[code] < 0)
-                self._g_seq[code] = int(seq)
-                self._g_time[code] = float(timestamp)
-                self._g_x[code] = float(x)
-                self._g_y[code] = float(y)
-                self._g_shard[code] = index
+        if image is not None:
+            shard.load_image(image)
+            codes = self._codes_of(image.gate_ids)
+            seq = image.columns["gate_seq"]
+            fresher = (self._g_shard[codes] < 0) | (seq > self._g_seq[codes])
+            codes = codes[fresher]
+            self._gated += int(np.count_nonzero(self._g_shard[codes] < 0))
+            for name in ("seq", "time", "x", "y"):
+                column = image.columns[f"gate_{name}"]
+                getattr(self, f"_g_{name}")[codes] = column[fresher]
+            self._g_shard[codes] = index
         run: list[Any] = []
         for entry in entries:
             kind = entry[0]

@@ -14,6 +14,7 @@ import os
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -327,15 +328,10 @@ class TestVerbatimCompaction:
         path = tmp_path / "s.wal"
         wal = WriteAheadLog(path, shard=1)
         _fill(wal, [("wire", 1.5), ("tick", 2.0), ("plain", 3.5)] * 2)
-        with path.open("ab") as fh:
-            # An intact frame this writer would have encoded without the
-            # space: only a verbatim copy keeps its bytes.
-            fh.write(frame(b'["tick", 7.5]'))
         intact = path.read_bytes()
         with path.open("ab") as fh:
             fh.write(b"\x40\x00\x00\x00 torn")  # header promising 64 bytes
         before = read_wal(path)
-        assert before.entries[-1] == ["tick", 7.5]
         assert before.torn_bytes == len(b"\x40\x00\x00\x00 torn")
         assert wal.compact(2) == 2
         assert path.read_bytes() == wal_header(1, 2) + b"".join(
@@ -350,6 +346,39 @@ class TestVerbatimCompaction:
         assert wal.append_tick(9.0) == before.next_lsn
         wal.close()
         assert read_wal(path).entries[-1] == ["tick", 9.0]
+
+    def test_compaction_at_every_lsn_keeps_exactly_the_surviving_frames(
+        self, tmp_path
+    ):
+        """From a WAL compacted once already, compacting at each LSN from
+        its base to its last leaves a fresh header followed by exactly the
+        frames of the entries ``read_wal`` returned past that LSN."""
+        ops = [("lu", 1.5), ("tick", 2.0), ("lu", -3.25), ("lu", 4.0)] * 3
+
+        def build(path):
+            wal = WriteAheadLog(path, shard=5)
+            _fill(wal, ops[:5])
+            wal.compact(3)
+            _fill(wal, ops[5:])
+            return wal
+
+        first = build(tmp_path / "probe.wal")
+        base, last = first.base_lsn, first.last_lsn
+        first.close()
+        assert (base, last) == (3, len(ops))
+        for upto in range(base, last + 1):
+            path = tmp_path / f"upto-{upto}.wal"
+            wal = build(path)
+            before = read_wal(path)
+            assert wal.compact(upto) == upto - base
+            wal.close()
+            survivors = before.entries[upto - base :]
+            assert path.read_bytes() == wal_header(5, upto) + b"".join(
+                frame(json.dumps(entry, separators=(",", ":")).encode())
+                for entry in survivors
+            )
+            after = read_wal(path)
+            assert (after.base_lsn, after.entries) == (upto, survivors)
 
 
 def _realistic_shard():
@@ -372,56 +401,87 @@ def _realistic_shard():
 
 
 class TestSnapshotFile:
-    def test_bytes_are_one_sorted_compact_dump(self, tmp_path):
+    def test_bytes_are_a_sorted_header_then_the_raw_columns(self, tmp_path):
+        """A snapshot is a sorted-key compact JSON header frame, then one
+        frame holding every column's raw little-endian bytes."""
         store = _realistic_shard()
-        state, gates = store.shard(0).state_dict(), store.shard_gates(0)
-        assert gates
-        path = write_snapshot(
-            tmp_path / "s.snap.json", shard=0, lsn=7, state=state, gates=gates
-        )
-        document = {
+        image = store.shard_image(0)
+        assert image.gate_ids
+        path = write_snapshot(tmp_path / "s.snap", shard=0, lsn=7, image=image)
+        header = {
+            "alpha": 0.4,
+            "columns": [
+                [name, column.dtype.str, len(column)]
+                for name, column in image.columns.items()
+            ],
+            "counters": image.counters,
             "format": SNAPSHOT_FORMAT,
-            "gates": gates,
+            "gate_nodes": image.gate_ids,
+            "kind": "brown",
             "lsn": 7,
+            "nodes": image.node_ids,
             "shard": 0,
-            "state": state,
             "version": SNAPSHOT_VERSION,
         }
-        expected = json.dumps(document, sort_keys=True, separators=(",", ":"))
-        assert path.read_bytes() == (expected + "\n").encode("utf-8")
+        assert path.read_bytes() == frame(
+            json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        ) + frame(b"".join(column.tobytes() for column in image.columns.values()))
 
-    def test_streamed_json_dump_snapshot_restores(self, tmp_path):
-        """A snapshot written by streaming ``json.dump`` to the file
-        handle — how version 1 files were first written — loads and
-        restores the same broker state."""
+    def test_snapshot_restores_and_version_1_is_refused(self, tmp_path):
+        """A snapshot restores a fresh store to the same broker state,
+        gates and row order as the shard it was taken from; the old JSON
+        snapshot document, however written, is refused by version."""
         store = _realistic_shard()
-        state, gates = store.shard(0).state_dict(), store.shard_gates(0)
+        path = write_snapshot(
+            tmp_path / "s.snap", shard=0, lsn=7, image=store.shard_image(0)
+        )
+        lsn, image = load_snapshot(path)
+        assert lsn == 7
+        restored = ShardedLocationStore(
+            1, max_extrapolation_intervals=2.0, quarantine_intervals=4.0
+        )
+        restored.crash_shard(0)
+        restored.restore_shard(0, image=image, entries=[])
+        assert restored.shard(0).state_dict() == store.shard(0).state_dict()
+        assert restored.export_state() == store.export_state()
         document = {
             "format": SNAPSHOT_FORMAT,
-            "gates": gates,
+            "gates": store.export_state(),
             "lsn": 7,
             "shard": 0,
-            "state": state,
-            "version": SNAPSHOT_VERSION,
+            "state": store.shard(0).state_dict(),
+            "version": 1,
         }
         legacy = tmp_path / "legacy.snap.json"
         with legacy.open("w", encoding="utf-8") as handle:
             json.dump(document, handle, sort_keys=True, separators=(",", ":"))
             handle.write("\n")
-        current = write_snapshot(
-            tmp_path / "current.snap.json", shard=0, lsn=7, state=state, gates=gates
-        )
-        assert legacy.read_bytes() == current.read_bytes()
-        loaded = load_snapshot(legacy)
-        restored = ShardedLocationStore(
-            1, max_extrapolation_intervals=2.0, quarantine_intervals=4.0
-        )
+        with pytest.raises(WalError, match="unsupported snapshot version 1"):
+            load_snapshot(legacy)
+
+    def test_rows_are_reborn_in_a_brokers_restore_order(self):
+        """Restored rows are born as a broker restores its document:
+        tracked nodes by id, then nodes with only a DB record by id."""
+        store = ShardedLocationStore(1)
+        for seq, node in enumerate(("c", "a", "b", "d"), start=1):
+            apply_one(store, lu(node=node, t=float(seq), seq=seq))
+        image = store.shard_image(0)
+        assert image.node_ids == ["c", "a", "b", "d"]
+        image.columns["known"] = np.array([True, False, True, True])
+        restored = ShardedLocationStore(1)
         restored.crash_shard(0)
-        restored.restore_shard(
-            0, state=loaded["state"], gates=loaded["gates"], entries=[]
-        )
-        assert restored.shard(0).state_dict() == state
-        assert restored.export_state() == store.export_state()
+        restored.restore_shard(0, image=image, entries=[])
+        shard = restored.shard(0)
+        assert restored.shard_image(0).node_ids == ["b", "c", "d", "a"]
+        assert shard.born[: shard.n].tolist() == [0, 1, 2, 3]
+
+    def test_snapshot_refuses_another_trackers_kind(self, tmp_path):
+        image = _realistic_shard().shard_image(0)
+        path = write_snapshot(tmp_path / "s.snap", shard=0, lsn=7, image=image)
+        restored = ShardedLocationStore(1, use_location_estimator=False)
+        restored.crash_shard(0)
+        with pytest.raises(ValueError, match="do not match this shard"):
+            restored.restore_shard(0, image=load_snapshot(path)[1], entries=[])
 
     @pytest.mark.parametrize("fsync", [False, True])
     def test_snapshot_fsynced_before_compaction(
@@ -445,9 +505,7 @@ class TestSnapshotFile:
             real_fsync(fd)
 
         monkeypatch.setattr(os, "fsync", recording_fsync)
-        manager.snapshot_now(
-            0, state=store.shard(0).state_dict(), gates=store.shard_gates(0)
-        )
+        manager.snapshot_now(0, store.shard_image(0))
         manager.close()
         if not fsync:
             assert synced == []
@@ -463,6 +521,41 @@ class TestSnapshotFile:
             < synced.index(compacted)
         )
         assert synced[-1] == directory
+
+
+class TestSnapshotCorruption:
+    """A damaged snapshot never loads: every truncation and every
+    single-byte flip raises :class:`WalError` instead of an image."""
+
+    @pytest.fixture(scope="class")
+    def snapshot(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("snap") / "s.snap"
+        image = _realistic_shard().shard_image(0)
+        write_snapshot(path, shard=0, lsn=7, image=image)
+        return path.read_bytes()
+
+    def test_truncation_at_every_offset_rejected(self, snapshot, tmp_path):
+        path = tmp_path / "cut.snap"
+        for cut in range(len(snapshot)):
+            path.write_bytes(snapshot[:cut])
+            with pytest.raises(WalError):
+                load_snapshot(path)
+
+    def test_any_single_byte_flip_rejected(self, snapshot, tmp_path):
+        path = tmp_path / "flipped.snap"
+        for pos in range(len(snapshot)):
+            for flip in (0x01, 0x80, 0xFF):
+                damaged = bytearray(snapshot)
+                damaged[pos] ^= flip
+                path.write_bytes(bytes(damaged))
+                with pytest.raises(WalError):
+                    load_snapshot(path)
+
+    def test_trailing_bytes_rejected(self, snapshot, tmp_path):
+        path = tmp_path / "long.snap"
+        path.write_bytes(snapshot + b"\x00")
+        with pytest.raises(WalError, match="not an intact"):
+            load_snapshot(path)
 
 
 class TestSnapshotTailReplay:
@@ -501,21 +594,14 @@ class TestSnapshotTailReplay:
                 manager.log_tick(0, now)
             manager.flush_shard(0)
             if snapshot_after and i == snapshot_after:
-                manager.snapshot_now(
-                    0,
-                    state=durable.shard(0).state_dict(),
-                    gates=durable.shard_gates(0),
-                )
+                manager.snapshot_now(0, durable.shard_image(0))
 
         # Crash and recover from disk only.
         recovered_store = ShardedLocationStore(1)
         recovered_store.crash_shard(0)
         recovered = manager.recover_shard(0)
         recovered_store.restore_shard(
-            0,
-            state=recovered.state,
-            gates=recovered.gates,
-            entries=recovered.entries,
+            0, image=recovered.image, entries=recovered.entries
         )
         manager.close()
 
@@ -556,19 +642,11 @@ class TestSnapshotTailReplay:
                 manager.log_tick(0, now)
             manager.flush_shard(0)
             if i == compacted_at:
-                manager.snapshot_now(
-                    0,
-                    state=durable.shard(0).state_dict(),
-                    gates=durable.shard_gates(0),
-                )
+                manager.snapshot_now(0, durable.shard_image(0))
         with monkeypatch.context() as patch:
             patch.setattr(WriteAheadLog, "compact", crash)
             with pytest.raises(Crash):
-                manager.snapshot_now(
-                    0,
-                    state=durable.shard(0).state_dict(),
-                    gates=durable.shard_gates(0),
-                )
+                manager.snapshot_now(0, durable.shard_image(0))
         last_lsn = manager.wal(0).last_lsn
         left = read_wal(manager.wal_path(0))
         assert left.next_lsn == last_lsn + 1
@@ -587,15 +665,12 @@ class TestSnapshotTailReplay:
         manager.close()
         assert recovered.snapshot_lsn == last_lsn
         assert recovered.entries == []
-        assert len(decoded) == 2  # the snapshot document and the WAL header
+        assert len(decoded) == 2  # the snapshot and WAL header frames
 
         recovered_store = ShardedLocationStore(1)
         recovered_store.crash_shard(0)
         recovered_store.restore_shard(
-            0,
-            state=recovered.state,
-            gates=recovered.gates,
-            entries=recovered.entries,
+            0, image=recovered.image, entries=recovered.entries
         )
         assert (
             recovered_store.shard(0).state_dict()
@@ -635,7 +710,7 @@ class TestSnapshotTailReplay:
             manager.flush_shard(0)
             if manager.maybe_snapshot(
                 0,
-                lambda: (store.shard(0).state_dict(), store.shard_gates(0)),
+                lambda: store.shard_image(0),
             ):
                 took += 1
         assert took == 2
@@ -647,13 +722,16 @@ class TestSnapshotTailReplay:
         manager.close()
 
     def test_bad_snapshot_rejected(self, tmp_path):
-        path = tmp_path / "s.snap.json"
+        path = tmp_path / "s.snap"
         path.write_text("{broken", encoding="utf-8")
-        with pytest.raises(WalError, match="unreadable"):
+        with pytest.raises(WalError, match="not an intact"):
             load_snapshot(path)
-        write_snapshot(path, shard=0, lsn=3, state={}, gates={})
-        document = load_snapshot(path)
-        assert document["lsn"] == 3
+        write_snapshot(
+            path, shard=0, lsn=3, image=ShardedLocationStore(1).shard_image(0)
+        )
+        lsn, image = load_snapshot(path)
+        assert lsn == 3
+        assert image.node_ids == image.gate_ids == []
 
     def test_double_bind_rejected(self, tmp_path):
         manager = DurabilityManager(tmp_path)

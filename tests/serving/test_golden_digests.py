@@ -5,13 +5,19 @@ population, seed 42), replays it at 2000 msg/s with a sweep per trace
 second, a WAL with a snapshot every 32 LUs, and shard 0 crashed and
 restarted mid-replay — once with telemetry off and once on.  The
 sha256 of the report JSON and of every ``shard-*.wal`` and
-``shard-*.snap.json`` is pinned: any change to what the serving path
-computes, logs or snapshots changes a digest.  The digests were taken
-from the object store (one ``GridBroker`` per shard) that the column
-store replaced; the column store reproduces them byte for byte.
+``shard-*.snap`` is pinned: any change to what the serving path
+computes, logs or snapshots changes a digest.
+
+Each snapshot is also loaded into a fresh shard and rendered as the
+version-1 snapshot document (``shard-*.snap.json``: the shard's
+``GridBroker.state_dict`` and its gates as sorted-key JSON).  Those
+digests were taken from the object store (one ``GridBroker`` per shard)
+that the column store replaced, and from the JSON snapshots that the
+column dumps replaced: both reproduce them byte for byte.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 from repro.experiments import ExperimentConfig
@@ -21,14 +27,19 @@ from repro.serving import (
     DurabilityConfig,
     DurabilityManager,
     ReplayConfig,
+    ShardedLocationStore,
     record_trace,
     replay_trace_full,
 )
+from repro.serving.durability import SNAPSHOT_FORMAT, load_snapshot
 from repro.telemetry import Telemetry, TelemetryConfig
 
 GOLDEN = {
     "plain/report.json": (
         "f63a458a6dd58a2f076302538091637bcbd7655992f7031b4d3d275158434e05"
+    ),
+    "plain/shard-000.snap": (
+        "804369d70c3a6f67a0eb851285e6546db0ee9b6ca4e17fe0e5b4c5c10d662422"
     ),
     "plain/shard-000.snap.json": (
         "f8696f22d3af1b8612d0bfe3e8c28a9eb92579ea4538ac04978c86f83850f594"
@@ -36,17 +47,26 @@ GOLDEN = {
     "plain/shard-000.wal": (
         "a7237c19532b4efcc0db5234cf4bd1ef501aa04eadc77d194b44fe8662d6b1bb"
     ),
+    "plain/shard-001.snap": (
+        "9bf46f2d63c49d25598d331aad9f538b1eb8e8bfe4eb2f618db13bfd1d2c1513"
+    ),
     "plain/shard-001.snap.json": (
         "a0632abc636e993ad2214a78e46811154ffaa05ee22f4b251ab393187357c90c"
     ),
     "plain/shard-001.wal": (
         "430fff160ad6f1b1381f5b0ca7f1148b48797212c24ce04f8aee45627d575773"
     ),
+    "plain/shard-002.snap": (
+        "75a36c1bc6f8805fb1cb9937a036c3dc42c4dd88bde4ae571d5873d2bda895e6"
+    ),
     "plain/shard-002.snap.json": (
         "ba52399e175a627324c2966b8b5cac0ed6539343ad8490c3c42c3f767ba8ebfa"
     ),
     "plain/shard-002.wal": (
         "4868f1e8b3b7859700c834cb2ca32a196cf1b306a5a917748592a85352f00941"
+    ),
+    "plain/shard-003.snap": (
+        "76f27d6f6e77803a96c9551acaf0a2949ca30a4bb9ca2bcdd5dc015e3da6e377"
     ),
     "plain/shard-003.snap.json": (
         "0c94462d5543a86f4b24bf3d617d2bf842cc8336d12d70a728bdeed80a96f73e"
@@ -57,11 +77,17 @@ GOLDEN = {
     "telemetry/report.json": (
         "832ebde061597355ece282ac843e5efc53ddf1e42dbe3251155e34882438b4dc"
     ),
+    "telemetry/shard-000.snap": (
+        "804369d70c3a6f67a0eb851285e6546db0ee9b6ca4e17fe0e5b4c5c10d662422"
+    ),
     "telemetry/shard-000.snap.json": (
         "f8696f22d3af1b8612d0bfe3e8c28a9eb92579ea4538ac04978c86f83850f594"
     ),
     "telemetry/shard-000.wal": (
         "a7237c19532b4efcc0db5234cf4bd1ef501aa04eadc77d194b44fe8662d6b1bb"
+    ),
+    "telemetry/shard-001.snap": (
+        "9bf46f2d63c49d25598d331aad9f538b1eb8e8bfe4eb2f618db13bfd1d2c1513"
     ),
     "telemetry/shard-001.snap.json": (
         "a0632abc636e993ad2214a78e46811154ffaa05ee22f4b251ab393187357c90c"
@@ -69,11 +95,17 @@ GOLDEN = {
     "telemetry/shard-001.wal": (
         "430fff160ad6f1b1381f5b0ca7f1148b48797212c24ce04f8aee45627d575773"
     ),
+    "telemetry/shard-002.snap": (
+        "75a36c1bc6f8805fb1cb9937a036c3dc42c4dd88bde4ae571d5873d2bda895e6"
+    ),
     "telemetry/shard-002.snap.json": (
         "ba52399e175a627324c2966b8b5cac0ed6539343ad8490c3c42c3f767ba8ebfa"
     ),
     "telemetry/shard-002.wal": (
         "4868f1e8b3b7859700c834cb2ca32a196cf1b306a5a917748592a85352f00941"
+    ),
+    "telemetry/shard-003.snap": (
+        "76f27d6f6e77803a96c9551acaf0a2949ca30a4bb9ca2bcdd5dc015e3da6e377"
     ),
     "telemetry/shard-003.snap.json": (
         "0c94462d5543a86f4b24bf3d617d2bf842cc8336d12d70a728bdeed80a96f73e"
@@ -82,6 +114,28 @@ GOLDEN = {
         "841a13d5eb69333d8d544448ddd9e4223b3ef38127ab4bd9f6028e6b7cf1b0da"
     ),
 }
+
+
+def version_1_document(path, index, replay):
+    """The version-1 bytes of shard *index*'s snapshot at *path*: the
+    image loaded into a fresh shard, rendered as a sorted-key document."""
+    lsn, image = load_snapshot(path)
+    store = ShardedLocationStore(
+        replay.serving.shards,
+        smoothing_alpha=replay.serving.smoothing_alpha,
+        use_location_estimator=replay.serving.use_location_estimator,
+    )
+    store.crash_shard(index)
+    store.restore_shard(index, image=image, entries=[])
+    document = {
+        "format": SNAPSHOT_FORMAT,
+        "gates": store.export_state(),
+        "lsn": lsn,
+        "shard": index,
+        "state": store.shard(index).state_dict(),
+        "version": 1,
+    }
+    return json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def smoke_digests(directory):
@@ -123,6 +177,11 @@ def smoke_digests(directory):
         digests[f"{label}/report.json"] = report.to_json()
         for path in sorted(wal_dir.iterdir()):
             digests[f"{label}/{path.name}"] = path.read_bytes()
+        for index in range(replay.serving.shards):
+            path = durability.snapshot_path(index)
+            digests[f"{label}/{path.name}.json"] = version_1_document(
+                path, index, replay
+            )
     return {
         name: hashlib.sha256(
             data.encode("utf-8") if isinstance(data, str) else data
