@@ -482,7 +482,7 @@ class IngestService:
         started = clock() if clock is not None else 0.0
         recovered = self.durability.recover_shard(index)
         replayed = self.store.restore_shard(
-            index, image=recovered.image, entries=recovered.entries
+            index, image=recovered.image, tail=recovered.tail
         )
         self.durability.snapshot_now(index, self.store.shard_image(index))
         wall_s = (clock() - started) if clock is not None else 0.0

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import enum
 import zlib
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -948,19 +948,19 @@ class ShardedLocationStore(_Growable):
         index: int,
         *,
         image: ShardImage | None,
-        entries: list[Any],
+        tail: Sequence[TraceBatch | float],
     ) -> int:
         """Rebuild crashed shard *index* from snapshot + WAL tail.
 
         *image* (the shard's :meth:`shard_image` at the snapshot point,
-        or ``None`` for a cold start) is loaded first, then *entries* are
-        replayed in append order — runs of ``lu`` rows through the same
-        round apply as ingest, minus the gate (the WAL holds the
-        post-dedup stream), and ``tick`` boundaries through the sweep.
-        Store-level gates are restored *conditionally*: a node that
-        reported through another shard while this one was down already
-        has a fresher gate, and recovery must not regress it.  Returns
-        the replayed entry count.
+        or ``None`` for a cold start) is loaded first, then *tail* is
+        replayed in append order — each run of ``lu`` rows (a
+        :class:`TraceBatch`) through the same round apply as ingest,
+        minus the gate (the WAL holds the post-dedup stream), and each
+        ``tick`` time through the sweep.  Store-level gates are restored
+        *conditionally*: a node that reported through another shard while
+        this one was down already has a fresher gate, and recovery must
+        not regress it.  Returns the replayed entry count.
         """
         if index not in self._down:
             raise ValueError(f"shard {index} is not down")
@@ -976,27 +976,16 @@ class ShardedLocationStore(_Growable):
                 column = image.columns[f"gate_{name}"]
                 getattr(self, f"_g_{name}")[codes] = column[fresher]
             self._g_shard[codes] = index
-        run: list[Any] = []
-        for entry in entries:
-            kind = entry[0]
-            if kind == "lu":
-                run.append(entry[1:])
-                continue
-            self._replay(run, index)
-            run = []
-            if kind == "tick":
-                shard.tick(float(entry[1]))
+        replayed = 0
+        for run in tail:
+            if isinstance(run, TraceBatch):
+                self._absorb(run, np.arange(len(run)), index, None)
+                replayed += len(run)
             else:
-                raise ValueError(f"unknown WAL entry kind {kind!r}")
-        self._replay(run, index)
+                shard.tick(run)
+                replayed += 1
         self._down.discard(index)
-        return len(entries)
-
-    def _replay(self, rows: list[Any], index: int) -> None:
-        """Apply WAL ``lu`` rows to shard *index* without the gate."""
-        if rows:
-            batch = TraceBatch.from_rows(rows)
-            self._absorb(batch, np.arange(len(rows)), index, None)
+        return replayed
 
     @property
     def estimates_made(self) -> int:

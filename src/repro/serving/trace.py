@@ -207,9 +207,6 @@ class TraceBatch(Sequence[TraceRecord]):
     records on demand, so the serving path, which reads the columns,
     never builds one.  Equality is element-wise against any sequence of
     records, so a batch compares equal to the list it was made from.
-
-    A batch read from a file keeps its lines' text, which
-    :meth:`encoded` (the write-ahead log's row bytes) reuses.
     """
 
     __slots__ = (
@@ -224,7 +221,6 @@ class TraceBatch(Sequence[TraceRecord]):
         "dth",
         "node_ids",
         "region_ids",
-        "_lines",
         "_memo",
     )
 
@@ -242,7 +238,6 @@ class TraceBatch(Sequence[TraceRecord]):
         dth: NDArray[Any],
         node_ids: tuple[str, ...],
         region_ids: tuple[str, ...],
-        lines: list[str] | None = None,
     ) -> None:
         self.time = time
         self.seq = seq
@@ -255,8 +250,6 @@ class TraceBatch(Sequence[TraceRecord]):
         self.dth = dth
         self.node_ids = node_ids
         self.region_ids = region_ids
-        #: Each row's source line (newline included), if read from a file.
-        self._lines = lines
         self._memo: dict[Callable[..., Any], Any] = {}
 
     @classmethod
@@ -308,30 +301,6 @@ class TraceBatch(Sequence[TraceRecord]):
     def __iter__(self) -> Iterator[TraceRecord]:
         for start in range(0, len(self), _CHUNK_ROWS):
             yield from starmap(TraceRecord, self._rows(start, start + _CHUNK_ROWS))
-
-    def encoded(self) -> list[bytes]:
-        """Each row's canonical encoding (its :func:`write_trace` line),
-        as UTF-8.
-
-        The rows are checked :data:`_CHUNK_ROWS` at a time: where the
-        file's lines already are the canonical encoding (one C encode of
-        the chunk compared with the joined lines proves it), they are
-        used as read; otherwise the chunk's rows are encoded one by one.
-        """
-        lines = self._lines
-        encoded: list[bytes] = []
-        for start in range(0, len(self), _CHUNK_ROWS):
-            stop = start + _CHUNK_ROWS
-            rows = self._rows(start, stop)
-            texts = None
-            if lines is not None:
-                texts = list(map(str.rstrip, lines[start:stop], repeat("\n")))
-                if _ROW_ENCODER.encode(rows) != f"[{','.join(texts)}]":
-                    texts = None
-            if texts is None:
-                texts = list(map(_ROW_ENCODER.encode, rows))
-            encoded += map(str.encode, texts)
-        return encoded
 
     def memo(self, build: Callable[["TraceBatch"], _T]) -> _T:
         """``build(self)``, computed on the first call with *build* and
@@ -607,7 +576,6 @@ def _decode_body(lines: list[str]) -> TraceBatch | None:
         dth=dth,
         node_ids=tuple(node_table),
         region_ids=tuple(region_table),
-        lines=texts,
     )
 
 

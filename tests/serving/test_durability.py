@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import operator
 import os
+import struct
 import tempfile
 from pathlib import Path
 
@@ -43,19 +44,46 @@ from repro.serving.durability import (
 
 from tests.serving.helpers import apply_one, log_one, rows_of
 
-# JSON documents a WAL frame might carry: entry-shaped arrays of scalars.
-_scalars = st.one_of(
-    st.integers(min_value=-(2**53), max_value=2**53),
-    st.floats(allow_nan=False, allow_infinity=False, width=32),
-    st.text(max_size=8),
+# WAL entries in their list shapes.  Ids include non-ASCII text and a
+# lone surrogate, which a JSON trace can carry.
+_ids = st.one_of(st.text(max_size=8), st.sampled_from(["\ud800x", "é-节点", ""]))
+_floats = st.floats(allow_nan=False, allow_infinity=False)
+_lu_entries = st.builds(
+    lambda time, seq, node, x, y, vx, vy, region, dth: [
+        "lu", time, seq, node, x, y, vx, vy, region, dth
+    ],
+    _floats,
+    st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    _ids,
+    _floats,
+    _floats,
+    _floats,
+    _floats,
+    _ids,
+    _floats,
 )
-_entries = st.lists(st.lists(_scalars, max_size=6), max_size=8)
+_tick_entries = st.builds(lambda now: ["tick", now], _floats)
+_entry = st.one_of(_lu_entries, _tick_entries)
+_entries = st.lists(_entry, max_size=8)
+
+
+def _payload(entry):
+    """The version-2 payload of one list-shaped entry, built from the
+    documented layout."""
+    if entry[0] == "tick":
+        return b"T" + struct.pack("<d", entry[1])
+    _, time, seq, node, x, y, vx, vy, region, dth = entry
+    node = node.encode("utf-8", "surrogatepass")
+    return (
+        b"L"
+        + struct.pack("<dqdddddI", time, seq, x, y, vx, vy, dth, len(node))
+        + node
+        + region.encode("utf-8", "surrogatepass")
+    )
 
 
 def _encode(entries):
-    return b"".join(
-        frame(json.dumps(e, sort_keys=True).encode("utf-8")) for e in entries
-    )
+    return b"".join(frame(_payload(e)) for e in entries)
 
 
 def lu(node="n1", t=0.0, seq=0, x=0.0, region="road-1", vx=1.0):
@@ -124,17 +152,14 @@ class TestFraming:
         frame_ends = []
         offset = 0
         for entry in whole:
-            offset += 8 + len(json.dumps(entry, sort_keys=True).encode())
+            offset += 8 + len(_payload(entry))
             frame_ends.append(offset)
         assert valid == max(
             [end for end in frame_ends if end <= cut], default=0
         )
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        st.lists(st.lists(_scalars, max_size=6), min_size=1, max_size=8),
-        st.data(),
-    )
+    @given(st.lists(_entry, min_size=1, max_size=8), st.data())
     def test_single_byte_corruption_never_decodes_past_it(
         self, entries, data
     ):
@@ -164,6 +189,67 @@ class TestFraming:
             + payload
         )
         assert scan_frames(bogus) == ([], 0)
+
+
+_FIXED = struct.pack("<dqddddd", 1.0, 1, 0.0, 0.0, 1.0, 0.0, 4.0)
+
+#: CRC-valid entry payloads that do not decode.
+_MALFORMED = {
+    "unknown tag": b"X" + _FIXED + struct.pack("<I", 2) + b"n1road-1",
+    "short fixed block": b"L" + _FIXED[:30],
+    "id length past the end": b"L" + _FIXED + struct.pack("<I", 9) + b"n1road-1",
+    "tick with trailing bytes": b"T" + struct.pack("<d", 2.0) + b"\x00",
+    "id not UTF-8": b"L" + _FIXED + struct.pack("<I", 2) + b"\xffnroad-1",
+}
+
+
+class TestMalformedEntries:
+    """A CRC-valid payload that does not decode ends the valid prefix,
+    exactly as a torn frame does, and recovery never applies it."""
+
+    def _write(self, path, bad):
+        good = [["lu", 1.0, 1, "n1", 0.0, 0.0, 1.0, 0.0, "road-1", 4.0], ["tick", 2.0]]
+        after = frame(_payload(["lu", 3.0, 2, "n1", 5.0, 0.0, 1.0, 0.0, "road-1", 4.0]))
+        path.write_bytes(
+            wal_header(0, 0) + _encode(good) + frame(bad) + after
+        )
+        return good, len(frame(bad) + after)
+
+    @pytest.mark.parametrize("bad", _MALFORMED.values(), ids=_MALFORMED.keys())
+    def test_read_stops_at_the_frame(self, tmp_path, bad):
+        good, torn = self._write(tmp_path / "s.wal", bad)
+        contents = read_wal(tmp_path / "s.wal")
+        assert contents.entries == good
+        assert contents.torn_bytes == torn
+        assert scan_frames(_encode(good) + frame(bad)) == (good, len(_encode(good)))
+
+    @pytest.mark.parametrize("bad", _MALFORMED.values(), ids=_MALFORMED.keys())
+    def test_recovery_never_applies_it(self, tmp_path, bad):
+        manager = DurabilityManager(tmp_path)
+        _, torn = self._write(manager.wal_path(0), bad)
+        recovered = manager.recover_shard(0)
+        assert (recovered.replayed, recovered.torn_bytes) == (2, torn)
+        restored = ShardedLocationStore(1)
+        restored.crash_shard(0)
+        assert restored.restore_shard(0, image=None, tail=recovered.tail) == 2
+        golden = ShardedLocationStore(1)
+        apply_one(golden, lu(t=1.0, seq=1))
+        golden.tick(2.0)
+        assert restored.shard(0).state_dict() == golden.shard(0).state_dict()
+        assert restored.export_state() == golden.export_state()
+
+    def test_version_1_wal_is_refused(self, tmp_path):
+        """A version-1 WAL (JSON entries) raises, naming its version."""
+        document = {"base_lsn": 0, "format": WAL_FORMAT, "shard": 0, "version": 1}
+        manager = DurabilityManager(tmp_path)
+        manager.wal_path(0).write_bytes(
+            frame(json.dumps(document, sort_keys=True).encode())
+            + frame(b'["tick",2.0]')
+        )
+        with pytest.raises(WalError, match="unsupported WAL version 1"):
+            read_wal(manager.wal_path(0))
+        with pytest.raises(WalError, match="unsupported WAL version 1"):
+            manager.recover_shard(0)
 
 
 class TestWriteAheadLog:
@@ -248,8 +334,8 @@ class TestWriteAheadLog:
 
     def test_batch_and_single_row_appends_byte_identical(self, tmp_path):
         """Rows appended as one batch log the exact frames appended one
-        by one, and each payload is the canonical ``json.dumps`` of the
-        tagged row — whichever way a record went in, recovery and the
+        by one, and each payload is the documented ``L`` layout of the
+        row — whichever way a record went in, recovery and the
         determinism gates see one encoding."""
         updates = [
             lu(node=f"n{i}", t=0.1 + i / 3.0, seq=i, x=i / 7.0, vx=-i / 11.0)
@@ -266,10 +352,7 @@ class TestWriteAheadLog:
         assert data == (tmp_path / "single.wal").read_bytes()
         payloads = [frame_bytes[8:] for frame_bytes in split_frames(data)[1:]]
         assert payloads == [
-            json.dumps(
-                ["lu", *TraceRecord.from_update(u).to_row()], separators=(",", ":")
-            ).encode("utf-8")
-            for u in updates
+            _payload(["lu", *TraceRecord.from_update(u).to_row()]) for u in updates
         ]
 
 
@@ -374,8 +457,7 @@ class TestVerbatimCompaction:
             wal.close()
             survivors = before.entries[upto - base :]
             assert path.read_bytes() == wal_header(5, upto) + b"".join(
-                frame(json.dumps(entry, separators=(",", ":")).encode())
-                for entry in survivors
+                frame(_payload(entry)) for entry in survivors
             )
             after = read_wal(path)
             assert (after.base_lsn, after.entries) == (upto, survivors)
@@ -441,7 +523,7 @@ class TestSnapshotFile:
             1, max_extrapolation_intervals=2.0, quarantine_intervals=4.0
         )
         restored.crash_shard(0)
-        restored.restore_shard(0, image=image, entries=[])
+        restored.restore_shard(0, image=image, tail=[])
         assert restored.shard(0).state_dict() == store.shard(0).state_dict()
         assert restored.export_state() == store.export_state()
         document = {
@@ -470,7 +552,7 @@ class TestSnapshotFile:
         image.columns["known"] = np.array([True, False, True, True])
         restored = ShardedLocationStore(1)
         restored.crash_shard(0)
-        restored.restore_shard(0, image=image, entries=[])
+        restored.restore_shard(0, image=image, tail=[])
         shard = restored.shard(0)
         assert restored.shard_image(0).node_ids == ["b", "c", "d", "a"]
         assert shard.born[: shard.n].tolist() == [0, 1, 2, 3]
@@ -481,7 +563,7 @@ class TestSnapshotFile:
         restored = ShardedLocationStore(1, use_location_estimator=False)
         restored.crash_shard(0)
         with pytest.raises(ValueError, match="do not match this shard"):
-            restored.restore_shard(0, image=load_snapshot(path)[1], entries=[])
+            restored.restore_shard(0, image=load_snapshot(path)[1], tail=[])
 
     @pytest.mark.parametrize("fsync", [False, True])
     def test_snapshot_fsynced_before_compaction(
@@ -601,7 +683,7 @@ class TestSnapshotTailReplay:
         recovered_store.crash_shard(0)
         recovered = manager.recover_shard(0)
         recovered_store.restore_shard(
-            0, image=recovered.image, entries=recovered.entries
+            0, image=recovered.image, tail=recovered.tail
         )
         manager.close()
 
@@ -664,13 +746,13 @@ class TestSnapshotTailReplay:
             recovered = manager.recover_shard(0)
         manager.close()
         assert recovered.snapshot_lsn == last_lsn
-        assert recovered.entries == []
+        assert recovered.tail == []
         assert len(decoded) == 2  # the snapshot and WAL header frames
 
         recovered_store = ShardedLocationStore(1)
         recovered_store.crash_shard(0)
         recovered_store.restore_shard(
-            0, image=recovered.image, entries=recovered.entries
+            0, image=recovered.image, tail=recovered.tail
         )
         assert (
             recovered_store.shard(0).state_dict()

@@ -8,6 +8,12 @@ sha256 of the report JSON and of every ``shard-*.wal`` and
 ``shard-*.snap`` is pinned: any change to what the serving path
 computes, logs or snapshots changes a digest.
 
+Each WAL is also rendered back as the version-1 file it stands for
+(``shard-*.wal.v1``: a JSON header frame, then each entry
+:func:`~repro.serving.durability.read_wal` returns framed as compact
+JSON).  Those digests were taken from the version-1 writer, which
+logged JSON entries: the binary WALs hold exactly what it logged.
+
 Each snapshot is also loaded into a fresh shard and rendered as the
 version-1 snapshot document (``shard-*.snap.json``: the shard's
 ``GridBroker.state_dict`` and its gates as sorted-key JSON).  Those
@@ -31,7 +37,13 @@ from repro.serving import (
     record_trace,
     replay_trace_full,
 )
-from repro.serving.durability import SNAPSHOT_FORMAT, load_snapshot
+from repro.serving.durability import (
+    SNAPSHOT_FORMAT,
+    WAL_FORMAT,
+    frame,
+    load_snapshot,
+    read_wal,
+)
 from repro.telemetry import Telemetry, TelemetryConfig
 
 GOLDEN = {
@@ -45,6 +57,9 @@ GOLDEN = {
         "f8696f22d3af1b8612d0bfe3e8c28a9eb92579ea4538ac04978c86f83850f594"
     ),
     "plain/shard-000.wal": (
+        "f225c6d84a3d19dc83bfbb3422d11b399d535287968f7298c550f8dd4463b36e"
+    ),
+    "plain/shard-000.wal.v1": (
         "a7237c19532b4efcc0db5234cf4bd1ef501aa04eadc77d194b44fe8662d6b1bb"
     ),
     "plain/shard-001.snap": (
@@ -54,6 +69,9 @@ GOLDEN = {
         "a0632abc636e993ad2214a78e46811154ffaa05ee22f4b251ab393187357c90c"
     ),
     "plain/shard-001.wal": (
+        "623cb88b0c75abbf692329a1396d66356f22bc29a3ff1e097c13a39c091e0cf9"
+    ),
+    "plain/shard-001.wal.v1": (
         "430fff160ad6f1b1381f5b0ca7f1148b48797212c24ce04f8aee45627d575773"
     ),
     "plain/shard-002.snap": (
@@ -63,6 +81,9 @@ GOLDEN = {
         "ba52399e175a627324c2966b8b5cac0ed6539343ad8490c3c42c3f767ba8ebfa"
     ),
     "plain/shard-002.wal": (
+        "ed10ea7a289c143ba6f5cc4583635c995d82f04e96a0bc6d6452189d558d878e"
+    ),
+    "plain/shard-002.wal.v1": (
         "4868f1e8b3b7859700c834cb2ca32a196cf1b306a5a917748592a85352f00941"
     ),
     "plain/shard-003.snap": (
@@ -72,6 +93,9 @@ GOLDEN = {
         "0c94462d5543a86f4b24bf3d617d2bf842cc8336d12d70a728bdeed80a96f73e"
     ),
     "plain/shard-003.wal": (
+        "f1750dfdb0e180823ef40ca932c72f1d5498ebfe7efc0aa55fde7ec693c268b7"
+    ),
+    "plain/shard-003.wal.v1": (
         "841a13d5eb69333d8d544448ddd9e4223b3ef38127ab4bd9f6028e6b7cf1b0da"
     ),
     "telemetry/report.json": (
@@ -84,6 +108,9 @@ GOLDEN = {
         "f8696f22d3af1b8612d0bfe3e8c28a9eb92579ea4538ac04978c86f83850f594"
     ),
     "telemetry/shard-000.wal": (
+        "f225c6d84a3d19dc83bfbb3422d11b399d535287968f7298c550f8dd4463b36e"
+    ),
+    "telemetry/shard-000.wal.v1": (
         "a7237c19532b4efcc0db5234cf4bd1ef501aa04eadc77d194b44fe8662d6b1bb"
     ),
     "telemetry/shard-001.snap": (
@@ -93,6 +120,9 @@ GOLDEN = {
         "a0632abc636e993ad2214a78e46811154ffaa05ee22f4b251ab393187357c90c"
     ),
     "telemetry/shard-001.wal": (
+        "623cb88b0c75abbf692329a1396d66356f22bc29a3ff1e097c13a39c091e0cf9"
+    ),
+    "telemetry/shard-001.wal.v1": (
         "430fff160ad6f1b1381f5b0ca7f1148b48797212c24ce04f8aee45627d575773"
     ),
     "telemetry/shard-002.snap": (
@@ -102,6 +132,9 @@ GOLDEN = {
         "ba52399e175a627324c2966b8b5cac0ed6539343ad8490c3c42c3f767ba8ebfa"
     ),
     "telemetry/shard-002.wal": (
+        "ed10ea7a289c143ba6f5cc4583635c995d82f04e96a0bc6d6452189d558d878e"
+    ),
+    "telemetry/shard-002.wal.v1": (
         "4868f1e8b3b7859700c834cb2ca32a196cf1b306a5a917748592a85352f00941"
     ),
     "telemetry/shard-003.snap": (
@@ -111,6 +144,9 @@ GOLDEN = {
         "0c94462d5543a86f4b24bf3d617d2bf842cc8336d12d70a728bdeed80a96f73e"
     ),
     "telemetry/shard-003.wal": (
+        "f1750dfdb0e180823ef40ca932c72f1d5498ebfe7efc0aa55fde7ec693c268b7"
+    ),
+    "telemetry/shard-003.wal.v1": (
         "841a13d5eb69333d8d544448ddd9e4223b3ef38127ab4bd9f6028e6b7cf1b0da"
     ),
 }
@@ -126,7 +162,7 @@ def version_1_document(path, index, replay):
         use_location_estimator=replay.serving.use_location_estimator,
     )
     store.crash_shard(index)
-    store.restore_shard(index, image=image, entries=[])
+    store.restore_shard(index, image=image, tail=[])
     document = {
         "format": SNAPSHOT_FORMAT,
         "gates": store.export_state(),
@@ -136,6 +172,24 @@ def version_1_document(path, index, replay):
         "version": 1,
     }
     return json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def version_1_wal(path):
+    """The version-1 bytes of the WAL at *path*: its JSON header frame as
+    version 1, then each entry :func:`read_wal` returns framed as compact
+    JSON, as the version-1 writer logged it."""
+    contents = read_wal(path)
+    assert contents.torn_bytes == 0
+    header = {
+        "base_lsn": contents.base_lsn,
+        "format": WAL_FORMAT,
+        "shard": contents.shard,
+        "version": 1,
+    }
+    return b"".join(
+        frame(json.dumps(document, sort_keys=True, separators=(",", ":")).encode())
+        for document in (header, *contents.entries)
+    )
 
 
 def smoke_digests(directory):
@@ -177,6 +231,8 @@ def smoke_digests(directory):
         digests[f"{label}/report.json"] = report.to_json()
         for path in sorted(wal_dir.iterdir()):
             digests[f"{label}/{path.name}"] = path.read_bytes()
+            if path.suffix == ".wal":
+                digests[f"{label}/{path.name}.v1"] = version_1_wal(path)
         for index in range(replay.serving.shards):
             path = durability.snapshot_path(index)
             digests[f"{label}/{path.name}.json"] = version_1_document(
