@@ -64,9 +64,9 @@ def recorded_trace(tmp_path_factory):
     """(meta, records) for the fixed-seed trace every round replays.
 
     Recorded once, then written and loaded back — replaying a trace
-    *file* is what the serving CLI does, and rows read from disk keep
-    their line text, which the WAL checks and frames once per trace
-    instead of re-serializing every LU on every replay.
+    *file* is what the serving CLI does.  Every round replays the same
+    loaded batch, so the WAL packs its rows' entries from the columns
+    once per trace instead of on every replay.
     """
     meta, records = record_trace(TRACE_CONFIG)
     path = write_trace(
