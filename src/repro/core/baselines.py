@@ -33,6 +33,10 @@ class FilterPolicy(abc.ABC):
     def process(self, update: LocationUpdate) -> FilterDecision:
         """Process one LU and return the transmit/suppress decision."""
 
+    @abc.abstractmethod
+    def forget(self, node_id: str) -> None:
+        """Drop all per-node state (churn): the node's next LU is its first."""
+
     @property
     @abc.abstractmethod
     def name(self) -> str:
@@ -52,6 +56,9 @@ class IdealLUPolicy(FilterPolicy):
     def process(self, update: LocationUpdate) -> FilterDecision:
         self.transmitted += 1
         return FilterDecision.TRANSMIT
+
+    def forget(self, node_id: str) -> None:
+        """Nothing to drop: every LU transmits."""
 
 
 class GeneralDistanceFilterPolicy(FilterPolicy):
@@ -87,3 +94,7 @@ class GeneralDistanceFilterPolicy(FilterPolicy):
         return self._filter.decide(
             update.node_id, update.position, update.timestamp, dth
         )
+
+    def forget(self, node_id: str) -> None:
+        """Drop the node's reference fix; the global DTH keeps its speeds."""
+        self._filter.forget(node_id)

@@ -26,7 +26,7 @@ report is byte-reproducible.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 from repro.broker.broker import BrokerConfig, GridBroker
 from repro.campus import Region, RegionKind, default_campus
@@ -37,9 +37,11 @@ from repro.estimation.metrics import rmse
 from repro.experiments.config import ExperimentConfig
 from repro.faults import (
     ChannelDegradation,
+    ChurnTracker,
     FaultInjector,
     FaultSchedule,
     GatewayOutage,
+    Presence,
     RegionBlackout,
 )
 from repro.geometry import Rect, Vec2
@@ -141,23 +143,7 @@ class ChaosLaneStats:
     stale_lus_dropped: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "delivered": self.delivered,
-            "lost": self.lost,
-            "transmissions": self.transmissions,
-            "retransmits": self.retransmits,
-            "duplicates": self.duplicates,
-            "gave_up": self.gave_up,
-            "acks_sent": self.acks_sent,
-            "bytes_sent": self.bytes_sent,
-            "mean_rmse": self.mean_rmse,
-            "rmse_inflation": self.rmse_inflation,
-            "recovery_time": self.recovery_time,
-            "quarantines": self.quarantines,
-            "resyncs": self.resyncs,
-            "stale_lus_dropped": self.stale_lus_dropped,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -181,21 +167,7 @@ class ChaosResult:
     disconnections: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "intensity": self.intensity,
-            "seed": self.seed,
-            "duration": self.duration,
-            "node_count": self.node_count,
-            "offered": self.offered,
-            "baseline_rmse": self.baseline_rmse,
-            "plain": self.plain.to_json_dict(),
-            "arq": self.arq.to_json_dict(),
-            "recovered_fraction": self.recovered_fraction,
-            "lu_overhead": self.lu_overhead,
-            "schedule": list(self.schedule),
-            "timeline": list(self.timeline),
-            "disconnections": self.disconnections,
-        }
+        return asdict(self)
 
 
 class _Lane:
@@ -286,39 +258,26 @@ def chaos_study(
     )
 
     injector = FaultInjector(schedule)
-    injector.attach(
-        sim,
-        gateways=[gateway],
-        channels=[channel_data, channel_ack],
-        allow_churn=True,  # churn is honoured by the step loop below
-    )
-
-    churn_rng = registry.stream("faults/churn")
-    offline_until: dict[str, float] = {}
-    disconnections = 0
+    injector.attach(sim, gateways=[gateway], channels=[channel_data, channel_ack])
+    # The injector schedules no churn; the step loop below honours it.
+    churn = ChurnTracker(schedule, registry.stream("faults/churn"), dt)
     offered = 0
 
     lanes = (baseline, plain, arq)
 
     def step() -> None:
-        nonlocal offered, disconnections
+        nonlocal offered
         now = sim.now
-        churn_window = schedule.churn_window(now)
+        churn.begin_step(now)
         truths: list[tuple[str, Vec2]] = []
         for node in nodes:
             sample = node.advance(dt)
             node_id = node.node_id
-            until = offline_until.get(node_id)
-            if until is not None:
-                if now < until:
-                    continue  # still dark
-                del offline_until[node_id]
-                adf.forget(node_id)
-            elif churn_window is not None and churn_rng.random() < churn_window.hazard:
-                disconnections += 1
-                outage = float(churn_rng.exponential(churn_window.mean_outage))
-                offline_until[node_id] = now + max(outage, dt)
+            presence = churn.poll(node_id)
+            if presence is Presence.OFFLINE:
                 continue
+            if presence is Presence.RETURNED:
+                adf.forget(node_id)
             truths.append((node_id, sample.position))
             update = LocationUpdate(
                 sender=node_id,
@@ -334,16 +293,7 @@ def chaos_study(
                 continue
             dth = adf.dth_of(node_id)
             if dth > 0:
-                update = LocationUpdate(
-                    sender=update.sender,
-                    timestamp=update.timestamp,
-                    seq=update.seq,
-                    node_id=node_id,
-                    position=update.position,
-                    velocity=update.velocity,
-                    region_id=update.region_id,
-                    dth=dth,
-                )
+                update = replace(update, dth=dth)
             offered += 1
             baseline.ingest(update)
             gateway.receive(update)
@@ -392,42 +342,38 @@ def chaos_study(
 
     base_mean = mean(baseline.step_rmse)
 
-    def lane_stats(lane: _Lane, transmissions: int, extra: dict) -> ChaosLaneStats:
+    def lane_stats(lane: _Lane, **transport: int) -> ChaosLaneStats:
         lane_mean = mean(lane.step_rmse)
         return ChaosLaneStats(
             name=lane.name,
             delivered=lane.delivered,
             lost=offered - lane.delivered,
-            transmissions=transmissions,
-            retransmits=extra.get("retransmits", 0),
-            duplicates=extra.get("duplicates", 0),
-            gave_up=extra.get("gave_up", 0),
-            acks_sent=extra.get("acks_sent", 0),
-            bytes_sent=extra.get("bytes_sent", 0),
             mean_rmse=lane_mean,
             rmse_inflation=lane_mean / base_mean if base_mean > 0 else 1.0,
             recovery_time=recovery_time(lane),
             quarantines=lane.broker.quarantines,
             resyncs=lane.broker.resyncs,
             stale_lus_dropped=lane.broker.stale_lus_dropped,
+            **transport,
         )
 
     plain_stats = lane_stats(
         plain,
-        channel_plain.stats.sent,
-        {"bytes_sent": channel_plain.stats.bytes_sent},
+        transmissions=channel_plain.stats.sent,
+        retransmits=0,
+        duplicates=0,
+        gave_up=0,
+        acks_sent=0,
+        bytes_sent=channel_plain.stats.bytes_sent,
     )
     arq_stats = lane_stats(
         arq,
-        link.stats.transmissions,
-        {
-            "retransmits": link.stats.retransmits,
-            "duplicates": link.stats.duplicates,
-            "gave_up": link.stats.gave_up,
-            "acks_sent": link.stats.acks_sent,
-            "bytes_sent": channel_data.stats.bytes_sent
-            + channel_ack.stats.bytes_sent,
-        },
+        transmissions=link.stats.transmissions,
+        retransmits=link.stats.retransmits,
+        duplicates=link.stats.duplicates,
+        gave_up=link.stats.gave_up,
+        acks_sent=link.stats.acks_sent,
+        bytes_sent=channel_data.stats.bytes_sent + channel_ack.stats.bytes_sent,
     )
     plain_lost = plain_stats.lost
     recovered = (
@@ -446,7 +392,7 @@ def chaos_study(
         lu_overhead=link.stats.transmissions / offered if offered else 0.0,
         schedule=tuple(schedule.to_json_dict()),
         timeline=tuple(injector.timeline_json()),
-        disconnections=disconnections,
+        disconnections=churn.disconnections,
     )
 
 

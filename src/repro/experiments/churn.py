@@ -7,23 +7,19 @@ reconnects after a random outage.  Disconnected nodes send nothing (their
 LUs never reach a gateway); on return, the ADF has forgotten them and
 their first LU transmits unconditionally.
 
-Measured: LU reduction (now including the reconnection overhead), broker
-error over connected nodes, and how many reconnection LUs the churn forced.
+The run is the evaluation harness with one ADF lane and a
+:class:`~repro.faults.NodeChurn` window over every step.  Measured: LU
+reduction (now including the reconnection overhead), broker error over
+connected nodes, and how many reconnection LUs the churn forced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.broker.broker import BrokerConfig, GridBroker
-from repro.campus import default_campus
-from repro.core.adf import AdaptiveDistanceFilter
-from repro.core.distance_filter import FilterDecision
-from repro.estimation.metrics import rmse
 from repro.experiments.config import ExperimentConfig
-from repro.mobility.population import build_population
-from repro.network.messages import LocationUpdate, SequenceSource
-from repro.util.rng import RngRegistry
+from repro.experiments.harness import run_experiment
+from repro.faults.schedule import FaultSchedule, NodeChurn
 from repro.util.validation import check_in_range, check_positive
 
 __all__ = ["ChurnResult", "churn_study"]
@@ -61,84 +57,33 @@ def churn_study(
     check_in_range(disconnect_hazard, "disconnect_hazard", 0.0, 1.0)
     check_positive(mean_outage, "mean_outage")
     config = config or ExperimentConfig(duration=120.0)
-    campus = default_campus()
-    registry = RngRegistry(config.seed)
-    nodes = build_population(campus, config.population, registry)
-    churn_rng = registry.stream("churn")
-    seq = SequenceSource()  # per-run seqs: deterministic under sweep workers
-
-    adf = AdaptiveDistanceFilter(config.adf_config(dth_factor))
-    broker = GridBroker(
-        BrokerConfig(
-            use_location_estimator=True,
-            smoothing_alpha=config.smoothing_alpha,
+    # A churn window's end is exclusive: reach one interval past the last
+    # step so the final step draws too.
+    churn = NodeChurn(
+        start=0.0,
+        duration=config.duration + config.report_interval,
+        hazard=disconnect_hazard,
+        mean_outage=mean_outage,
+    )
+    faults = config.faults.faults if config.faults is not None else ()
+    result = run_experiment(
+        replace(
+            config,
+            dth_factors=(dth_factor,),
+            include_general_df=False,
+            faults=FaultSchedule((*faults, churn)),
         )
     )
-
-    offline_until: dict[str, float] = {}
-    just_returned: set[str] = set()
-    disconnections = 0
-    reconnection_transmits = 0
-    sent = 0
-    offered = 0
-    errors: list[float] = []
-
-    steps = config.steps()
-    dt = config.report_interval
-    for i in range(1, steps + 1):
-        now = i * dt
-        step_errors: list[float] = []
-        for node in nodes:
-            sample = node.advance(dt)
-            until = offline_until.get(node.node_id)
-            if until is not None:
-                if now < until:
-                    continue  # still dark
-                del offline_until[node.node_id]
-                just_returned.add(node.node_id)
-            elif churn_rng.random() < disconnect_hazard:
-                disconnections += 1
-                outage = float(churn_rng.exponential(mean_outage))
-                offline_until[node.node_id] = now + max(outage, dt)
-                adf.forget(node.node_id)
-                continue
-            offered += 1
-            update = LocationUpdate(
-                sender=node.node_id,
-                timestamp=now,
-                seq=seq.take(),
-                node_id=node.node_id,
-                position=sample.position,
-                velocity=sample.velocity,
-                region_id=node.home_region,
-            )
-            decision = adf.process(update)
-            if decision is FilterDecision.TRANSMIT:
-                sent += 1
-                if node.node_id in just_returned:
-                    reconnection_transmits += 1
-                broker.receive_update(
-                    replace(update, dth=adf.dth_of(node.node_id))
-                )
-            just_returned.discard(node.node_id)
-        adf.tick(now)
-        broker.tick(now)
-        for node in nodes:
-            if node.node_id in offline_until:
-                continue
-            believed = broker.location_db.position_of(node.node_id)
-            if believed is not None:
-                step_errors.append(node.position.distance_to(believed))
-        if step_errors:
-            errors.append(rmse(step_errors))
-
+    lane = f"adf-{dth_factor:g}"
+    # Every reconnection's first LU transmits on the ADF lane (the filter
+    # forgot the node), so reconnections count the reconnection LUs.
     return ChurnResult(
         disconnect_hazard=disconnect_hazard,
         mean_outage=mean_outage,
-        node_count=len(nodes),
+        node_count=result.node_count,
         duration=config.duration,
-        reduction=1.0 - sent / offered if offered else 0.0,
-        mean_rmse=sum(errors) / len(errors) if errors else 0.0,
-        disconnections=disconnections,
-        reconnection_transmits=reconnection_transmits,
+        reduction=result.reduction_vs_ideal(lane),
+        mean_rmse=result.lanes[lane].mean_rmse(with_le=True),
+        disconnections=result.disconnections,
+        reconnection_transmits=result.reconnections,
     )

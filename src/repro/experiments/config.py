@@ -38,8 +38,9 @@ class ExperimentConfig:
     telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
     #: Deterministic fault injection (None = the paper's ideal substrate).
     #: The harness binds the schedule to every lane's gateways and channels
-    #: via :class:`repro.faults.FaultInjector`; churn faults are only
-    #: honoured by the chaos/churn studies and are rejected here.
+    #: via :class:`repro.faults.FaultInjector`, and takes nodes offline for
+    #: its churn windows via :class:`repro.faults.ChurnTracker` (stream
+    #: ``faults/churn``).
     faults: FaultSchedule | None = None
 
     def __post_init__(self) -> None:

@@ -11,6 +11,8 @@ the paper's "system load" argument.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.experiments.config import ExperimentConfig
@@ -21,7 +23,7 @@ from repro.network.queueing import QueueingChannel
 from repro.simkernel import Simulator
 from repro.util.validation import check_positive
 
-__all__ = ["CongestionPoint", "congestion_study"]
+__all__ = ["CongestionPoint", "congestion_study", "replay_lane_counts"]
 
 #: Over-the-air size of one LU (header + payload), from the message model.
 _LU_BYTES = LocationUpdate(sender="x", timestamp=0.0).size_bytes
@@ -41,6 +43,27 @@ class CongestionPoint:
     utilisation: float
 
 
+def replay_lane_counts(
+    sim: Simulator,
+    result: ExperimentResult,
+    lane_name: str,
+    offer: Callable[[LocationUpdate], object],
+) -> int:
+    """Schedule a lane's recorded per-second LU counts on *sim*.
+
+    Each second's LUs are spread uniformly across the interval; *offer*
+    is called with each LU at its time.  Returns how many were scheduled.
+    """
+    offered = 0
+    for second, count in result.lanes[lane_name].meter.per_second(result.duration):
+        for k in range(int(count)):
+            at = second + (k + 0.5) / max(count, 1.0)
+            message = LocationUpdate(sender=lane_name, timestamp=at, node_id=f"{k}")
+            sim.schedule_at(max(at, sim.now), functools.partial(offer, message))
+            offered += 1
+    return offered
+
+
 def _replay_lane(
     result: ExperimentResult, lane_name: str, bandwidth_bps: float
 ) -> CongestionPoint:
@@ -49,20 +72,9 @@ def _replay_lane(
     channel = QueueingChannel(
         sim, bandwidth_bps=bandwidth_bps, name=lane_name
     )
-    series = result.lanes[lane_name].meter.per_second(result.duration)
-    offered = 0
-    for second, count in series:
-        for k in range(int(count)):
-            # Spread the second's LUs uniformly across the interval.
-            at = second + (k + 0.5) / max(count, 1.0)
-            message = LocationUpdate(
-                sender=lane_name, timestamp=at, node_id=f"{k}"
-            )
-            sim.schedule_at(
-                max(at, sim.now),
-                lambda m=message: channel.send(m, lambda _m: None),
-            )
-            offered += 1
+    offered = replay_lane_counts(
+        sim, result, lane_name, lambda m: channel.send(m, lambda _m: None)
+    )
     sim.run()
     busy_time = channel.stats.delivered * (_LU_BYTES * 8.0 / bandwidth_bps)
     return CongestionPoint(

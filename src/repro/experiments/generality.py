@@ -6,16 +6,18 @@ standard generators of the mobile-networking literature — Random Waypoint,
 Gauss-Markov and Manhattan grid — in an open field.  If the reduction and
 bounded-error properties only held for the campus generator, the
 reproduction would be suspect; they hold for all of them.
+
+Each fleet runs through the evaluation harness on a one-region campus,
+the arena, with a single ADF lane.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.broker.broker import BrokerConfig, GridBroker
-from repro.core.adf import AdaptiveDistanceFilter, AdfConfig
-from repro.core.distance_filter import FilterDecision
-from repro.estimation.metrics import rmse
+from repro.campus import Campus, NetworkAccess, Region, RegionKind
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.harness import MobileGridExperiment
 from repro.geometry import Rect
 from repro.mobility.classic import (
     GaussMarkovModel,
@@ -24,7 +26,6 @@ from repro.mobility.classic import (
 )
 from repro.mobility.node import MobileNode
 from repro.mobility.states import VelocityBand
-from repro.network.messages import LocationUpdate
 from repro.util.rng import RngRegistry
 
 __all__ = ["GeneralityResult", "MOBILITY_GENERATORS", "generality_study"]
@@ -89,6 +90,17 @@ def generality_study(
     models = models if models is not None else MOBILITY_GENERATORS
     if not models:
         raise ValueError("need at least one mobility generator")
+    config = ExperimentConfig(duration=duration, dth_factors=(dth_factor,), seed=seed)
+    # Each fleet runs on a campus of one building region covering the arena.
+    arena = Region(
+        region_id="arena",
+        name="open-field arena",
+        kind=RegionKind.BUILDING,
+        bounds=_ARENA,
+        access=NetworkAccess.WLAN,
+        entrance=_ARENA.center,
+    )
+    lane = f"adf-{dth_factor:g}"
     out: list[GeneralityResult] = []
     for label, factory in models.items():
         registry = RngRegistry(seed).fork(label)
@@ -97,58 +109,16 @@ def generality_study(
             rng = registry.stream(f"node-{i}")
             start = _ARENA.random_point(rng)
             nodes.append(MobileNode(f"{label}-{i}", factory(start, rng)))
-        adf = AdaptiveDistanceFilter(AdfConfig(dth_factor=dth_factor))
-        broker_on = GridBroker(BrokerConfig(use_location_estimator=True))
-        broker_off = GridBroker(BrokerConfig(use_location_estimator=False))
-        sent = 0
-        errors_on: list[float] = []
-        errors_off: list[float] = []
-        steps = int(round(duration))
-        for i in range(1, steps + 1):
-            now = float(i)
-            for node in nodes:
-                sample = node.advance(1.0)
-                update = LocationUpdate(
-                    sender=node.node_id,
-                    timestamp=now,
-                    node_id=node.node_id,
-                    position=sample.position,
-                    velocity=sample.velocity,
-                    region_id="arena",
-                )
-                if adf.process(update) is FilterDecision.TRANSMIT:
-                    sent += 1
-                    from dataclasses import replace
-
-                    forwarded = replace(update, dth=adf.dth_of(node.node_id))
-                    broker_on.receive_update(forwarded)
-                    broker_off.receive_update(forwarded)
-            adf.tick(now)
-            broker_on.tick(now)
-            broker_off.tick(now)
-            step_on = []
-            step_off = []
-            for node in nodes:
-                truth = node.position
-                believed_on = broker_on.location_db.position_of(node.node_id)
-                believed_off = broker_off.location_db.position_of(node.node_id)
-                if believed_on is not None:
-                    step_on.append(truth.distance_to(believed_on))
-                if believed_off is not None:
-                    step_off.append(truth.distance_to(believed_off))
-            if step_on:
-                errors_on.append(rmse(step_on))
-            if step_off:
-                errors_off.append(rmse(step_off))
-        ideal = n_nodes * steps
+        result = MobileGridExperiment(config, campus=Campus([arena]), nodes=nodes).run()
+        adf = result.lanes[lane]
         out.append(
             GeneralityResult(
                 model=label,
                 node_count=n_nodes,
                 duration=duration,
-                reduction=1.0 - sent / ideal,
-                mean_rmse_with_le=sum(errors_on) / len(errors_on),
-                mean_rmse_without_le=sum(errors_off) / len(errors_off),
+                reduction=result.reduction_vs_ideal(lane),
+                mean_rmse_with_le=adf.mean_rmse(with_le=True),
+                mean_rmse_without_le=adf.mean_rmse(with_le=False),
             )
         )
     return out

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +35,7 @@ from repro.core.distance_filter import FilterDecision
 from repro.estimation.metrics import rmse
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.results import ExperimentResult, LaneResult, RegionErrors
+from repro.faults.churn import ChurnTracker, Presence
 from repro.faults.injector import FaultInjector
 from repro.mobility.node import MobileNode
 from repro.mobility.population import build_population
@@ -86,8 +87,10 @@ class MobileGridExperiment:
         config: ExperimentConfig | None = None,
         *,
         campus: Campus | None = None,
+        nodes: Sequence[MobileNode] | None = None,
         lu_observer: Callable[[str, LocationUpdate], None] | None = None,
     ) -> None:
+        """*nodes* replaces the Table 1 population built on *campus*."""
         self.config = config or ExperimentConfig()
         #: Called as ``lu_observer(lane_name, update)`` for every LU that
         #: survives a lane's filter (the serving trace recorder taps this).
@@ -99,16 +102,15 @@ class MobileGridExperiment:
         self.sim = Simulator(telemetry=self.telemetry)
         if self.telemetry.enabled:
             self.telemetry.bind(self.sim, end=self.config.duration)
-        self.nodes: list[MobileNode] = build_population(
-            self.campus, self.config.population, self.rng
-        )
+        if nodes is None:
+            nodes = build_population(self.campus, self.config.population, self.rng)
+        self.nodes: list[MobileNode] = list(nodes)
         self._home_region_by_node: dict[str, str] = {
             node.node_id: node.home_region for node in self.nodes
         }
         self._road_region_ids: set[str] = {
             region.region_id for region in self.campus.roads()
         }
-        self._node_ids: list[str] = [node.node_id for node in self.nodes]
         # Per-run sequence source: every LU the harness emits takes its seq
         # from here, so seq values depend only on this run's own traffic —
         # not on whatever else the process built before (which made them
@@ -121,10 +123,10 @@ class MobileGridExperiment:
         # policy, so the ideal lane's gateways stand in for all lanes.
         self.associations = AssociationManager(self.lanes[0].gateways)
         self.fault_injector: FaultInjector | None = None
-        if self.config.faults is not None and self.config.faults:
-            self.fault_injector = FaultInjector(
-                self.config.faults, telemetry=self.telemetry
-            )
+        self._churn: ChurnTracker | None = None
+        faults = self.config.faults
+        if faults is not None and faults:
+            self.fault_injector = FaultInjector(faults, telemetry=self.telemetry)
             self.fault_injector.attach(
                 self.sim,
                 gateways=[
@@ -133,6 +135,12 @@ class MobileGridExperiment:
                     for gateway in lane.gateways.values()
                 ],
             )
+            if faults.has_churn:
+                self._churn = ChurnTracker(
+                    faults,
+                    self.rng.stream("faults/churn"),
+                    self.config.report_interval,
+                )
         self._speed_sum = 0.0
         self._speed_count = 0
         self._classified_right = 0
@@ -252,6 +260,11 @@ class MobileGridExperiment:
         campus spatial index) and threaded through to measurement — the
         seed code paid a second full region scan per node in
         ``_measure``'s road classification.
+
+        Under churn, every node still advances; an offline node then
+        sends no LU, gets no association and gives no truth sample.  A
+        node back from an outage is forgotten by each lane's policy just
+        before its first LU reaches that lane.
         """
         now = self.sim.now
         dt = self.config.report_interval
@@ -268,15 +281,28 @@ class MobileGridExperiment:
         serving = self.associations.serving_view
         speed_sum = self._speed_sum
         speed_count = self._speed_count
+        churn = self._churn
+        returned: set[str] = set()
+        # Without churn every node is online; with it the loop collects them.
+        online: list[MobileNode] = self.nodes if churn is None else []
+        if churn is not None:
+            churn.begin_step(now)
         for node in self.nodes:
             sample = node.advance(dt)
+            node_id = node.node_id
+            if churn is not None:
+                presence = churn.poll(node_id)
+                if presence is Presence.OFFLINE:
+                    continue
+                if presence is Presence.RETURNED:
+                    returned.add(node_id)
+                online.append(node)
             velocity = sample.velocity
             # math.hypot == Vec2.norm == MotionSample.speed, sans two hops.
             speed_sum += math.hypot(velocity.x, velocity.y)
             speed_count += 1
             position = sample.position
             region = region_at(position)
-            node_id = node.node_id
             region_id = region.region_id if region else node.home_region
             positions.append((position.x, position.y))
             on_road.append(region_id in road_ids)
@@ -299,6 +325,8 @@ class MobileGridExperiment:
             fallback = self._gateway_for
             fwd = self._filter_and_forward
             for update in updates:
+                if returned and update.node_id in returned:
+                    lane.policy.forget(update.node_id)
                 gateway = gateways.get(update.region_id)
                 if gateway is None:
                     gateway = fallback(lane, update)
@@ -324,8 +352,8 @@ class MobileGridExperiment:
                 )
             lane.broker_with_le.tick(now)
             lane.broker_without_le.tick(now)
-        self._measure(now, positions, on_road)
-        self._score_classifier()
+        self._measure(now, [node.node_id for node in online], positions, on_road)
+        self._score_classifier(online)
 
     def _gateway_for(self, lane: Lane, update: LocationUpdate) -> WirelessGateway:
         """The gateway serving *update*'s region.
@@ -349,19 +377,20 @@ class MobileGridExperiment:
     def _measure(
         self,
         now: float,
+        node_ids: list[str],
         positions: list[tuple[float, float]],
         on_road: list[bool],
     ) -> None:
         """Per-lane location error against the *positions* ground truth.
 
-        Road membership (*on_road*) and the truth positions were resolved
+        *node_ids* are the nodes online this step, in node order.  Road
+        membership (*on_road*) and the truth positions were resolved
         once in ``_step`` — a property of mobility, not of the lane — and
         are shared by every lane and both brokers.  Per-node distances use
         scalar ``math.hypot`` (bit-identical with the seed's
         ``Vec2.distance_to``); the RMSE reduction over each error vector
         is batched through numpy.
         """
-        node_ids = self._node_ids
         hypot = math.hypot
         for lane in self.lanes:
             for location_db, series, region_errors in (
@@ -407,7 +436,8 @@ class MobileGridExperiment:
                 if errors:
                     series.append(now, rmse(np.asarray(errors)))
 
-    def _score_classifier(self) -> None:
+    def _score_classifier(self, nodes: list[MobileNode]) -> None:
+        """Score the ADF classifier's labels of *nodes*, those online this step."""
         adf = next(
             (
                 lane.policy
@@ -421,7 +451,7 @@ class MobileGridExperiment:
         labels = adf.classifier.labels_view
         right = 0
         total = 0
-        for node in self.nodes:
+        for node in nodes:
             true_state = node.true_state
             if true_state is None:
                 continue
@@ -486,6 +516,8 @@ class MobileGridExperiment:
             classification_accuracy=accuracy,
             average_fleet_speed=mean_speed,
             handoffs=self.associations.stats.handoffs,
+            disconnections=self._churn.disconnections if self._churn else 0,
+            reconnections=self._churn.reconnections if self._churn else 0,
             telemetry=self.telemetry.snapshot(),
         )
 

@@ -119,6 +119,11 @@ class ExperimentResult:
     #: Gateway handoffs observed over the run (mobility-driven signalling
     #: that exists regardless of LU filtering).
     handoffs: int = 0
+    #: Node churn over the run (both 0 without a NodeChurn fault): outages
+    #: begun, and nodes back from one.  Each reconnection's first LU
+    #: transmits on every filtering lane.
+    disconnections: int = 0
+    reconnections: int = 0
     #: Telemetry snapshot (metrics/samples/spans/events) when the run had
     #: telemetry enabled; ``None`` otherwise.
     telemetry: dict | None = None

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.congestion import replay_lane_counts
 from repro.experiments.harness import run_experiment
 from repro.experiments.results import ExperimentResult
 from repro.network.messages import DataTransfer, LocationUpdate
@@ -62,30 +63,16 @@ def _replay(
     )
     lu_delays: list[float] = []
     lu_dropped = 0
-    lu_offered = 0
     staged: list[float] = []
 
-    def deliver_lu(message) -> None:
-        pass
+    def offer(update: LocationUpdate) -> None:
+        nonlocal lu_dropped
+        enqueued = sim.now
+        if not channel.send(update, lambda _m: lu_delays.append(sim.now - enqueued)):
+            lu_dropped += 1
 
     # Location traffic: the lane's recorded per-second LU counts.
-    series = result.lanes[lane_name].meter.per_second(result.duration)
-    for second, count in series:
-        for k in range(int(count)):
-            at = second + (k + 0.5) / max(count, 1.0)
-            update = LocationUpdate(sender=lane_name, timestamp=at)
-
-            def offer(u=update, t=at):
-                nonlocal lu_offered, lu_dropped
-                lu_offered += 1
-                enqueued = sim.now
-                ok = channel.send(
-                    u, lambda m, e=enqueued: lu_delays.append(sim.now - e)
-                )
-                if not ok:
-                    lu_dropped += 1
-
-            sim.schedule_at(max(at, 0.0), offer)
+    lu_offered = replay_lane_counts(sim, result, lane_name, offer)
 
     # Task data: staged sequentially — chunk k+1 is offered when chunk k
     # completes (a stop-and-wait transfer loop, as a real staging client

@@ -14,6 +14,9 @@ the failure modes first-class and reproducible:
   the simulator, recording an authoritative action timeline and emitting
   telemetry events; channel/gateway fast-path flags are recomputed on
   every change so inlined delivery paths cannot bypass injected faults;
+* :class:`ChurnTracker` — the offline-node bookkeeping of node churn,
+  polled once per node per step by the loops that honour churn (the
+  evaluation harness and the chaos study);
 * reliable transport lives in :class:`repro.network.reliable.ReliableLink`
   (ack-by-seq ARQ) and broker-side degradation in
   :class:`repro.broker.broker.GridBroker` (bounded extrapolation,
@@ -23,6 +26,7 @@ the failure modes first-class and reproducible:
 See ``docs/resilience.md`` for the fault model and policies.
 """
 
+from repro.faults.churn import ChurnTracker, Presence
 from repro.faults.injector import FaultInjector, TimelineEntry
 from repro.faults.schedule import (
     ChannelDegradation,
@@ -36,11 +40,13 @@ from repro.network.channel import GilbertElliottLoss
 
 __all__ = [
     "ChannelDegradation",
+    "ChurnTracker",
     "FaultInjector",
     "FaultSchedule",
     "GatewayOutage",
     "GilbertElliottLoss",
     "NodeChurn",
+    "Presence",
     "RegionBlackout",
     "ShardCrash",
     "TimelineEntry",

@@ -12,10 +12,11 @@ event, giving resilience reports an authoritative record of what was
 injected and when.
 
 Churn faults are *not* bound to simulator events: offline-node bookkeeping
-belongs to the driving study's step loop (see the chaos and churn studies),
-which polls ``schedule.churn_window(now)``.  Attaching a schedule that
-contains churn to a consumer that cannot honour it is an error, not a
-silent no-op.
+belongs to the step loop that drives the fleet, through
+:class:`~repro.faults.churn.ChurnTracker` (the evaluation harness and the
+chaos study both honour churn that way).  The injector schedules nothing
+for them; a consumer with no fleet to take offline (the serving replay)
+rejects a schedule with churn itself.
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ class FaultInjector:
         gateways: Iterable[WirelessGateway] = (),
         channels: Iterable[WirelessChannel] = (),
         service: Any = None,
-        allow_churn: bool = False,
     ) -> None:
         """Schedule every fault window on *sim*.
 
@@ -84,19 +84,11 @@ class FaultInjector:
         :class:`~repro.serving.service.IngestService` that
         :class:`~repro.faults.schedule.ShardCrash` windows target —
         attaching a schedule containing shard crashes without one is an
-        error, not a silent no-op, as is a schedule containing churn
-        without ``allow_churn=True`` (the caller's step loop must poll
-        :meth:`FaultSchedule.churn_window` itself).
+        error, not a silent no-op.  :class:`~repro.faults.schedule.NodeChurn`
+        windows schedule nothing: the caller's step loop honours them.
         """
         if self._attached:
             raise RuntimeError("injector is already attached")
-        if self.schedule.has_churn and not allow_churn:
-            raise ValueError(
-                "schedule contains NodeChurn faults, which simulator-attached "
-                "consumers cannot honour; drive churn from the study's step "
-                "loop (chaos/churn studies) or pass allow_churn=True after "
-                "wiring churn_window() into yours"
-            )
         if self.schedule.has_shard_crashes and service is None:
             raise ValueError(
                 "schedule contains ShardCrash faults but no service was "
@@ -137,7 +129,7 @@ class FaultInjector:
                 self._schedule_degradation(sim, fault, targets_ch)
             elif isinstance(fault, ShardCrash):
                 self._schedule_shard_crash(sim, fault, service)
-            # NodeChurn: handled by the study's step loop, nothing to schedule.
+            # NodeChurn: honoured by the caller's step loop.
 
     # -- scheduling helpers ---------------------------------------------------
     def _schedule_outage(

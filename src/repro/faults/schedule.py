@@ -124,10 +124,13 @@ class ChannelDegradation:
 class NodeChurn:
     """A window during which nodes disconnect with a per-second hazard.
 
-    Churn is not bound to simulator events: studies that model offline
-    nodes poll :meth:`FaultSchedule.churn_window` each step and draw from
-    their own dedicated rng stream, keeping the churn realisation
-    independent of every other consumer of randomness.
+    Churn is not bound to simulator events: the step loop that drives the
+    fleet (the evaluation harness, the chaos study) polls a
+    :class:`~repro.faults.churn.ChurnTracker` once per node per step.  It
+    draws from the dedicated ``faults/churn`` stream, keeping the churn
+    realisation independent of every other consumer of randomness.  The
+    window's end is exclusive: a window meant to cover a run's last step
+    must reach past the run's duration.
     """
 
     start: float

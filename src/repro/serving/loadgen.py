@@ -135,6 +135,11 @@ def replay_trace_full(
     without the service itself touching a wall clock.
     """
     config = config or ReplayConfig()
+    if faults is not None and faults.has_churn:
+        raise ValueError(
+            "schedule contains NodeChurn faults, which a trace replay cannot "
+            "honour: the trace already holds the fleet's LUs"
+        )
     sim = Simulator()
     service = IngestService(
         sim,

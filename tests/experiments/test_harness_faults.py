@@ -1,5 +1,7 @@
 """Harness fault-injection wiring and fast-path parity tests."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments import ExperimentConfig, MobileGridExperiment, run_experiment
@@ -9,7 +11,9 @@ from repro.faults import (
     GatewayOutage,
     NodeChurn,
 )
+from repro.faults.churn import Presence
 from repro.mobility.population import PopulationSpec
+from repro.util.rng import RngRegistry
 
 
 def tiny_config(duration=20.0, **kwargs):
@@ -114,12 +118,14 @@ class TestFaultWiring:
         faulted = run_experiment(tiny_config(faults=schedule))
         assert faulted.ideal.total_lus < clean.ideal.total_lus
 
-    def test_churn_schedule_rejected_by_harness(self):
+    def test_churn_schedule_honoured_by_harness(self):
         schedule = FaultSchedule(
             (NodeChurn(start=0.0, duration=10.0, hazard=0.1, mean_outage=5.0),)
         )
-        with pytest.raises(ValueError, match="churn"):
-            MobileGridExperiment(tiny_config(faults=schedule))
+        clean = run_experiment(tiny_config())
+        churned = run_experiment(tiny_config(faults=schedule))
+        assert churned.disconnections > 0
+        assert churned.ideal.total_lus < clean.ideal.total_lus
 
     def test_faulted_run_still_deterministic(self):
         schedule = FaultSchedule(
@@ -133,3 +139,125 @@ class TestFaultWiring:
         a = run_experiment(tiny_config(faults=schedule))
         b = run_experiment(tiny_config(faults=schedule))
         assert lane_fingerprint(a) == lane_fingerprint(b)
+
+
+def churn_schedule(hazard=0.2, mean_outage=3.0, start=0.0, duration=21.0):
+    return FaultSchedule(
+        (
+            NodeChurn(
+                start=start,
+                duration=duration,
+                hazard=hazard,
+                mean_outage=mean_outage,
+            ),
+        )
+    )
+
+
+def record_presence(experiment):
+    """Wrap the harness's churn tracker; returns the (node, time, presence) log."""
+    tracker = experiment._churn
+    poll = tracker.poll
+    log = []
+
+    def recording(node_id):
+        presence = poll(node_id)
+        log.append((node_id, experiment.sim.now, presence))
+        return presence
+
+    tracker.poll = recording
+    return log
+
+
+class TestHarnessChurn:
+    def test_offline_nodes_reach_no_lane(self):
+        experiment = MobileGridExperiment(tiny_config(faults=churn_schedule()))
+        log = record_presence(experiment)
+        result = experiment.run()
+        online = sum(presence is not Presence.OFFLINE for _, _, presence in log)
+        assert len(log) == result.node_count * 20
+        assert result.disconnections > 0
+        assert result.ideal.total_lus == online < len(log)
+
+    def test_every_reconnection_transmits_on_every_filter_lane(self):
+        transmitted = {}
+
+        def observe(lane, update):
+            transmitted.setdefault(lane, set()).add(
+                (update.node_id, update.timestamp)
+            )
+
+        config = replace(
+            tiny_config(
+                duration=30.0,
+                include_general_df=True,
+                faults=churn_schedule(duration=31.0),
+            ),
+            dth_factors=(0.75, 1.25),
+        )
+        experiment = MobileGridExperiment(config, lu_observer=observe)
+        log = record_presence(experiment)
+        result = experiment.run()
+        returns = {
+            (node_id, now)
+            for node_id, now, presence in log
+            if presence is Presence.RETURNED
+        }
+        assert len(returns) == result.reconnections > 0
+        filter_lanes = [name for name in result.lanes if name != "ideal"]
+        assert filter_lanes == ["adf-0.75", "adf-1.25", "gdf-0.75", "gdf-1.25"]
+        for name in filter_lanes:
+            assert returns <= transmitted[name], name
+
+    def test_only_online_nodes_are_scored(self):
+        """Hazard 1 with a sub-interval outage: every node alternates.
+
+        Each online step is a return, whose LU transmits on the ADF lane,
+        so the brokers know every online node exactly; an offline node's
+        stale fix would show as error if it were scored.
+        """
+        result = run_experiment(
+            tiny_config(faults=churn_schedule(hazard=1.0, mean_outage=1e-6))
+        )
+        lane = result.lanes["adf-1"]
+        assert result.reconnections > 0
+        assert lane.total_lus == result.ideal.total_lus
+        assert lane.mean_rmse(with_le=True) == 0.0
+        assert lane.mean_rmse(with_le=False) == 0.0
+
+    def test_nodes_gone_for_good_are_not_scored(self):
+        """Every node leaves at 5 s and never returns.
+
+        From then on no step has a truth sample: the RMSE series and the
+        classifier score stop where the connected run ends.
+        """
+        schedule = churn_schedule(
+            hazard=1.0, mean_outage=1000.0, start=5.0, duration=1.0
+        )
+        gone = MobileGridExperiment(tiny_config(faults=schedule))
+        result = gone.run()
+        connected = MobileGridExperiment(tiny_config(duration=4.0))
+        connected.run()
+        assert result.disconnections == result.node_count
+        assert len(result.lanes["adf-1"].rmse_with_le) == 4
+        assert gone._classified_total == connected._classified_total > 0
+        assert result.classification_accuracy == pytest.approx(
+            connected._classified_right / connected._classified_total
+        )
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            FaultSchedule(
+                (GatewayOutage(region_id="R1", start=3.0, duration=5.0),)
+            ),
+            churn_schedule(start=50.0),
+        ],
+        ids=["no-churn", "window-after-run"],
+    )
+    def test_no_active_churn_draws_nothing(self, schedule):
+        experiment = MobileGridExperiment(tiny_config(faults=schedule))
+        result = experiment.run()
+        assert result.disconnections == result.reconnections == 0
+        fresh = RngRegistry(experiment.config.seed).stream("faults/churn")
+        assert experiment.rng.stream("faults/churn").random() == fresh.random()

@@ -174,13 +174,16 @@ class TestAttachRules:
         with pytest.raises(RuntimeError):
             injector.attach(sim)
 
-    def test_churn_requires_opt_in(self, sim):
+    def test_churn_schedules_nothing(self, sim):
+        """The step loop that drives the fleet honours churn, not the injector."""
         schedule = FaultSchedule(
             (NodeChurn(start=0.0, duration=10.0, hazard=0.1, mean_outage=5.0),)
         )
-        with pytest.raises(ValueError, match="churn"):
-            FaultInjector(schedule).attach(sim)
-        FaultInjector(schedule).attach(sim, allow_churn=True)
+        injector = FaultInjector(schedule)
+        injector.attach(sim)
+        sim.run()
+        assert sim.now == 0.0
+        assert injector.timeline == []
 
 
 class TestShardCrashBinding:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.faults import FaultSchedule, NodeChurn
 from repro.serving import ReplayConfig, ServingConfig, replay_trace
 from repro.serving.loadgen import _arrival_times
 from repro.telemetry import Telemetry, TelemetryConfig
@@ -116,6 +117,13 @@ class TestWorkloadShape:
         assert report.records == 0
         assert report.offered == 0
         assert report.replay_seconds == 0.0
+
+    def test_churn_schedule_rejected(self, tiny_trace):
+        """A trace already holds the fleet's LUs: no node can go offline."""
+        _, records = tiny_trace
+        churn = NodeChurn(start=0.0, duration=10.0, hazard=0.1, mean_outage=5.0)
+        with pytest.raises(ValueError, match="NodeChurn"):
+            replay_trace(records, ReplayConfig(), faults=FaultSchedule((churn,)))
 
     def test_invalid_config(self):
         with pytest.raises(ValueError, match="rate"):
