@@ -93,7 +93,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from repro.serving.store import ShardImage
-from repro.serving.trace import TraceBatch
+from repro.serving.trace import LU_NUMBERS, TraceBatch
 from repro.telemetry import NULL_TELEMETRY
 
 __all__ = [
@@ -128,25 +128,13 @@ _TICK_TAG = ord("T")
 
 #: An ``lu`` entry's fixed block: the tag, the row's numbers and the byte
 #: length of its node id (packed, so 61 bytes); the ids follow it.
-_LU_BLOCK = np.dtype(
-    [
-        ("tag", "u1"),
-        ("time", "<f8"),
-        ("seq", "<i8"),
-        ("x", "<f8"),
-        ("y", "<f8"),
-        ("vx", "<f8"),
-        ("vy", "<f8"),
-        ("dth", "<f8"),
-        ("node_len", "<u4"),
-    ]
-)
+_LU_BLOCK = np.dtype([("tag", "u1"), *LU_NUMBERS, ("node_len", "<u4")])
 
 #: A ``tick`` entry: the tag and the sweep's time.
 _TICK = struct.Struct("<Bd")
 
 #: The row columns an ``lu`` entry's fixed block carries.
-_LU_COLUMNS = ("time", "seq", "x", "y", "vx", "vy", "dth")
+_LU_COLUMNS = tuple(name for name, _ in LU_NUMBERS)
 
 #: Every column of a :class:`TraceBatch`.
 _BATCH_COLUMNS = (*_LU_COLUMNS, "node", "region")

@@ -3,36 +3,52 @@
 The serving subsystem decouples workload *generation* from workload
 *serving*: a :class:`TraceRecorder` captures the LU stream one harness
 lane actually transmitted (post-filter, DTH-stamped) into a flat list of
-:class:`TraceRecord` rows, and :func:`write_trace` / :func:`read_trace`
-persist them as a line-oriented log the load generator replays at any
-rate.  :func:`read_trace` returns the rows as a :class:`TraceBatch`, one
-column per field, which is what the serving path consumes.
+:class:`TraceRecord` rows (:class:`ColumnarTraceRecorder` does the same
+for the columnar engine, straight into columns), and :func:`write_trace`
+/ :func:`read_trace` persist them as a file the load generator replays
+at any rate.  :func:`read_trace` returns the rows as a
+:class:`TraceBatch`, one column per field, which is what the serving
+path consumes.
 
-Format (``repro-lu-trace`` version 1) — one JSON document per line:
+Format (``repro-lu-trace`` version 2), which :func:`write_trace` writes:
 
-* line 1, the header: ``{"format": "repro-lu-trace", "meta": {...},
-  "version": 1}`` with sorted keys and compact separators;
-* every further line, one record as a JSON array
-  ``[time, seq, node_id, x, y, vx, vy, region_id, dth]``.
+* line 1, the header: sorted-key, compact, ASCII JSON ending in
+  ``\\n``, with ``format``, ``version`` (2), ``meta``, ``records`` (the
+  row count), ``node_ids`` and ``region_ids`` (the id tables, each in
+  order of first appearance in the rows);
+* then ``records`` fixed 64-byte little-endian rows: the numeric block
+  :data:`LU_NUMBERS` (``<d q d d d d d``: time, seq, x, y, vx, vy, dth,
+  the same block a WAL ``lu`` entry carries), then the ``u4`` node code
+  and the ``u4`` region code into the header's tables.
 
-Arrays carry no key order, floats round-trip exactly through Python's
-``json`` (repr-based shortest-float encoding), and the header is dumped
-with ``sort_keys=True`` — so writing the same records twice produces
-byte-identical files, which the serving determinism gate (CI
-``serving-smoke``) relies on.  Records are written in capture order;
-the recorder captures in simulation order, so per node both ``time``
-and ``seq`` are non-decreasing — the trace invariant the sharded
-store's duplicate detection leans on.
+The rows are packed from a batch's columns and read back with one
+``numpy.frombuffer``; nothing is formatted or parsed per row.  The bytes
+depend only on the record sequence: the header is dumped with
+``sort_keys=True`` and the tables are interned by first appearance, so
+writing the same records twice (as a list, a batch, or a slice of a
+wider batch) produces byte-identical files, which the serving
+determinism gate (CI ``serving-smoke``) relies on.  Records are written
+in capture order; the recorders capture in simulation order, so per
+node both ``time`` and ``seq`` are non-decreasing, the trace invariant
+the sharded store's duplicate detection leans on.  The file name's
+extension is not significant: the header's ``version`` picks the
+decoder.
+
+Version 1 (:data:`TRACE_VERSION`), read only: the same header without
+the id tables, then one JSON array per line, ``[time, seq, node_id, x,
+y, vx, vy, region_id, dth]``.  :func:`read_trace` still loads it, with
+the same checks and failure rules as version 2.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import operator
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import repeat, starmap
+from itertools import starmap
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, TypeVar
 
@@ -46,6 +62,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.config import ExperimentConfig
 
 __all__ = [
+    "LU_NUMBERS",
+    "PACKED_TRACE_VERSION",
     "TRACE_FORMAT",
     "TRACE_VERSION",
     "TraceBatch",
@@ -60,7 +78,29 @@ __all__ = [
 ]
 
 TRACE_FORMAT = "repro-lu-trace"
+#: The JSON-lines version, which :func:`read_trace` reads but nothing writes.
 TRACE_VERSION = 1
+#: The packed-row version :func:`write_trace` writes.
+PACKED_TRACE_VERSION = 2
+
+#: The numeric block of one LU, ``(field, dtype)`` in storage order: a
+#: packed trace row and a WAL ``lu`` entry both carry it.
+LU_NUMBERS: tuple[tuple[str, str], ...] = (
+    ("time", "<f8"),
+    ("seq", "<i8"),
+    ("x", "<f8"),
+    ("y", "<f8"),
+    ("vx", "<f8"),
+    ("vy", "<f8"),
+    ("dth", "<f8"),
+)
+
+#: One version-2 row: the numeric block, then the node and region codes
+#: into the header's id tables (64 bytes, packed).
+_PACKED_ROW = np.dtype([*LU_NUMBERS, ("node", "<u4"), ("region", "<u4")])
+
+#: The float fields of a row, each of which must be finite.
+_FLOATS = tuple(name for name, dtype in LU_NUMBERS if dtype == "<f8")
 
 _INF = math.inf
 
@@ -75,14 +115,10 @@ _SEQ_MAX = 2**63 - 1
 #: but decodes from ``true``/``false``, so it is not in the set).
 _NUMBER_TYPES = frozenset({int, float})
 
-#: Trace lines :func:`read_trace` decodes with one ``json.loads``: enough
-#: to amortise the call, few enough that the decoded rows of one chunk,
-#: not of the whole file, are alive at a time.
+#: Rows :meth:`TraceBatch.__iter__` converts at a time: enough to
+#: amortise the column reads, few enough that one chunk's row tuples, not
+#: the whole batch's, are alive at a time.
 _CHUNK_ROWS = 4096
-
-#: The canonical row encoder: compact separators, the C encoder's
-#: repr-based floats.
-_ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 class TraceError(ValueError):
@@ -370,10 +406,11 @@ class ColumnarTraceRecorder:
     Instances are :class:`~repro.core.columnar.engine.ColumnarExperiment`
     ``lu_observer`` callables: the engine invokes them once per lane per
     step with the transmitting row indices and the full-width state
-    columns.  The recorder gathers the transmitted rows into
-    :class:`TraceRecord` objects, mapping row numbers and region codes
-    back to the string ids a trace carries — call :meth:`bind` with the
-    experiment's ``node_ids`` and ``resolver.region_ids`` before the run.
+    columns.  The recorder keeps each step's row indices and gathered
+    columns, and :attr:`records` joins them into one :class:`TraceBatch`
+    whose id tables hold only the node and region ids the rows use —
+    call :meth:`bind` with the experiment's ``node_ids`` and
+    ``resolver.region_ids`` before the run.
 
     The columnar engine has no per-LU sequence stamps, so the recorder
     synthesises ``seq`` from a single per-run counter advanced in
@@ -384,15 +421,17 @@ class ColumnarTraceRecorder:
 
     def __init__(self, lane: str = "adf-1") -> None:
         self.lane = lane
-        self.records: list[TraceRecord] = []
-        self._node_ids: list[str] | None = None
-        self._region_ids: list[str] | None = None
-        self._seq = 0
+        self._node_ids: Sequence[str] | None = None
+        self._region_ids: Sequence[str] | None = None
+        #: Per captured step, the rows' time, indices, x, y, vx, vy,
+        #: region codes and dth.
+        self._steps: list[tuple[NDArray[Any], ...]] = []
+        self._batch: TraceBatch | None = None
 
     def bind(self, node_ids: Sequence[str], region_ids: Sequence[str]) -> None:
         """Attach the id tables that turn row/code integers into strings."""
-        self._node_ids = list(node_ids)
-        self._region_ids = list(region_ids)
+        self._node_ids = node_ids
+        self._region_ids = region_ids
 
     def __call__(
         self,
@@ -413,35 +452,51 @@ class ColumnarTraceRecorder:
                 "ColumnarTraceRecorder is unbound — call bind(node_ids, "
                 "region_ids) before running the experiment"
             )
-        node_ids = self._node_ids
-        region_ids = self._region_ids
-        records = self.records
-        seq = self._seq
-        time = float(now)
-        for i, xi, yi, vxi, vyi, code, dth_i in zip(
-            idx.tolist(),
-            x[idx].tolist(),
-            y[idx].tolist(),
-            vx[idx].tolist(),
-            vy[idx].tolist(),
-            codes[idx].tolist(),
-            dth[idx].tolist(),
-        ):
-            seq += 1
-            records.append(
-                TraceRecord(
-                    time=time,
-                    seq=seq,
-                    node_id=node_ids[i],
-                    x=xi,
-                    y=yi,
-                    vx=vxi,
-                    vy=vyi,
-                    region_id=region_ids[code],
-                    dth=dth_i,
-                )
-            )
-        self._seq = seq
+        idx = np.array(idx, dtype=np.int64)
+        time = np.full(len(idx), float(now))
+        self._steps.append(
+            (time, idx, x[idx], y[idx], vx[idx], vy[idx], codes[idx], dth[idx])
+        )
+        self._batch = None
+
+    @property
+    def records(self) -> TraceBatch:
+        """Every captured row, in capture order, as one batch."""
+        if self._batch is None:
+            self._batch = self._join()
+        return self._batch
+
+    def _join(self) -> TraceBatch:
+        if not self._steps or self._node_ids is None or self._region_ids is None:
+            return TraceBatch.from_rows(())
+        time, idx, x, y, vx, vy, codes, dth = map(np.concatenate, zip(*self._steps))
+        node_ids, node = _first_seen(self._node_ids, idx)
+        region_ids, region = _first_seen(self._region_ids, codes)
+        return TraceBatch(
+            time=time,
+            seq=np.arange(1, len(idx) + 1, dtype=np.int64),
+            node=node,
+            x=x.astype(np.float64, copy=False),
+            y=y.astype(np.float64, copy=False),
+            vx=vx.astype(np.float64, copy=False),
+            vy=vy.astype(np.float64, copy=False),
+            region=region,
+            dth=dth.astype(np.float64, copy=False),
+            node_ids=node_ids,
+            region_ids=region_ids,
+        )
+
+
+def _first_seen(
+    ids: Sequence[str], codes: NDArray[Any]
+) -> tuple[tuple[str, ...], NDArray[Any]]:
+    """The entries of *ids* that *codes* use, in order of first use, and
+    *codes* recoded into that table (only the used entries are read)."""
+    used, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(order), np.int64)
+    rank[order] = np.arange(len(order))
+    return tuple(ids[i] for i in used[order].tolist()), rank[inverse]
 
 
 def write_trace(
@@ -450,28 +505,42 @@ def write_trace(
     *,
     meta: dict[str, Any] | None = None,
 ) -> Path:
-    """Write *records* (plus a header) as a trace file; returns the path.
+    """Write *records* (plus a header) as a version-2 trace file; returns
+    the path.
 
-    *meta* must be JSON-serialisable scalars/containers; it rides in the
-    header for provenance (seed, lane, duration, node count).
+    A :class:`TraceBatch` is packed straight from its columns; any other
+    iterable goes through :meth:`TraceBatch.from_records`.  *meta* must
+    be JSON-serialisable scalars/containers; it rides in the header for
+    provenance (seed, lane, duration, node count).
     """
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    rows = list(records)
+    batch = (
+        records
+        if isinstance(records, TraceBatch)
+        else TraceBatch.from_records(records)
+    )
+    node_ids, node = _first_seen(batch.node_ids, batch.node)
+    region_ids, region = _first_seen(batch.region_ids, batch.region)
     header = {
         "format": TRACE_FORMAT,
-        "version": TRACE_VERSION,
+        "version": PACKED_TRACE_VERSION,
         "meta": dict(meta or {}),
-        "records": len(rows),
+        "records": len(batch),
+        "node_ids": node_ids,
+        "region_ids": region_ids,
     }
-    with out.open("w", encoding="utf-8") as handle:
+    rows = np.empty(len(batch), _PACKED_ROW)
+    for name, _ in LU_NUMBERS:
+        rows[name] = getattr(batch, name)
+    rows["node"] = node
+    rows["region"] = region
+    out = Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    with out.open("wb") as handle:
         handle.write(
-            json.dumps(header, sort_keys=True, separators=(",", ":"))
+            json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii")
         )
-        handle.write("\n")
-        for record in rows:
-            handle.write(_ROW_ENCODER.encode(record.to_row()))
-            handle.write("\n")
+        handle.write(b"\n")
+        handle.write(rows.tobytes())
     return out
 
 
@@ -480,145 +549,149 @@ def read_trace(
 ) -> tuple[dict[str, Any], TraceBatch]:
     """Load a trace file; returns ``(meta, records)``.
 
-    Validates the header (format/version), the declared record count,
-    and every row's shape, so a truncated or foreign file fails loudly
-    instead of replaying garbage.  A row that fails to parse on the
-    *final* line is reported as a truncation (a crashed writer tears at
-    most the last line); with ``allow_partial=True`` that torn tail is
-    dropped and the valid prefix is returned instead — the header's
-    declared record count is then allowed to exceed what survives.
-    Corruption *before* the final line always raises: that is damage,
-    not a torn write.
+    The header's ``version`` picks the decoder (2: packed rows; 1: JSON
+    lines).  Both validate the header (format/version), the declared
+    record count, and every row (finite numbers, ``dth >= 0``, a 64-bit
+    ``seq``, string ids), so a truncated or foreign file fails loudly
+    instead of replaying garbage.  A bad *final* row is reported as a
+    truncation (a crashed writer tears at most the last row); with
+    ``allow_partial=True`` that torn tail is dropped and the valid prefix
+    is returned instead — the header's declared record count is then
+    allowed to exceed what survives.  Damage *before* the final row
+    always raises: that is not a torn write.
 
-    The records come back as a :class:`TraceBatch`.  The body is decoded
-    by one ``json.loads`` per :data:`_CHUNK_ROWS` lines and validated
-    column by column; only when that fails are the lines decoded one by
-    one, to name the first bad one.
+    The records come back as a :class:`TraceBatch`.  A version-2 body is
+    read with one ``numpy.frombuffer`` and checked column by column (see
+    :func:`_read_packed`); a version-1 body is decoded and checked line
+    by line (see :func:`_scan_body`).
     """
     source = Path(path)
-    with source.open("r", encoding="utf-8") as handle:
+    with source.open("rb") as handle:
         first = handle.readline()
         if not first:
             raise TraceError(f"{source}: empty trace file")
         try:
-            header = json.loads(first)
-        except json.JSONDecodeError as exc:
+            header = json.loads(first.decode("utf-8"))
+        except ValueError as exc:  # bad JSON or bad UTF-8
             raise TraceError(f"{source}: unreadable trace header") from exc
         if not isinstance(header, dict) or header.get("format") != TRACE_FORMAT:
             raise TraceError(f"{source}: not a {TRACE_FORMAT} file")
-        if header.get("version") != TRACE_VERSION:
-            raise TraceError(
-                f"{source}: unsupported trace version {header.get('version')!r}"
+        version = header.get("version")
+        if version == PACKED_TRACE_VERSION:
+            if not first.endswith(b"\n"):
+                raise TraceError(f"{source}: unreadable trace header")
+            records = _read_packed(
+                source, header, handle.read(), allow_partial=allow_partial
             )
-        body = handle.readlines()
-    records = _decode_body(body)
-    if records is None:
-        records = TraceBatch.from_rows(
-            _scan_body(source, body, allow_partial=allow_partial)
-        )
-    declared = header.get("records")
-    if isinstance(declared, int) and declared != len(records):
-        if not (allow_partial and declared > len(records)):
-            raise TraceError(
-                f"{source}: header declares {declared} records, file has "
-                f"{len(records)} (truncated?)"
+        elif version == TRACE_VERSION:
+            # Text mode, as the format was always read: universal
+            # newlines, and a BOM in the body stays a character.
+            try:
+                with io.TextIOWrapper(handle, encoding="utf-8") as text:
+                    body = text.readlines()
+            except UnicodeDecodeError as exc:
+                raise TraceError(f"{source}: trace body is not UTF-8") from exc
+            records = TraceBatch.from_rows(
+                _scan_body(source, body, allow_partial=allow_partial)
             )
+            declared = header.get("records")
+            if isinstance(declared, int):
+                _check_count(source, declared, len(records), allow_partial)
+        else:
+            raise TraceError(f"{source}: unsupported trace version {version!r}")
     meta = header.get("meta")
     return (meta if isinstance(meta, dict) else {}), records
 
 
-def _decode_body(lines: list[str]) -> TraceBatch | None:
-    """The batch of the trace rows on *lines*, or None if any line is bad.
-
-    The non-blank lines are decoded :data:`_CHUNK_ROWS` at a time, each
-    chunk joined into one JSON array with ``","`` and decoded by one
-    ``json.loads``.  That yields exactly the per-line rows when every line
-    starts with ``[`` and ends with ``]`` (before its newline), the array
-    has one element per line and every element is a flat row: a JSON
-    string cannot hold the raw newline ending each line, so no string
-    spans two lines; each line then opens and closes whole rows, and with
-    as many rows as lines each line holds exactly one.  The columns are
-    then checked as :func:`_row_values` checks each row.  None sends the
-    caller to the per-line scan, which finds and reports the first bad
-    line.
-    """
-    texts = list(filter(str.strip, lines))
-    count = len(texts)
-    if "".join(map(operator.itemgetter(0), texts)).count("[") != count or not all(
-        map(str.endswith, texts, repeat(("]\n", "]")))
-    ):
-        return None
-    node_table: dict[str, int] = {}
-    region_table: dict[str, int] = {}
-    chunks = []
-    for start in range(0, count, _CHUNK_ROWS):
-        chunk = _decode_chunk(
-            texts[start : start + _CHUNK_ROWS], node_table, region_table
+def _check_count(
+    source: Path, declared: int, count: int, allow_partial: bool
+) -> None:
+    """Refuse a record count other than *declared*, unless *allow_partial*
+    accepts the missing tail of a torn write."""
+    if declared != count and not (allow_partial and declared > count):
+        raise TraceError(
+            f"{source}: header declares {declared} records, file has "
+            f"{count} (truncated?)"
         )
-        if chunk is None:
-            return None
-        chunks.append(chunk)
-    if not chunks:
-        return TraceBatch.from_rows(())
-    seq, node, region, numbers = (
-        np.concatenate(part, axis=-1) for part in zip(*chunks)
+
+
+def _read_packed(
+    source: Path, header: dict[str, Any], body: bytes, *, allow_partial: bool
+) -> TraceBatch:
+    """The batch of a version-2 *body* under *header*.
+
+    Every row is checked at once: finite numbers, ``dth >= 0``, and codes
+    inside their tables, each at most one past every code before it (so
+    each table is in order of first use).  The first row failing a check
+    is bad; a bad last row, or a body that ends inside a row, is a torn
+    tail, and anything else bad raises ``unreadable row`` with its
+    record index.  Each table must be exactly the ids its rows use; when
+    a torn tail is dropped, the table entries only the dropped rows used
+    go with it.
+    """
+    node_ids = _id_table(source, header, "node_ids")
+    region_ids = _id_table(source, header, "region_ids")
+    declared = header.get("records")
+    if type(declared) is not int:
+        raise TraceError(f"{source}: trace header needs an int record count")
+    count, torn = divmod(len(body), _PACKED_ROW.itemsize)
+    rows = np.frombuffer(body, _PACKED_ROW, count)
+    node = rows["node"].astype(np.int64)
+    region = rows["region"].astype(np.int64)
+    ok = (
+        (rows["dth"] >= 0.0)
+        & _in_first_seen_order(node, len(node_ids))
+        & _in_first_seen_order(region, len(region_ids))
     )
-    time, x, y, vx, vy, dth = numbers
+    for name in _FLOATS:
+        ok &= np.isfinite(rows[name])
+    kept = count if ok.all() else int(np.argmin(ok))
+    if kept < count - 1 or (kept < count and torn):
+        raise TraceError(f"{source}: record {kept}: unreadable row")
+    if (kept < count or torn) and not allow_partial:
+        raise TraceError(
+            f"{source}: record {kept}: truncated final row (torn write from a "
+            f"crashed writer?) — pass allow_partial=True to recover the "
+            f"{kept}-record valid prefix"
+        )
+    _check_count(source, declared, kept, allow_partial)
+    tables: list[tuple[str, ...]] = []
+    for ids, codes in ((node_ids, node), (region_ids, region)):
+        used = int(codes[:kept].max()) + 1 if kept else 0
+        if used < len(ids) and declared == kept:
+            raise TraceError(f"{source}: trace header lists ids no record uses")
+        tables.append(ids[:used])
+    rows = rows[:kept]
     return TraceBatch(
-        time=time,
-        seq=seq,
-        node=node,
-        x=x,
-        y=y,
-        vx=vx,
-        vy=vy,
-        region=region,
-        dth=dth,
-        node_ids=tuple(node_table),
-        region_ids=tuple(region_table),
+        **{
+            name: rows[name].astype(np.dtype(dtype).newbyteorder("="))
+            for name, dtype in LU_NUMBERS
+        },
+        node=node[:kept],
+        region=region[:kept],
+        node_ids=tables[0],
+        region_ids=tables[1],
     )
 
 
-def _decode_chunk(
-    texts: list[str], node_table: dict[str, int], region_table: dict[str, int]
-) -> tuple[NDArray[Any], ...] | None:
-    """Seq, node-code and region-code columns and the ``(6, n)`` number
-    rows of the rows on *texts* (see :func:`_decode_body`), or None."""
-    try:
-        rows = json.loads("[" + ",".join(texts) + "]")
-    except json.JSONDecodeError:
-        return None
+def _id_table(source: Path, header: dict[str, Any], key: str) -> tuple[str, ...]:
+    """The header's id table *key*: a list of distinct strings."""
+    ids = header.get(key)
     if (
-        len(rows) != len(texts)
-        or set(map(type, rows)) != {list}
-        or set(map(len, rows)) != {9}
+        not isinstance(ids, list)
+        or not set(map(type, ids)) <= {str}
+        or len(set(ids)) != len(ids)
     ):
-        return None
-    time, seq, node, x, y, vx, vy, region, dth = zip(*rows)
-    del rows
-    floats = (time, x, y, vx, vy, dth)
-    if (
-        set(map(type, seq)) != {int}
-        or set(map(type, node)) != {str}
-        or set(map(type, region)) != {str}
-        or not all(_NUMBER_TYPES.issuperset(map(type, col)) for col in floats)
-    ):
-        return None
-    try:  # an int too large for float64 or int64 raises OverflowError
-        numbers = np.array(floats, dtype=np.float64)
-        seqs = np.array(seq, dtype=np.int64)
-    except OverflowError:
-        return None
-    # One reduction over every number: NaN and ±inf (the NaN/Infinity
-    # literals json accepts, or an overflowing exponent) are not finite.
-    if not np.isfinite(numbers).all() or not (numbers[5] >= 0.0).all():
-        return None
-    return (
-        seqs,
-        _intern_into(node_table, node),
-        _intern_into(region_table, region),
-        numbers,
-    )
+        raise TraceError(f"{source}: trace header {key} must be distinct strings")
+    return tuple(ids)
+
+
+def _in_first_seen_order(codes: NDArray[Any], size: int) -> NDArray[Any]:
+    """Per row: its code is below *size* and at most one past every code
+    in the rows before it."""
+    bound = np.zeros_like(codes)
+    bound[1:] = np.maximum.accumulate(codes)[:-1] + 1
+    return (codes < size) & (codes <= bound)
 
 
 def _scan_body(
@@ -691,7 +764,7 @@ def record_columnar_trace(
     source: Any = None,
     kernel: Any = None,
     cluster_mode: str = "exact",
-) -> tuple[dict[str, Any], list[TraceRecord]]:
+) -> tuple[dict[str, Any], TraceBatch]:
     """Record one lane's LU stream through the *columnar* engine.
 
     The array-speed twin of :func:`record_trace`, for fleets the object

@@ -21,6 +21,13 @@ from repro.serving import (
 from repro.serving.durability import WriteAheadLog, read_wal
 
 from tests.serving.conftest import tiny_config
+from tests.serving.helpers import (
+    WRITERS,
+    join_trace,
+    packed_row,
+    split_trace,
+    write_v1_trace,
+)
 
 
 def make_record(time=1.0, seq=0, node="n1", region="road-1"):
@@ -59,10 +66,11 @@ class TestRoundTrip:
 
     def test_file_round_trip(self, tmp_path):
         records = [make_record(time=float(t), seq=t) for t in range(5)]
-        path = write_trace(records, tmp_path / "t.jsonl", meta={"seed": 1})
-        meta, loaded = read_trace(path)
-        assert meta == {"seed": 1}
-        assert loaded == records
+        for write in WRITERS:
+            path = write(records, tmp_path / "t.trace", meta={"seed": 1})
+            meta, loaded = read_trace(path)
+            assert meta == {"seed": 1}
+            assert loaded == records
 
     def test_write_is_byte_deterministic(self, tmp_path):
         records = [make_record(seq=s) for s in range(3)]
@@ -73,17 +81,19 @@ class TestRoundTrip:
     def test_spelling_does_not_change_the_logged_bytes(self, tmp_path):
         """The WAL logs each row's decoded values, whatever spacing
         and number spelling the trace file used: a re-spaced copy, and a
-        copy with one float spelt as an int, log the same bytes."""
+        copy with one float spelt as an int, log the same bytes, and so
+        does the version-2 file of the same records."""
         records = [make_record(time=0.1 + 0.2, seq=3), make_record(time=3.0, seq=4)]
-        path = write_trace(records, tmp_path / "t.jsonl")
+        path = write_v1_trace(records, tmp_path / "t.jsonl")
         text = path.read_text()
         spaced = tmp_path / "spaced.jsonl"
         spaced.write_text(text.replace(",", ", "))
         respelled = tmp_path / "respelled.jsonl"
         respelled.write_text(text.replace("[3.0,4,", "[3,4,"))
         assert respelled.read_text() != text
+        packed = write_trace(records, tmp_path / "packed.trace")
         logged = []
-        for source in (path, spaced, respelled):
+        for source in (path, spaced, respelled, packed):
             _, loaded = read_trace(source)
             assert isinstance(loaded, TraceBatch)
             assert loaded == records
@@ -91,7 +101,7 @@ class TestRoundTrip:
             wal.append_update(loaded, np.arange(len(loaded)))
             wal.close()
             logged.append(wal.path.read_bytes())
-        assert logged[1] == logged[0] and logged[2] == logged[0]
+        assert logged[1:] == [logged[0]] * 3
         entries = read_wal(tmp_path / "t.wal").entries
         assert entries == [["lu", *record.to_row()] for record in records]
 
@@ -143,45 +153,55 @@ class TestValidation:
 
     def test_truncation_detected(self, tmp_path):
         records = [make_record(time=float(t), seq=t) for t in range(4)]
-        path = write_trace(records, tmp_path / "t.jsonl")
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-1]) + "\n")  # drop the last row
-        with pytest.raises(TraceError, match="truncated"):
-            read_trace(path)
+        for write in WRITERS:
+            path = write(records, tmp_path / "t.trace")
+            head, rows = split_trace(path)
+            join_trace(path, head, rows[:-1])  # drop the last row
+            with pytest.raises(TraceError, match="truncated"):
+                read_trace(path)
 
     def test_torn_final_row_recoverable_with_allow_partial(self, tmp_path):
         """A writer killed mid-row leaves a torn tail; ``allow_partial``
         recovers the valid prefix instead of refusing the whole file."""
         records = [make_record(time=float(t), seq=t) for t in range(4)]
-        path = write_trace(records, tmp_path / "t.jsonl")
-        text = path.read_text()
-        path.write_text(text[: len(text) - 10])  # tear the last row
-        with pytest.raises(TraceError, match="allow_partial"):
-            read_trace(path)
-        meta, got = read_trace(path, allow_partial=True)
-        assert [r.seq for r in got] == [0, 1, 2]
-        assert meta == {}
+        for write in WRITERS:
+            path = write(records, tmp_path / "t.trace")
+            head, rows = split_trace(path)
+            rows[-1] = rows[-1][:-10]  # tear the last row
+            join_trace(path, head, rows)
+            with pytest.raises(TraceError, match="allow_partial"):
+                read_trace(path)
+            meta, got = read_trace(path, allow_partial=True)
+            assert [r.seq for r in got] == [0, 1, 2]
+            assert meta == {}
 
     def test_allow_partial_does_not_mask_mid_file_damage(self, tmp_path):
         records = [make_record(time=float(t), seq=t) for t in range(4)]
-        path = write_trace(records, tmp_path / "t.jsonl")
-        lines = path.read_text().splitlines()
-        lines[2] = lines[2][:-4]  # damage a row that is NOT the last one
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(TraceError, match="unreadable row"):
-            read_trace(path, allow_partial=True)
+        for write in WRITERS:
+            path = write(records, tmp_path / "t.trace")
+            head, rows = split_trace(path)
+            # Damage a row that is NOT the last one: cut a line short, or
+            # point a packed row past the node table.
+            if write is write_v1_trace:
+                rows[1] = rows[1][:-5] + b"\n"
+            else:
+                rows[1] = packed_row(node=7)
+            join_trace(path, head, rows)
+            with pytest.raises(TraceError, match="unreadable row"):
+                read_trace(path, allow_partial=True)
 
     def test_allow_partial_tolerates_missing_rows(self, tmp_path):
         # Declared count 4, only 2 intact rows left: strict mode refuses,
         # partial mode returns what survived.
         records = [make_record(time=float(t), seq=t) for t in range(4)]
-        path = write_trace(records, tmp_path / "t.jsonl")
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:3]) + "\n")
-        with pytest.raises(TraceError, match="truncated"):
-            read_trace(path)
-        _, got = read_trace(path, allow_partial=True)
-        assert len(got) == 2
+        for write in WRITERS:
+            path = write(records, tmp_path / "t.trace")
+            head, rows = split_trace(path)
+            join_trace(path, head, rows[:2])
+            with pytest.raises(TraceError, match="truncated"):
+                read_trace(path)
+            _, got = read_trace(path, allow_partial=True)
+            assert len(got) == 2
 
 
 class TestNonFiniteRows:
@@ -245,33 +265,38 @@ class TestNonFiniteRows:
         row[8] = 0.0
         assert TraceRecord.from_row(row).x == 1e308
 
-    def _with_bad_row(self, tmp_path, index):
+    def _with_bad_row(self, tmp_path, write, index):
+        """A four-row trace whose row *index* holds a NaN and an inf."""
         records = [make_record(time=float(t), seq=t) for t in range(4)]
-        path = write_trace(records, tmp_path / "t.jsonl")
-        lines = path.read_text().splitlines()
-        lines[index] = self.BAD_ROW
-        path.write_text("\n".join(lines) + "\n")
+        path = write(records, tmp_path / "t.trace")
+        head, rows = split_trace(path)
+        if write is write_v1_trace:
+            rows[index] = self.BAD_ROW.encode() + b"\n"
+        else:
+            rows[index] = packed_row(x=float("nan"), vx=float("inf"))
+        join_trace(path, head, rows)
         return path
 
     def test_bad_middle_row_raises(self, tmp_path):
-        path = self._with_bad_row(tmp_path, 2)
-        with pytest.raises(TraceError, match="unreadable row"):
-            read_trace(path)
-        with pytest.raises(TraceError, match="unreadable row"):
-            read_trace(path, allow_partial=True)
+        for write in WRITERS:
+            path = self._with_bad_row(tmp_path, write, 1)
+            with pytest.raises(TraceError, match="unreadable row"):
+                read_trace(path)
+            with pytest.raises(TraceError, match="unreadable row"):
+                read_trace(path, allow_partial=True)
 
     def test_bad_final_row_is_a_torn_tail(self, tmp_path):
-        path = self._with_bad_row(tmp_path, -1)
-        with pytest.raises(TraceError, match="allow_partial"):
-            read_trace(path)
-        _, got = read_trace(path, allow_partial=True)
-        assert [r.seq for r in got] == [0, 1, 2]
+        for write in WRITERS:
+            path = self._with_bad_row(tmp_path, write, -1)
+            with pytest.raises(TraceError, match="allow_partial"):
+                read_trace(path)
+            _, got = read_trace(path, allow_partial=True)
+            assert [r.seq for r in got] == [0, 1, 2]
 
 
 class TestDecodeChunks:
-    """``read_trace`` decodes the whole body at once; every spelling of
-    the same values loads the same records, and a bad line is still
-    reported on its own."""
+    """Every spelling of the same values in a version-1 file loads the
+    same records, and a bad line is reported on its own."""
 
     def _mixed_lines(self):
         lines = [
@@ -314,7 +339,7 @@ class TestDecodeChunks:
         """Joined with a comma, the two halves would parse as one row;
         each line on its own does not, and the first half is reported."""
         records = [make_record(time=float(t), seq=t) for t in range(4)]
-        path = write_trace(records, tmp_path / "t.jsonl")
+        path = write_v1_trace(records, tmp_path / "t.jsonl")
         lines = path.read_text().splitlines()
         row = lines[2]
         cut = row.index(",", row.index(",") + 1)
