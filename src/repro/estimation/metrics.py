@@ -11,7 +11,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-__all__ = ["rmse", "mae", "max_error"]
+__all__ = ["rmse", "rms_of_squares", "mae", "max_error"]
 
 
 def _as_errors(errors: Iterable[float]) -> np.ndarray:
@@ -28,8 +28,12 @@ def _as_errors(errors: Iterable[float]) -> np.ndarray:
 
 def rmse(errors: Iterable[float]) -> float:
     """Root mean square of per-node distance errors."""
-    arr = _as_errors(errors)
-    return float(np.sqrt(np.mean(arr**2)))
+    return rms_of_squares(_as_errors(errors) ** 2)
+
+
+def rms_of_squares(squares: np.ndarray) -> float:
+    """:func:`rmse` of the errors whose squares are *squares* (non-empty)."""
+    return float(np.sqrt(np.mean(squares)))
 
 
 def mae(errors: Iterable[float]) -> float:
