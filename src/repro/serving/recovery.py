@@ -211,15 +211,18 @@ def run_recovery_gate(
             ),
         )
     )
-    crashed_report, crashed_service = replay_trace_full(
-        records,
-        replay,
-        trace_meta=trace_meta,
-        telemetry=telemetry,
-        durability=durability,
-        faults=faults,
-        recovery_clock=time.perf_counter if measure_wall else None,
-    )
+    try:
+        crashed_report, crashed_service = replay_trace_full(
+            records,
+            replay,
+            trace_meta=trace_meta,
+            telemetry=telemetry,
+            durability=durability,
+            faults=faults,
+            recovery_clock=time.perf_counter if measure_wall else None,
+        )
+    finally:
+        durability.close()
     crashed_export = crashed_service.store.export_state()
 
     affected = tuple(sorted(crashed_service.affected_nodes()))

@@ -151,6 +151,28 @@ class TestValidation:
         with pytest.raises(TraceError, match="version"):
             read_trace(path)
 
+    @pytest.mark.parametrize(
+        "version, records",
+        [("true", "true"), ("true", "1"), ("1", "true"), ("1.0", "1")],
+    )
+    def test_version_and_count_must_be_ints(self, tmp_path, version, records):
+        """``True == 1`` (and ``1.0 == 1``): a version-1 header whose
+        version or record count is not an int is refused, as version 2
+        refuses a non-int count."""
+        path = tmp_path / "v1.jsonl"
+        header = (
+            f'{{"format":"repro-lu-trace","meta":{{}},"records":{records},'
+            f'"version":{version}}}'
+        )
+        path.write_text(header + '\n[0.0,0,"n1",1.0,2.0,0.0,0.0,"R1",1.0]\n')
+        with pytest.raises(TraceError):
+            read_trace(path)
+        path.write_text(
+            '{"format":"repro-lu-trace","meta":{},"records":1,"version":1}\n'
+            '[0.0,0,"n1",1.0,2.0,0.0,0.0,"R1",1.0]\n'
+        )
+        assert len(read_trace(path)[1]) == 1
+
     def test_truncation_detected(self, tmp_path):
         records = [make_record(time=float(t), seq=t) for t in range(4)]
         for write in WRITERS:
