@@ -6,6 +6,7 @@ import pytest
 from repro.core.classifier import ClassifierConfig, MobilityClassifier
 from repro.core.columnar.classifier import ColumnarClassifier
 from repro.core.columnar.kernels import EXACT_KERNEL
+from repro.core.columnar.state import PATTERN_CODES
 
 
 def _state(classifier):
@@ -56,3 +57,31 @@ def test_valid_rows_keep_classifying_after_a_rejection():
         columnar.observe(np.array([1.0, 1.0]), np.zeros(2))
     assert columnar.labels[0] == columnar.labels[1]
     assert np.all(np.isfinite(columnar.mean_speed))
+
+
+def test_matches_the_object_classifier_through_window_wraps():
+    """Every node's label, window means and heading match
+    ``MobilityClassifier`` bit for bit over three windows' worth of
+    steps, with pauses, so each heading deque wraps at its own row."""
+    rng = np.random.default_rng(3)
+    config = ClassifierConfig()
+    n, steps = 40, 3 * config.window
+    columnar = ColumnarClassifier(config, n, EXACT_KERNEL)
+    scalar = MobilityClassifier(config)
+    for _ in range(steps):
+        speeds = rng.uniform(0.0, 3.0, n)
+        speeds[rng.random(n) < 0.3] = 0.0
+        directions = rng.uniform(-np.pi, np.pi, n)
+        labels = columnar.observe(speeds, directions)
+        headings = columnar.mean_directions()
+        for i in range(n):
+            node = f"n{i}"
+            scalar.observe(node, float(speeds[i]), float(directions[i]))
+            window = scalar._windows[node]
+            assert PATTERN_CODES[scalar.label(node)] == labels[i]
+            assert window._mean_speed == columnar.mean_speed[i]
+            assert window._dir_means == (
+                columnar.dir_mean_x[i],
+                columnar.dir_mean_y[i],
+            )
+            assert scalar.feature(node).direction == headings[i]

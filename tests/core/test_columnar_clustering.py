@@ -426,3 +426,28 @@ class TestBatchedMode:
         rmse_e = exact.lanes["adf-1"].mean_rmse(with_le=True)
         rmse_b = batched.lanes["adf-1"].mean_rmse(with_le=True)
         assert abs(rmse_b - rmse_e) <= BATCHED_RMSE_TOLERANCE * rmse_e
+
+
+@pytest.mark.parametrize("weight", [0.0, 0.5])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_nearest_slot_matches_the_distance_matrix_argmin(weight, seed):
+    """Batched mode's per-slot scan picks what ``np.argmin`` over the
+    rows x slots distance matrix picks (the first of tied slots), at the
+    same distance, through duplicate centroids and tombstones."""
+    rng = np.random.default_rng(seed)
+    col = ColumnarClusterer(0.75, capacity=1, direction_weight=weight)
+    speed = rng.integers(0, 8, 500) * 0.5  # many exact ties
+    centroids = rng.integers(0, 8, 12) * 0.5
+    centroids[[3, 7]] = math.inf  # tombstones
+    heading = rng.uniform(-math.pi, math.pi, 500) if weight else None
+    cdir = rng.uniform(-math.pi, math.pi, 12) if weight else None
+    d = np.abs(speed[:, None] - centroids[None, :])
+    if weight:
+        theta = np.fmod(heading[:, None] - cdir[None, :], 2.0 * math.pi)
+        theta = np.where(theta <= -math.pi, theta + 2.0 * math.pi, theta)
+        theta = np.where(theta > math.pi, theta - 2.0 * math.pi, theta)
+        d = d + weight * np.abs(theta)
+    best, best_d = col._nearest(speed, centroids, heading, cdir)
+    want = np.argmin(d, axis=1)
+    np.testing.assert_array_equal(best, want)
+    np.testing.assert_array_equal(best_d, d[np.arange(len(want)), want])
