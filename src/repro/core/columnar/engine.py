@@ -606,32 +606,35 @@ class ColumnarExperiment:
 
         Every broker knows every node here: the ideal lane transmits all
         rows, and an ADF/GDF lane's filter transmits every row its
-        broker does not know yet.  One error per lane, the last-known
-        broker's, is the without-LE error, and the ideal lane's with-LE
-        one too.  A Location Estimator moves only the beliefs of the rows
-        its tick predicted, so its lane's with-LE error is the same array
-        with those rows recomputed.
+        broker does not know yet.  The ideal lane's broker got every
+        row's fix this step, so each of its errors is exactly 0.0: its
+        sinks take an RMSE of 0.0 and the row counts, and their sums of
+        squares stay as they are.  An ADF/GDF lane's last-known broker
+        gives its without-LE error.  A Location Estimator moves only the
+        beliefs of the rows its tick predicted, so the lane's with-LE
+        error is the same array with those rows recomputed.
         """
         kernel = self.kernel
         road = np.flatnonzero(on_road)
         building = np.flatnonzero(~on_road)
         for lane in self.lanes:
-            last = lane.without_le
-            sq = kernel.hypot(x - last.bel_x, y - last.bel_y)
-            sq *= sq
-            sinks = [(lane.rmse_without_le, lane.region_errors_without_le)]
+            without_le = (lane.rmse_without_le, lane.region_errors_without_le)
             with_le = (lane.rmse_with_le, lane.region_errors_with_le)
             brown = lane.brown
             if brown is None:
-                sinks.append(with_le)
-            _record(now, sq, road, building, sinks)
-            if brown is not None:
-                moved = brown.moved
-                err = kernel.hypot(
-                    x[moved] - brown.moved_x, y[moved] - brown.moved_y
-                )
-                sq[moved] = err * err
-                _record(now, sq, road, building, [with_le])
+                for series, region_errors in (without_le, with_le):
+                    region_errors.road_count += road.size
+                    region_errors.building_count += building.size
+                    series.append(now, 0.0)
+                continue
+            last = lane.without_le
+            sq = kernel.hypot(x - last.bel_x, y - last.bel_y)
+            sq *= sq
+            _record(now, sq, road, building, *without_le)
+            moved = brown.moved
+            err = kernel.hypot(x[moved] - brown.moved_x, y[moved] - brown.moved_y)
+            sq[moved] = err * err
+            _record(now, sq, road, building, *with_le)
 
     # -- the run -------------------------------------------------------------
     def run(self) -> ExperimentResult:
@@ -722,23 +725,20 @@ def _record(
     sq: np.ndarray,
     road: np.ndarray,
     building: np.ndarray,
-    sinks: list[tuple[TimeSeries, RegionErrors]],
+    series: TimeSeries,
+    region_errors: RegionErrors,
 ) -> None:
-    """Add squared errors *sq* to each (RMSE series, region errors) sink:
-    the RMSE at *now*, and the *road* and *building* rows' squares."""
+    """Add squared errors *sq* to *series* (the RMSE at *now*) and to
+    *region_errors* (the *road* and *building* rows' squares)."""
     road_sq = sq[road]
     building_sq = sq[building]
-    value = rms_of_squares(sq)
-    for series, region_errors in sinks:
-        region_errors.road_sq_sum = chain_add(
-            region_errors.road_sq_sum, road_sq
-        )
-        region_errors.road_count += road_sq.size
-        region_errors.building_sq_sum = chain_add(
-            region_errors.building_sq_sum, building_sq
-        )
-        region_errors.building_count += building_sq.size
-        series.append(now, value)
+    region_errors.road_sq_sum = chain_add(region_errors.road_sq_sum, road_sq)
+    region_errors.road_count += road_sq.size
+    region_errors.building_sq_sum = chain_add(
+        region_errors.building_sq_sum, building_sq
+    )
+    region_errors.building_count += building_sq.size
+    series.append(now, rms_of_squares(sq))
 
 
 def run_columnar_experiment(

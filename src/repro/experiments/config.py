@@ -8,7 +8,7 @@ from repro.core.adf import AdfConfig
 from repro.faults.schedule import FaultSchedule
 from repro.mobility.population import PopulationSpec, table1_spec
 from repro.telemetry import TelemetryConfig
-from repro.util.validation import check_positive
+from repro.util.validation import check_in_range, check_positive
 
 __all__ = ["ExperimentConfig"]
 
@@ -52,6 +52,9 @@ class ExperimentConfig:
             check_positive(factor, "dth_factor")
         check_positive(self.alpha, "alpha")
         check_positive(self.recluster_interval, "recluster_interval")
+        check_in_range(
+            self.smoothing_alpha, "smoothing_alpha", 0.0, 1.0, inclusive=False
+        )
 
     def adf_config(self, dth_factor: float) -> AdfConfig:
         """The ADF configuration for one DTH factor under this experiment."""

@@ -44,7 +44,6 @@ from repro.mobility.scenario import (
     Wander,
     tom_itinerary,
 )
-from repro.mobility.trace import TrajectoryTrace
 
 __all__ = [
     "DeviceType",
@@ -72,5 +71,4 @@ __all__ = [
     "Stay",
     "Wander",
     "tom_itinerary",
-    "TrajectoryTrace",
 ]

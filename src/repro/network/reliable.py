@@ -99,8 +99,6 @@ class ReliableLink:
         seq_source: SequenceSource | None = None,
         name: str = "arq",
         telemetry: Any = None,
-        on_acked: Callable[[Message], None] | None = None,
-        on_gave_up: Callable[[Message], None] | None = None,
     ) -> None:
         if ack_timeout <= 0:
             raise ValueError(f"ack_timeout must be > 0, got {ack_timeout}")
@@ -117,11 +115,6 @@ class ReliableLink:
         self._backoff_factor = backoff_factor
         self._max_retries = max_retries
         self._ack_seq = seq_source if seq_source is not None else SequenceSource()
-        #: Sender-side outcome hooks: *on_acked* fires when a message's
-        #: ack arrives, *on_gave_up* when its retry budget is exhausted.
-        #: Circuit breakers (serving's ReliableIngestClient) key off them.
-        self._on_acked = on_acked
-        self._on_gave_up = on_gave_up
         self.name = name
         self.stats = ReliableLinkStats()
         self._pending: dict[int, _Pending] = {}
@@ -165,8 +158,6 @@ class ReliableLink:
             self.stats.gave_up += 1
             if self._instrumented:
                 self._t_gave_up.inc()
-            if self._on_gave_up is not None:
-                self._on_gave_up(entry.message)
             return
         entry.timeout *= self._backoff_factor
         self.stats.retransmits += 1
@@ -181,8 +172,6 @@ class ReliableLink:
         entry = self._pending.pop(message.acked_seq, None)
         if entry is not None:
             entry.done = True
-            if self._on_acked is not None:
-                self._on_acked(entry.message)
 
     # -- receiver side --------------------------------------------------------
     def _arrive(self, message: Message) -> None:

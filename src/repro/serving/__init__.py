@@ -10,8 +10,6 @@ The serving layer lifts the paper's in-loop broker into a service shape:
   quarantine) as columns, applying each flush window as array ops;
 * :mod:`repro.serving.service` — the bounded-queue, batch-draining
   ingest front door with explicit shed-based backpressure;
-* :mod:`repro.serving.client` — an ARQ client adapter that turns shed
-  into sender-side retry via the accept gate;
 * :mod:`repro.serving.loadgen` / :mod:`repro.serving.report` — open-loop
   replay at configurable rates with a byte-reproducible SLO report;
 * :mod:`repro.serving.durability` — per-shard write-ahead log +
@@ -26,7 +24,6 @@ one LU stream: every entry point drives the store from one thread, so
 the store holds no lock.
 """
 
-from repro.serving.client import ReliableIngestClient
 from repro.serving.durability import (
     DurabilityConfig,
     DurabilityManager,
@@ -68,7 +65,6 @@ __all__ = [
     "IngestService",
     "RecoveryGateReport",
     "RecoveryStats",
-    "ReliableIngestClient",
     "ReplayConfig",
     "ServingConfig",
     "ServingReport",

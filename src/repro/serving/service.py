@@ -17,17 +17,13 @@ Backpressure is explicit and loss is visible:
 
 * a submission that finds its shard queue full is **shed** — counted
   (``serving.ingest.shed``), reported, and rejected back to the caller
-  (``submit`` returns False); nothing buffers without bound;
-* transport adapters can probe :meth:`has_capacity` *before* accepting
-  a message — :class:`~repro.serving.client.ReliableIngestClient` wires
-  it into the ARQ accept gate, so a saturated service simply withholds
-  acks and clients back off and retry instead of losing LUs.
+  (``submit`` returns False); nothing buffers without bound.
 
 Queues hold rows, not objects: each entry is a run of row indices into
 a :class:`~repro.serving.trace.TraceBatch` with their arrival times.
 The load generator offers whole runs (:meth:`IngestService.submit_rows`);
-a lone LU (:meth:`IngestService.submit`, the client path) is a one-row
-batch.  A flush hands each shard's rows to the store in one call.
+a lone LU (:meth:`IngestService.submit`) is a one-row batch.  A flush
+hands each shard's rows to the store in one call.
 
 Ingest latency (enqueue to batched-apply, in virtual seconds) feeds a
 telemetry histogram with streaming p50/p90/p99 — the SLO surface the
@@ -50,7 +46,7 @@ from repro.serving.trace import TraceBatch, TraceRecord
 from repro.simkernel import Simulator
 from repro.telemetry import NULL_TELEMETRY
 from repro.telemetry.metrics import Histogram
-from repro.util.validation import check_positive
+from repro.util.validation import check_in_range, check_positive
 
 __all__ = ["ServingConfig", "IngestService", "RecoveryStats"]
 
@@ -114,7 +110,9 @@ class ServingConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         check_positive(self.flush_interval, "flush_interval")
         check_positive(self.report_interval, "report_interval")
-        check_positive(self.smoothing_alpha, "smoothing_alpha")
+        check_in_range(
+            self.smoothing_alpha, "smoothing_alpha", 0.0, 1.0, inclusive=False
+        )
 
     @property
     def drain_rate(self) -> float:
@@ -247,19 +245,6 @@ class IngestService:
     def shard_index(self, update: LocationUpdate) -> int:
         """Which shard queue *update* routes to."""
         return self.store.shard_for_update(update)
-
-    def has_capacity(self, update: LocationUpdate) -> bool:
-        """Whether *update* would currently be accepted (not shed).
-
-        Transport adapters use this as an ARQ accept gate: refusing the
-        message *before* acking turns shed into sender-side retry.  A
-        crashed shard has no capacity — clients back off (circuit
-        breaker) instead of hammering a recovering shard.
-        """
-        index = self.shard_index(update)
-        if self.store.shard_is_down(index):
-            return False
-        return self._depths[index] < self._capacity
 
     def submit(
         self, update: LocationUpdate, *, arrival: float | None = None

@@ -31,20 +31,15 @@ determinism gate (CI ``serving-smoke``) relies on.  Records are written
 in capture order; the recorders capture in simulation order, so per
 node both ``time`` and ``seq`` are non-decreasing, the trace invariant
 the sharded store's duplicate detection leans on.  The file name's
-extension is not significant: the header's ``version`` picks the
-decoder.
-
-Version 1 (:data:`TRACE_VERSION`), read only: the same header without
-the id tables, then one JSON array per line, ``[time, seq, node_id, x,
-y, vx, vy, region_id, dth]``.  :func:`read_trace` still loads it, with
-the same checks and failure rules as version 2.
+extension is not significant: the header's ``version`` says what the
+file is, and :func:`read_trace` refuses any version but 2.  Nothing
+reads the retired version 1 (JSON lines); since a trace is a pure
+function of seed and config, such a file is re-recorded instead.
 """
 
 from __future__ import annotations
 
-import io
 import json
-import math
 import operator
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -65,7 +60,6 @@ __all__ = [
     "LU_NUMBERS",
     "PACKED_TRACE_VERSION",
     "TRACE_FORMAT",
-    "TRACE_VERSION",
     "TraceBatch",
     "TraceError",
     "TraceRecord",
@@ -78,9 +72,8 @@ __all__ = [
 ]
 
 TRACE_FORMAT = "repro-lu-trace"
-#: The JSON-lines version, which :func:`read_trace` reads but nothing writes.
-TRACE_VERSION = 1
-#: The packed-row version :func:`write_trace` writes.
+#: The packed-row version :func:`write_trace` writes and :func:`read_trace`
+#: reads.
 PACKED_TRACE_VERSION = 2
 
 #: The numeric block of one LU, ``(field, dtype)`` in storage order: a
@@ -102,18 +95,7 @@ _PACKED_ROW = np.dtype([*LU_NUMBERS, ("node", "<u4"), ("region", "<u4")])
 #: The float fields of a row, each of which must be finite.
 _FLOATS = tuple(name for name, dtype in LU_NUMBERS if dtype == "<f8")
 
-_INF = math.inf
-
 _T = TypeVar("_T")
-
-#: The range of a trace row's ``seq``: the serving store keeps seqs in an
-#: int64 column.
-_SEQ_MIN = -(2**63)
-_SEQ_MAX = 2**63 - 1
-
-#: Exact types a decoded JSON number has (``bool`` is an ``int`` subclass
-#: but decodes from ``true``/``false``, so it is not in the set).
-_NUMBER_TYPES = frozenset({int, float})
 
 #: Rows :meth:`TraceBatch.__iter__` converts at a time: enough to
 #: amortise the column reads, few enough that one chunk's row tuples, not
@@ -174,7 +156,8 @@ class TraceRecord:
         )
 
     def to_row(self) -> list[Any]:
-        """The JSON-array row this record serialises to."""
+        """The record as a ``[time, seq, node_id, x, y, vx, vy, region_id,
+        dth]`` list (the shape a WAL ``lu`` entry reads back as)."""
         return [
             self.time,
             self.seq,
@@ -186,51 +169,6 @@ class TraceRecord:
             self.region_id,
             self.dth,
         ]
-
-    @classmethod
-    def from_row(cls, row: Sequence[Any]) -> "TraceRecord":
-        """Parse one trace line's decoded JSON array (strict arity and types)."""
-        return cls(*_row_values(row))
-
-
-def _row_values(row: Sequence[Any]) -> tuple[Any, ...]:
-    """Validate one decoded row; returns its nine values, numbers as floats."""
-    if len(row) != 9:
-        raise TraceError(f"trace row needs 9 fields, got {len(row)}")
-    time, seq, node_id, x, y, vx, vy, region_id, dth = row
-    if not isinstance(node_id, str) or not isinstance(region_id, str):
-        raise TraceError(f"trace row ids must be strings: {row!r}")
-    if type(seq) is not int:
-        raise TraceError(f"trace row seq must be an int: {row!r}")
-    if not _SEQ_MIN <= seq <= _SEQ_MAX:
-        raise TraceError(f"trace row seq must fit in 64 bits: {row!r}")
-    if not (
-        type(time) in _NUMBER_TYPES
-        and type(x) in _NUMBER_TYPES
-        and type(y) in _NUMBER_TYPES
-        and type(vx) in _NUMBER_TYPES
-        and type(vy) in _NUMBER_TYPES
-        and type(dth) in _NUMBER_TYPES
-    ):
-        raise TraceError(f"trace row needs finite numbers and dth >= 0: {row!r}")
-    time = float(time)
-    x = float(x)
-    y = float(y)
-    vx = float(vx)
-    vy = float(vy)
-    dth = float(dth)
-    # Chained comparisons instead of math.isfinite calls: NaN fails
-    # every one of them, so this rejects NaN, ±inf and a negative dth.
-    if not (
-        -_INF < time < _INF
-        and -_INF < x < _INF
-        and -_INF < y < _INF
-        and -_INF < vx < _INF
-        and -_INF < vy < _INF
-        and 0.0 <= dth < _INF
-    ):
-        raise TraceError(f"trace row needs finite numbers and dth >= 0: {row!r}")
-    return (time, seq, node_id, x, y, vx, vy, region_id, dth)
 
 
 class TraceBatch(Sequence[TraceRecord]):
@@ -291,7 +229,7 @@ class TraceBatch(Sequence[TraceRecord]):
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Any]]) -> "TraceBatch":
         """Columns of *rows*, each ``[time, seq, node_id, x, y, vx, vy,
-        region_id, dth]`` and already valid (see :func:`_row_values`)."""
+        region_id, dth]`` and already valid."""
         time, seq, node, x, y, vx, vy, region, dth = zip(*rows) if rows else ((),) * 9
         node_table: dict[str, int] = {}
         region_table: dict[str, int] = {}
@@ -549,10 +487,9 @@ def read_trace(
 ) -> tuple[dict[str, Any], TraceBatch]:
     """Load a trace file; returns ``(meta, records)``.
 
-    The header's ``version`` picks the decoder (2: packed rows; 1: JSON
-    lines).  Both validate the header (format/version), the declared
-    record count, and every row (finite numbers, ``dth >= 0``, a 64-bit
-    ``seq``, string ids), so a truncated or foreign file fails loudly
+    The header (format, version 2, id tables), the declared record
+    count and every row (finite numbers, ``dth >= 0``, codes inside the
+    id tables) are validated, so a truncated or foreign file fails loudly
     instead of replaying garbage.  A bad *final* row is reported as a
     truncation (a crashed writer tears at most the last row); with
     ``allow_partial=True`` that torn tail is dropped and the valid prefix
@@ -560,10 +497,9 @@ def read_trace(
     allowed to exceed what survives.  Damage *before* the final row
     always raises: that is not a torn write.
 
-    The records come back as a :class:`TraceBatch`.  A version-2 body is
-    read with one ``numpy.frombuffer`` and checked column by column (see
-    :func:`_read_packed`); a version-1 body is decoded and checked line
-    by line (see :func:`_scan_body`).
+    The records come back as a :class:`TraceBatch`: the body is read
+    with one ``numpy.frombuffer`` and checked column by column (see
+    :func:`_read_packed`).
     """
     source = Path(path)
     with source.open("rb") as handle:
@@ -577,30 +513,14 @@ def read_trace(
         if not isinstance(header, dict) or header.get("format") != TRACE_FORMAT:
             raise TraceError(f"{source}: not a {TRACE_FORMAT} file")
         version = header.get("version")
-        if type(version) is not int:  # bool is an int, and True == 1
+        # 2.0 == 2, so the type is checked too: only the int 2 is read.
+        if type(version) is not int or version != PACKED_TRACE_VERSION:
             raise TraceError(f"{source}: unsupported trace version {version!r}")
-        if version == PACKED_TRACE_VERSION:
-            if not first.endswith(b"\n"):
-                raise TraceError(f"{source}: unreadable trace header")
-            records = _read_packed(
-                source, header, handle.read(), allow_partial=allow_partial
-            )
-        elif version == TRACE_VERSION:
-            # Text mode, as the format was always read: universal
-            # newlines, and a BOM in the body stays a character.
-            try:
-                with io.TextIOWrapper(handle, encoding="utf-8") as text:
-                    body = text.readlines()
-            except UnicodeDecodeError as exc:
-                raise TraceError(f"{source}: trace body is not UTF-8") from exc
-            records = TraceBatch.from_rows(
-                _scan_body(source, body, allow_partial=allow_partial)
-            )
-            declared = header.get("records")
-            if declared is not None:
-                _check_count(source, declared, len(records), allow_partial)
-        else:
-            raise TraceError(f"{source}: unsupported trace version {version!r}")
+        if not first.endswith(b"\n"):
+            raise TraceError(f"{source}: unreadable trace header")
+        records = _read_packed(
+            source, header, handle.read(), allow_partial=allow_partial
+        )
     meta = header.get("meta")
     return (meta if isinstance(meta, dict) else {}), records
 
@@ -694,37 +614,6 @@ def _in_first_seen_order(codes: NDArray[Any], size: int) -> NDArray[Any]:
     bound = np.zeros_like(codes)
     bound[1:] = np.maximum.accumulate(codes)[:-1] + 1
     return (codes < size) & (codes <= bound)
-
-
-def _scan_body(
-    source: Path, lines: list[str], *, allow_partial: bool
-) -> list[tuple[Any, ...]]:
-    """Decode and validate *lines* one by one; returns the valid rows.
-
-    Raises :class:`TraceError` naming the first bad line, unless it is
-    the final line and *allow_partial* drops it as a torn tail.
-    """
-    rows: list[tuple[Any, ...]] = []
-    last_lineno = 1 + len(lines)
-    for lineno, line in enumerate(lines, start=2):
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
-            if not isinstance(row, list):
-                raise TraceError(f"{source}:{lineno}: row is not an array")
-            rows.append(_row_values(row))
-        except (json.JSONDecodeError, TraceError) as exc:
-            if lineno == last_lineno:
-                if allow_partial:
-                    break
-                raise TraceError(
-                    f"{source}:{lineno}: truncated final row (torn write "
-                    f"from a crashed writer?) — pass allow_partial=True to "
-                    f"recover the {len(rows)}-record valid prefix"
-                ) from exc
-            raise TraceError(f"{source}:{lineno}: unreadable row") from exc
-    return rows
 
 
 def record_trace(

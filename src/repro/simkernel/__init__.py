@@ -9,20 +9,15 @@ Components:
 * :class:`~repro.simkernel.events.Event` / :class:`~repro.simkernel.events.EventQueue`
   — the ordered future event list;
 * :class:`~repro.simkernel.engine.Simulator` — scheduling, `run_until`,
-  periodic activities;
-* :mod:`repro.simkernel.process` — generator-based processes (``yield`` a
-  delay to sleep) layered on top of the engine.
+  periodic activities.
 """
 
 from repro.simkernel.events import Event, EventQueue
 from repro.simkernel.engine import Simulator, SimulationError
-from repro.simkernel.process import Process, hold
 
 __all__ = [
     "Event",
     "EventQueue",
     "Simulator",
     "SimulationError",
-    "Process",
-    "hold",
 ]

@@ -10,7 +10,7 @@ The observability substrate of the whole simulation stack:
   event records;
 * :class:`Sampler` — periodic metric snapshots into
   :class:`~repro.util.timeseries.TimeSeries`, riding the simulator;
-* exporters to JSON/CSV and a human-readable summary table.
+* a JSON exporter and a human-readable summary table.
 
 Everything hangs off a :class:`Telemetry` facade; the disabled twin
 :data:`NULL_TELEMETRY` keeps un-instrumented runs at near-zero overhead.
@@ -22,7 +22,6 @@ from repro.telemetry.events import EventLog, EventRecord, Severity
 from repro.telemetry.export import (
     merge_snapshots,
     summary_table,
-    write_metrics_csv,
     write_snapshot_json,
 )
 from repro.telemetry.hub import NULL_TELEMETRY, NullTelemetry, Telemetry
@@ -57,6 +56,5 @@ __all__ = [
     "Sampler",
     "merge_snapshots",
     "summary_table",
-    "write_metrics_csv",
     "write_snapshot_json",
 ]

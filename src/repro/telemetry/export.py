@@ -1,4 +1,4 @@
-"""Exporters: JSON / CSV snapshots and the human-readable summary table.
+"""Exporters: JSON snapshots and the human-readable summary table.
 
 The snapshot layout (see :meth:`Telemetry.snapshot`)::
 
@@ -15,7 +15,6 @@ wall-clock timings are not, which is why they live in their own section.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from pathlib import Path
@@ -26,7 +25,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "write_snapshot_json",
-    "write_metrics_csv",
     "merge_snapshots",
     "summary_table",
 ]
@@ -107,50 +105,6 @@ def merge_snapshots(snapshots: list[dict[str, Any]]) -> dict[str, Any]:
         "spans": dict(sorted(spans.items())),
         "events": {"counts": dict(sorted(event_counts.items()))},
     }
-
-
-def write_metrics_csv(snapshot: dict[str, Any], path: str | Path) -> Path:
-    """Write the snapshot's metrics section as flat CSV rows.
-
-    Columns: metric, kind, value, count, sum, mean, min, max, p50, p90,
-    p99 (blank where a column does not apply to the instrument kind).
-    """
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    columns = [
-        "metric",
-        "kind",
-        "value",
-        "count",
-        "sum",
-        "mean",
-        "min",
-        "max",
-        "p50",
-        "p90",
-        "p99",
-    ]
-    with out.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(columns)
-        for name, data in sorted(snapshot.get("metrics", {}).items()):
-            row: dict[str, Any] = {"metric": name, "kind": data.get("kind", "")}
-            if data.get("kind") == "histogram":
-                quantiles = data.get("quantiles", {})
-                row.update(
-                    count=data.get("count", 0),
-                    sum=data.get("sum", 0.0),
-                    mean=data.get("mean", 0.0),
-                    min=data.get("min", 0.0),
-                    max=data.get("max", 0.0),
-                    p50=quantiles.get("0.5", ""),
-                    p90=quantiles.get("0.9", ""),
-                    p99=quantiles.get("0.99", ""),
-                )
-            else:
-                row["value"] = data.get("value", 0.0)
-            writer.writerow([row.get(c, "") for c in columns])
-    return out
 
 
 def _format_value(value: float) -> str:

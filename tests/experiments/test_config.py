@@ -31,6 +31,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             ExperimentConfig(dth_factors=(1.0, -1.0))
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5])
+    def test_smoothing_alpha_inside_unit_interval(self, alpha):
+        """Brown's constant must lie in (0, 1): at 1.0 the columnar
+        estimator divided by zero, and past it a run went on silently."""
+        with pytest.raises(ValueError, match="smoothing_alpha"):
+            ExperimentConfig(smoothing_alpha=alpha)
+
     def test_with_duration(self):
         cfg = ExperimentConfig().with_duration(60.0)
         assert cfg.duration == 60.0

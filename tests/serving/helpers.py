@@ -1,13 +1,12 @@
 """Helpers that drive the serving store and WAL one LU at a time, and
-that write and edit trace files of either version."""
+that edit trace files row by row."""
 
-import json
 from pathlib import Path
 
 import numpy as np
 
-from repro.serving import IngestOutcome, TraceBatch, TraceRecord, write_trace
-from repro.serving.trace import _PACKED_ROW, TRACE_FORMAT, TRACE_VERSION
+from repro.serving import IngestOutcome, TraceBatch, TraceRecord
+from repro.serving.trace import _PACKED_ROW
 
 
 def rows_of(*updates):
@@ -27,37 +26,11 @@ def log_one(manager, index, update):
     manager.note_appended(index, 1)
 
 
-def write_v1_trace(records, path, *, meta=None):
-    """Write *records* as a version-1 (JSON lines) trace file, byte for
-    byte as the version-1 writer did; returns the path."""
-    path = Path(path)
-    rows = list(records)
-    header = {
-        "format": TRACE_FORMAT,
-        "version": TRACE_VERSION,
-        "meta": dict(meta or {}),
-        "records": len(rows),
-    }
-    with path.open("w", encoding="utf-8") as handle:
-        handle.write(json.dumps(header, sort_keys=True, separators=(",", ":")))
-        handle.write("\n")
-        for record in rows:
-            handle.write(json.dumps(record.to_row(), separators=(",", ":")))
-            handle.write("\n")
-    return path
-
-
-#: Both trace writers: version 1 (this module's) and version 2.
-WRITERS = (write_v1_trace, write_trace)
-
-
 def split_trace(path):
     """The header line and the rows of the trace at *path*, as bytes:
-    a version-1 row is a line with its newline, a version-2 row is a
-    64-byte slice of the body (the last one shorter if the body is torn)."""
+    each row is a 64-byte slice of the body (the last one shorter if the
+    body is torn)."""
     head, _, body = Path(path).read_bytes().partition(b"\n")
-    if json.loads(head)["version"] == TRACE_VERSION:
-        return head + b"\n", body.splitlines(keepends=True)
     width = _PACKED_ROW.itemsize
     return head + b"\n", [body[i : i + width] for i in range(0, len(body), width)]
 

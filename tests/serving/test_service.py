@@ -1,5 +1,6 @@
 """Tests for the bounded-queue ingest service."""
 
+import numpy as np
 import pytest
 
 from repro.geometry import Vec2
@@ -7,6 +8,8 @@ from repro.network.messages import LocationUpdate
 from repro.serving import IngestService, ServingConfig
 from repro.simkernel import Simulator
 from repro.telemetry import Telemetry, TelemetryConfig
+
+from tests.serving.helpers import rows_of
 
 
 def lu(node="n1", t=0.0, seq=0, region="road-1"):
@@ -37,6 +40,8 @@ class TestConfig:
             {"batch_size": 0},
             {"flush_interval": 0.0},
             {"report_interval": -1.0},
+            {"smoothing_alpha": 1.0},
+            {"smoothing_alpha": 1.5},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -104,17 +109,22 @@ class TestBackpressure:
         assert service.stats.shed_rate == pytest.approx(0.5)
         assert service.stats.shed_per_shard == [2]
 
-    def test_has_capacity_tracks_queue(self):
+    def test_submit_rows_sheds_past_free_room(self):
+        """A run longer than the queue's free room is cut: the head is
+        queued, the tail shed, and a flush frees the room again."""
         sim = Simulator()
         service = IngestService(
-            sim, ServingConfig(shards=1, queue_capacity=1)
+            sim, ServingConfig(shards=1, queue_capacity=2)
         )
-        probe = lu(t=9.0, seq=9)
-        assert service.has_capacity(probe)
-        service.submit(lu(t=1.0, seq=1))
-        assert not service.has_capacity(probe)
+        batch, rows = rows_of(*(lu(t=float(i), seq=i) for i in range(3)))
+        assert service.submit(lu(t=0.5, seq=0))
+        assert service.submit_rows(batch, rows, np.zeros(3), 0) == 1
+        assert service.stats.shed == 2
+        assert service.backlog == 2
         sim.run()
-        assert service.has_capacity(probe)
+        assert service.submit_rows(batch, rows, np.zeros(3), 0) == 2
+        assert service.stats.offered == 7
+        assert service.stats.accepted == 4
 
     def test_conservation_law(self):
         sim = Simulator()
@@ -222,13 +232,17 @@ class TestCrashRecovery:
         assert latest is not None and latest.time == 1.0
         assert service.affected_nodes() >= {"n1", "n3"}
 
-    def test_has_capacity_false_while_down(self, tmp_path):
+    def test_submit_rows_sheds_whole_run_while_down(self, tmp_path):
         sim = Simulator()
         service = self.make_service(sim, tmp_path)
         probe = lu(t=1.0, seq=1)
-        assert service.has_capacity(probe)
-        service.crash_shard(service.shard_index(probe))
-        assert not service.has_capacity(probe)
+        index = service.shard_index(probe)
+        service.crash_shard(index)
+        batch, rows = rows_of(probe, lu(node="n2", t=1.0, seq=1))
+        assert service.submit_rows(batch, rows, np.zeros(2), index) == 0
+        assert service.stats.shed_down == 2
+        assert service.stats.shed_per_shard[index] == 2
+        assert service.restart_shard(index).affected_nodes == ("n1", "n2")
 
     def test_recovery_wall_clock_injected_not_ambient(self, tmp_path):
         sim = Simulator()

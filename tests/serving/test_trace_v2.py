@@ -1,14 +1,13 @@
 """The packed trace format (``repro-lu-trace`` version 2).
 
 A version-2 file must load to exactly the batch (columns, dtypes and id
-tables) that the version-1 rendering of the same records loads to, and
-its reader must keep the version-1 contract: a torn tail is dropped only
-with ``allow_partial``, damage before the last row always raises, and
-any byte string after a valid header either loads a valid batch or
-raises :class:`TraceError`.
+tables) its records make in memory, and its reader keeps one contract:
+a torn tail is dropped only with ``allow_partial``, damage before the
+last row always raises, and any byte string after a valid header either
+loads a valid batch or raises :class:`TraceError`.  No other version is
+read.
 """
 
-import hashlib
 import json
 
 import numpy as np
@@ -18,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from repro.serving import TraceBatch, TraceError, TraceRecord, read_trace, write_trace
 from repro.serving.trace import PACKED_TRACE_VERSION, TRACE_FORMAT
 
-from tests.serving.helpers import packed_row, write_v1_trace
+from tests.serving.helpers import packed_row
 
 COLUMNS = ("time", "seq", "node", "x", "y", "vx", "vy", "region", "dth")
 
@@ -72,14 +71,6 @@ PINNED = [
 PINNED_META = {"seed": 1, "lane": "adf-1", "nested": {"b": [1, 2.5], "a": "x"}}
 
 
-def test_v1_helper_matches_the_version_1_writer(tmp_path):
-    """The sha256 of the version-1 ``write_trace`` output for ``PINNED``."""
-    path = write_v1_trace(PINNED, tmp_path / "t.jsonl", meta=PINNED_META)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "f36037cee2bcc6d95dc7d7dfd91612ae68fbdec5f7a60dd96f66f5980c2913ff"
-    )
-
-
 def test_header_is_one_ascii_line(tmp_path):
     path = write_trace(PINNED, tmp_path / "t.trace", meta=PINNED_META)
     data = path.read_bytes()
@@ -121,11 +112,10 @@ _records = st.builds(
 
 @settings(max_examples=150, deadline=None)
 @given(records=st.lists(_records, max_size=12))
-def test_round_trip_matches_the_version_1_reading(records, tmp_path_factory):
+def test_round_trip_matches_the_in_memory_batch(records, tmp_path_factory):
     directory = tmp_path_factory.mktemp("round-trip")
     _, packed = read_trace(write_trace(records, directory / "t.trace"))
-    _, lines = read_trace(write_v1_trace(records, directory / "t.jsonl"))
-    assert_same_batch(packed, lines)
+    assert_same_batch(packed, TraceBatch.from_records(records))
     assert packed == records
 
 
@@ -263,11 +253,16 @@ def test_torn_header_is_unreadable(tmp_path):
             read_trace(path, allow_partial=True)
 
 
-def test_version_1_body_not_utf8_is_a_trace_error(tmp_path):
-    path = write_v1_trace(PINNED, tmp_path / "t.jsonl")
-    path.write_bytes(path.read_bytes() + b"\xff\n")
+def test_version_1_file_is_refused(tmp_path):
+    """The retired JSON-lines version: a valid header and one valid row
+    are still refused, whatever ``allow_partial`` says."""
+    path = tmp_path / "t.jsonl"
+    path.write_text(
+        '{"format":"repro-lu-trace","meta":{},"records":1,"version":1}\n'
+        '[0.0,0,"n1",1.0,2.0,0.0,0.0,"R1",1.0]\n'
+    )
     for allow_partial in (False, True):
-        with pytest.raises(TraceError, match="not UTF-8"):
+        with pytest.raises(TraceError, match="unsupported trace version 1"):
             read_trace(path, allow_partial=allow_partial)
 
 
