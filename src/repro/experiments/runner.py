@@ -92,9 +92,13 @@ def _cell_dirname(key: str) -> str:
     return f"{slug}-{digest}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunTask:
-    """One (cell, replication) unit of sweep work."""
+    """One (cell, replication) unit of sweep work.
+
+    Frozen: ``pool.submit`` hands a task to the pool's feeder thread,
+    which pickles it lazily, so no field may be reassigned afterwards.
+    """
 
     cell_key: str
     params: dict[str, Any]

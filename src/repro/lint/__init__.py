@@ -10,9 +10,8 @@ by the lint gate instead of rediscovered by debugging.
 
 The checker is whole-program: a cached cross-file project model
 (symbol table and import edges) powers the API001 cross-module symbol
-check, and a per-function dataflow layer (CFG + held-locks lattice)
-powers the RACE002 worker-handoff check; DET005 follows order-tainted
-values into JSON exports.
+check.  Every other rule is a syntactic per-file check; DET003 is the
+one iteration-order rule.
 
 Usage::
 
@@ -30,10 +29,8 @@ Architecture (one module each):
 - :mod:`repro.lint.engine`        — two-phase driver: cached per-file
   pass, then whole-program rules over the project model
 - :mod:`repro.lint.project`       — cross-file symbol/import model
-- :mod:`repro.lint.dataflow`      — per-function CFGs, held-locks lattice
 - :mod:`repro.lint.rules`         — the per-file rule catalog
-- :mod:`repro.lint.rules_program` — dataflow/project rules (RACE002,
-  DET005, API001)
+- :mod:`repro.lint.rules_program` — the project-wide rule (API001)
 - :mod:`repro.lint.cache`         — content-hash per-file result cache
 - :mod:`repro.lint.suppressions`  — ``# lint: disable=CODE`` comment handling
 - :mod:`repro.lint.baseline`      — committed grandfathered-findings file

@@ -2,10 +2,9 @@
 
 Re-linting a 230+-file repo on every pre-commit is wasted work when
 almost nothing changed: a file's findings are a pure function of its
-bytes and the active rule set (every per-file rule — including the
-dataflow-powered RACE002/DET005 analyses — is deliberately file-local,
-so this holds by construction; the one whole-program rule, API001, runs
-every time and is never cached).  The cache therefore
+bytes and the active rule set (every per-file rule is deliberately
+file-local, so this holds by construction; the one whole-program rule,
+API001, runs every time and is never cached).  The cache therefore
 keys results by ``rel_path -> (content hash, findings)`` under a
 *signature* of the engine version plus the sorted active rule codes;
 any mismatch — engine upgrade, different ``--select`` — drops the whole

@@ -101,7 +101,7 @@ class LintRule:
 
     Per-file rules set :attr:`code`, :attr:`title`, :attr:`hint` and
     :attr:`node_types`, override :meth:`visit` (and optionally
-    :meth:`begin_file` / :meth:`end_file`), and register themselves with
+    :meth:`begin_file`), and register themselves with
     :func:`register_rule`.  Rules are instantiated fresh for every run,
     so per-file state in ``begin_file`` is safe.
 
@@ -127,10 +127,6 @@ class LintRule:
 
     def visit(self, node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
         """Yield findings for one dispatched node."""
-        return iter(())
-
-    def end_file(self, ctx: FileContext) -> Iterator[Finding]:
-        """Yield findings that need the whole file to have been walked."""
         return iter(())
 
     def check_project(
@@ -302,8 +298,6 @@ class LintEngine:
             for rule in active:
                 if isinstance(node, rule.node_types):
                     findings.extend(rule.visit(node, ctx))
-        for rule in active:
-            findings.extend(rule.end_file(ctx))
         suppressions = Suppressions.parse(source)
         kept = [f for f in findings if not suppressions.covers(f.code, f.line)]
         return sorted(kept, key=Finding.sort_key)

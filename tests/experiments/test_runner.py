@@ -1,5 +1,6 @@
 """Tests for the parallel sweep/replication runner."""
 
+import dataclasses
 import json
 
 import pytest
@@ -279,3 +280,15 @@ class TestWorkerEntry:
         on_disk = json.loads((tmp_path / "runs" / "base" / "rep000.json").read_text())
         assert on_disk == payload
         assert payload["sweep"]["seed"] == 7
+
+    def test_task_fields_cannot_change_after_construction(self):
+        # The pool pickles a submitted task lazily on its feeder thread.
+        task = RunTask(
+            cell_key="base",
+            params={},
+            replication=0,
+            seed=7,
+            config=tiny_base(duration=2.0, seed=7),
+        )
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            task.seed = 99

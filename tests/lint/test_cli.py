@@ -7,11 +7,17 @@ runs ``repro.lint src tests`` with a fail-on-any-new-finding policy.
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 from repro.lint.baseline import Baseline
 from repro.lint.cli import main
-from repro.lint.engine import find_repo_root, lint_paths
+from repro.lint.engine import (
+    PARSE_ERROR_CODE,
+    find_repo_root,
+    lint_paths,
+    rule_catalog,
+)
 
 REPO_ROOT = find_repo_root(Path(__file__).resolve().parent)
 
@@ -120,6 +126,13 @@ class TestRepoCleanGate:
         new, _, stale = baseline.filter(findings)
         assert new == [], "\n".join(f.render() for f in new)
         assert stale == []
+
+    def test_docs_rule_table_lists_exactly_the_catalog(self):
+        """docs/static-analysis.md documents every rule and no retired one."""
+        doc = (REPO_ROOT / "docs" / "static-analysis.md").read_text()
+        documented = re.findall(r"^\| `([A-Z]+\d{3})` \|", doc, re.MULTILINE)
+        catalog = [rule.code for rule in rule_catalog()]
+        assert sorted(documented) == sorted([*catalog, PARSE_ERROR_CODE])
 
     def test_committed_baseline_only_grandfathers_fast_path_peeks(self):
         """Only INV002 (the deliberate hot-path private peeks) may be

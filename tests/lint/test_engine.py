@@ -131,7 +131,7 @@ class TestRepoRoot:
 
 
 class TestCustomRules:
-    def test_begin_and_end_file_hooks_run(self, fake_repo):
+    def test_begin_file_hook_runs_before_visit(self, fake_repo):
         root, write = fake_repo
         path = write("src/repro/a.py", "x = 1\ny = 2\n")
 
@@ -146,13 +146,8 @@ class TestCustomRules:
 
             def visit(self, node, ctx):
                 self.count += 1
-                return iter(())
-
-            def end_file(self, ctx):
-                yield self.finding(
-                    ctx, ctx.tree.body[0], f"saw {self.count} assigns"
-                )
+                yield self.finding(ctx, node, f"assign {self.count}")
 
         engine = LintEngine(root=root, rules=[CountAssigns()])
         findings = engine.lint_file(path)
-        assert [f.message for f in findings] == ["saw 2 assigns"]
+        assert [f.message for f in findings] == ["assign 1", "assign 2"]

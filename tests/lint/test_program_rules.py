@@ -1,116 +1,8 @@
-"""DET005 (order-taint into JSON) and API001 (cross-module symbols)."""
+"""API001: cross-module symbols over the project model."""
 
 from __future__ import annotations
 
 from repro.lint.engine import LintEngine
-
-
-class TestOrderSensitiveExport:
-    def test_direct_comprehension_over_a_dict_view_is_flagged(self, lint_snippet):
-        findings = lint_snippet(
-            "src/repro/experiments/export.py",
-            """
-            import json
-
-            def export(table):
-                return json.dumps([key for key in table.keys()])
-            """,
-            select=["DET005"],
-        )
-        assert [f.code for f in findings] == ["DET005"]
-        assert ".keys()" in findings[0].message
-
-    def test_taint_flows_through_a_local(self, lint_snippet):
-        findings = lint_snippet(
-            "src/repro/serving/export.py",
-            """
-            import json
-
-            def export(gates, fh):
-                rows = [gate for gate in gates.values()]
-                json.dump(rows, fh)
-            """,
-            select=["DET005"],
-        )
-        assert [f.code for f in findings] == ["DET005"]
-
-    def test_taint_crosses_function_boundaries_within_the_module(
-        self, lint_snippet
-    ):
-        findings = lint_snippet(
-            "src/repro/faults/export.py",
-            """
-            import json
-
-            def collect(live):
-                return [node for node in live.keys()]
-
-            def export(live, fh):
-                json.dump(collect(live), fh)
-            """,
-            select=["DET005"],
-        )
-        assert [f.code for f in findings] == ["DET005"]
-        assert "collect" in findings[0].message
-
-    def test_append_inside_a_loop_over_a_set_taints_the_list(self, lint_snippet):
-        findings = lint_snippet(
-            "src/repro/network/export.py",
-            """
-            import json
-
-            def export(nodes):
-                out = []
-                for node in set(nodes):
-                    out.append(node.name)
-                return json.dumps(out)
-            """,
-            select=["DET005"],
-        )
-        assert [f.code for f in findings] == ["DET005"]
-
-    def test_sorted_iteration_is_clean(self, lint_snippet):
-        findings = lint_snippet(
-            "src/repro/experiments/export.py",
-            """
-            import json
-
-            def export(table):
-                return json.dumps([key for key in sorted(table.keys())])
-            """,
-            select=["DET005"],
-        )
-        assert findings == []
-
-    def test_dicts_built_from_unordered_iteration_are_exempt(self, lint_snippet):
-        # DET004 already forces sort_keys on export; key order is fixed
-        # at serialisation time, unlike list element order.
-        findings = lint_snippet(
-            "src/repro/experiments/export.py",
-            """
-            import json
-
-            def export(table):
-                return json.dumps(
-                    {key: 1 for key in table.keys()}, sort_keys=True
-                )
-            """,
-            select=["DET005"],
-        )
-        assert findings == []
-
-    def test_rule_is_scoped_to_export_producing_packages(self, lint_snippet):
-        findings = lint_snippet(
-            "src/repro/analysis/export.py",
-            """
-            import json
-
-            def export(table):
-                return json.dumps([key for key in table.keys()])
-            """,
-            select=["DET005"],
-        )
-        assert findings == []
 
 
 def _lint(root, paths, select=("API001",)):

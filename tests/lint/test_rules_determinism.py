@@ -167,6 +167,57 @@ class TestDet003UnsortedIteration:
         )
         assert codes(findings) == ["DET003", "DET003"]
 
+    # Unordered lists that reach a JSON export: DET003 flags each where
+    # the order is lost, even across a function boundary.
+    def test_direct_comprehension_over_a_dict_view_is_flagged(self, lint_snippet):
+        findings = lint_snippet(
+            "src/repro/experiments/export.py",
+            """\
+            import json
+
+            def export(table):
+                return json.dumps([key for key in table.keys()])
+            """,
+            select=["DET003"],
+        )
+        assert codes(findings) == ["DET003"]
+        assert ".keys()" in findings[0].message
+
+    def test_taint_crosses_function_boundaries_within_the_module(
+        self, lint_snippet
+    ):
+        findings = lint_snippet(
+            "src/repro/faults/export.py",
+            """\
+            import json
+
+            def collect(live):
+                return [node for node in live.keys()]
+
+            def export(live, fh):
+                json.dump(collect(live), fh)
+            """,
+            select=["DET003"],
+        )
+        assert codes(findings) == ["DET003"]
+        assert findings[0].line == 4  # inside collect(), where the order is lost
+
+    def test_append_inside_a_loop_over_a_set_taints_the_list(self, lint_snippet):
+        findings = lint_snippet(
+            "src/repro/network/export.py",
+            """\
+            import json
+
+            def export(nodes):
+                out = []
+                for node in set(nodes):
+                    out.append(node.name)
+                return json.dumps(out)
+            """,
+            select=["DET003"],
+        )
+        assert codes(findings) == ["DET003"]
+
     def test_sorted_wrapping_clean(self, lint_snippet):
         assert not lint_snippet(
             "src/repro/network/x.py",
