@@ -231,10 +231,13 @@ class GridBroker:
                     source=RecordSource.RECEIVED,
                 )
             # Inlined LocationDB.store (same checks, counters and history
-            # bookkeeping): this path runs once per LU per broker, and the
-            # store frame was a measurable slice of the whole simulation.
+            # bookkeeping): this path runs once per LU per broker.  With
+            # store() called instead, a 60 s run took a median 4.2 % longer
+            # (slower in 27 of 40 same-interpreter A/B rounds,
+            # benchmarks/runs/one-fast-path/), so the four lines that read
+            # the DB's internals carry a suppression saying so.
             db = self.location_db
-            latest = db._latest
+            latest = db._latest  # lint: disable=INV002 (inlined store, +4 % un-inlined)
             previous = latest.get(node_id)
             if previous is not None and timestamp < previous.time:
                 raise ValueError(
@@ -242,14 +245,14 @@ class GridBroker:
                     f"latest ({previous.time})"
                 )
             latest[node_id] = record
-            history = db._history.get(node_id)
+            history = db._history.get(node_id)  # lint: disable=INV002 (inlined store, +4 % un-inlined)
             if history is None:
-                history = db._history[node_id] = deque(maxlen=db._history_length)
+                history = db._history[node_id] = deque(maxlen=db._history_length)  # lint: disable=INV002 (inlined store, +4 % un-inlined)
             history.append(record)
             db.stored_received += 1
             if db._instrumented:
                 db._t_received.inc()
-                db._t_nodes.set(len(latest))
+                db._t_nodes.set(len(latest))  # lint: disable=INV002 (inlined store, +4 % un-inlined)
         self._updated_since_tick.add(node_id)
 
     # -- the estimation sweep ------------------------------------------------

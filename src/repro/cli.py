@@ -310,11 +310,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="lint report format (lint target)",
     )
     lint.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="grandfather the current lint findings (lint target)",
-    )
-    lint.add_argument(
         "--changed",
         action="store_true",
         help="lint only git-modified files (lint target)",
@@ -493,8 +488,6 @@ def _lint_target(args: argparse.Namespace) -> int:
 
     argv = list(args.paths or ())
     argv += ["--format", args.lint_format]
-    if args.write_baseline:
-        argv.append("--write-baseline")
     if args.changed:
         argv.append("--changed")
     return lint_main(argv)

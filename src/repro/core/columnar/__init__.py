@@ -18,7 +18,7 @@ from repro.core.columnar.mobility import (
     MobilitySource,
     ObjectMobilitySource,
 )
-from repro.core.columnar.state import ColumnarNodeState, NodeSnapshot
+from repro.core.columnar.state import ColumnarNodeState
 
 __all__ = [
     "ColumnarClassifier",
@@ -30,7 +30,6 @@ __all__ = [
     "FAST_KERNEL",
     "MathKernel",
     "MobilitySource",
-    "NodeSnapshot",
     "ObjectMobilitySource",
     "chain_add",
     "run_columnar_experiment",

@@ -323,27 +323,13 @@ class MobileGridExperiment:
         for lane in self.lanes:
             gateways = lane.gateways
             fallback = self._gateway_for
-            fwd = self._filter_and_forward
             for update in updates:
                 if returned and update.node_id in returned:
                     lane.policy.forget(update.node_id)
                 gateway = gateways.get(update.region_id)
                 if gateway is None:
                     gateway = fallback(lane, update)
-                if gateway._fused_uplink and gateway.operational:
-                    # Inlined WirelessGateway.receive fused fast path:
-                    # same gateway/channel counters, synchronous delivery
-                    # straight into the filter without the partial-bound
-                    # sink hop.
-                    gateway.received += 1
-                    stats = gateway._uplink.stats
-                    stats.sent += 1
-                    stats.bytes_sent += update.size_bytes
-                    stats.delivered += 1
-                    gateway.forwarded += 1
-                    fwd(lane, update)
-                else:
-                    gateway.receive(update)
+                gateway.receive(update)
             if isinstance(lane.policy, AdaptiveDistanceFilter):
                 lane.policy.tick(now)
                 lane.cluster_series.append(

@@ -12,8 +12,8 @@ the failure modes first-class and reproducible:
   exact same fault timeline;
 * :class:`FaultInjector` — binds a schedule to live gateways/channels on
   the simulator, recording an authoritative action timeline and emitting
-  telemetry events; channel/gateway fast-path flags are recomputed on
-  every change so inlined delivery paths cannot bypass injected faults;
+  telemetry events; the channel recomputes its ``transparent`` flag on
+  every change, so the gateway's fused path cannot bypass a fault;
 * :class:`ChurnTracker` — the offline-node bookkeeping of node churn,
   polled once per node per step by the loops that honour churn (the
   evaluation harness and the chaos study);

@@ -5,8 +5,8 @@ The :class:`FaultInjector` takes a declarative
 revert actions on the simulator: gateway outages call
 ``WirelessGateway.fail()`` / ``restore()``, channel degradations call
 ``WirelessChannel.degrade()`` / ``restore()`` (which recompute the
-transparent and fused fast-path flags, so the harness's inlined delivery
-paths cannot bypass an injected fault).  Every action is appended to a
+channel's ``transparent`` flag, so the gateway's fused delivery path
+cannot bypass an injected fault).  Every action is appended to a
 deterministic :attr:`~FaultInjector.timeline` and mirrored as a telemetry
 event, giving resilience reports an authoritative record of what was
 injected and when.

@@ -1,10 +1,9 @@
 """`repro.lint` — AST-based determinism & invariant checker.
 
 The repository's headline guarantees — byte-reproducible chaos/sweep
-reports, bit-identical no-fault runs, the fused network fast path
-staying honest under mutable channels — all rest on a handful of code
-invariants (seeded RNG only, no wall clock in simulation paths, derived
-flags never hand-set, sorted-key JSON export).  This package checks
+reports and bit-identical no-fault runs — rest on a handful of code
+invariants (seeded RNG only, no wall clock in simulation paths, no
+peeks at another module's privates, sorted-key JSON export).  This package checks
 those invariants statically on every source file so they are enforced
 by the lint gate instead of rediscovered by debugging.
 
@@ -18,8 +17,6 @@ Usage::
     python -m repro.lint src tests
     python -m repro.lint --format json src
     python -m repro.lint --sarif-file lint.sarif src tests   # CI annotations
-    python -m repro.lint --write-baseline      # grandfather current findings
-    python -m repro.lint --prune-baseline      # drop stale baseline entries
     python -m repro.lint --changed             # only git-modified files
     python -m repro.lint --changed=origin/main # only files in this PR
 
@@ -33,24 +30,23 @@ Architecture (one module each):
 - :mod:`repro.lint.rules_program` — the project-wide rule (API001)
 - :mod:`repro.lint.cache`         — content-hash per-file result cache
 - :mod:`repro.lint.suppressions`  — ``# lint: disable=CODE`` comment handling
-- :mod:`repro.lint.baseline`      — committed grandfathered-findings file
 - :mod:`repro.lint.reporting`     — text, JSON and SARIF reporters
 - :mod:`repro.lint.cli`           — the ``python -m repro.lint`` front-end
 
-See ``docs/static-analysis.md`` for the rule catalog and the
-suppression/baseline policy.
+A finding is accepted only by an inline ``# lint: disable=CODE``
+comment at its site, so every accepted finding shows in the diff that
+adds it.  See ``docs/static-analysis.md`` for the rule catalog and the
+suppression policy.
 """
 
 from __future__ import annotations
 
-from repro.lint.baseline import Baseline
 from repro.lint.cli import main
 from repro.lint.engine import LintEngine, LintRule, lint_paths, rule_catalog
 from repro.lint.findings import Finding
 from repro.lint.project import ProjectModel
 
 __all__ = [
-    "Baseline",
     "Finding",
     "LintEngine",
     "LintRule",

@@ -1,12 +1,11 @@
 """The ``python -m repro.lint`` front-end.
 
-Exit codes: 0 — no non-baselined findings; 1 — findings (or a stale
-baseline under ``--strict-baseline``); 2 — usage errors, including a
-path argument that does not exist.
+Exit codes: 0 — no findings; 1 — findings; 2 — usage errors, including
+a path argument that does not exist.  A finding is accepted only by an
+inline ``# lint: disable=CODE`` comment at its site.
 
-The default paths (``src tests``) and baseline location
-(``lint-baseline.json`` at the repo root, when present) match the CI
-lint gate, so a bare ``python -m repro.lint`` reproduces CI locally.
+The default paths (``src tests``) match the CI lint gate, so a bare
+``python -m repro.lint`` reproduces CI locally.
 Results are cached under ``.lint-cache/`` keyed by content hash (pass
 ``--no-cache`` to disable).
 """
@@ -18,7 +17,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.lint.baseline import DEFAULT_BASELINE_NAME, Baseline
 from repro.lint.engine import (
     CACHE_DIR_NAME,
     LintEngine,
@@ -54,23 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "text output and feed CI code scanning",
     )
     parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default=None,
-        help="baseline file of grandfathered findings "
-        f"(default: {DEFAULT_BASELINE_NAME} at the repo root, if present)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="record the current findings as the new baseline and exit 0",
-    )
-    parser.add_argument(
-        "--prune-baseline",
-        action="store_true",
-        help="rewrite the baseline file with stale fingerprints removed",
-    )
-    parser.add_argument(
         "--select",
         metavar="CODES",
         default=None,
@@ -90,11 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-cache",
         action="store_true",
         help=f"disable the {CACHE_DIR_NAME}/ content-hash result cache",
-    )
-    parser.add_argument(
-        "--strict-baseline",
-        action="store_true",
-        help="also fail when the baseline contains stale entries",
     )
     parser.add_argument(
         "--list-rules",
@@ -171,38 +147,13 @@ def main(argv: list[str] | None = None) -> int:
         paths = [root / "src", root / "tests"]
     findings = engine.lint(paths)
 
-    baseline_path = (
-        Path(args.baseline) if args.baseline else root / DEFAULT_BASELINE_NAME
-    )
-    if args.write_baseline:
-        Baseline.from_findings(findings).save(baseline_path)
-        print(f"wrote {baseline_path} ({len(findings)} finding(s) grandfathered)")
-        return 0
-    baseline = Baseline.load(baseline_path)
-    new, grandfathered, stale = baseline.filter(findings)
-
-    if args.prune_baseline and stale:
-        for fingerprint in stale:
-            del baseline.fingerprints[fingerprint]
-        baseline.save(baseline_path)
-        print(
-            f"pruned {len(stale)} stale entr{'y' if len(stale) == 1 else 'ies'} "
-            f"from {baseline_path}",
-            file=sys.stderr,
-        )
-        stale = []
-
     from repro.lint.reporting import render_json, render_sarif, render_text
 
     if args.sarif_file:
-        sarif = render_sarif(new, grandfathered, engine.rules)
+        sarif = render_sarif(findings, engine.rules)
         Path(args.sarif_file).write_text(sarif + "\n", encoding="utf-8")
     if args.format == "json":
-        print(render_json(new, grandfathered, stale))
+        print(render_json(findings))
     else:
-        print(render_text(new, grandfathered, stale))
-    if new:
-        return 1
-    if stale and args.strict_baseline:
-        return 1
-    return 0
+        print(render_text(findings))
+    return 1 if findings else 0

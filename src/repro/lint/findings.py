@@ -1,10 +1,9 @@
-"""The lint finding record and its baseline fingerprint.
+"""The lint finding record and its fingerprint.
 
-A finding pins a rule violation to a file position.  Its *fingerprint*
-deliberately excludes the line number: baselines key findings by
-``path::code::normalised-source-line`` so that unrelated edits above a
-grandfathered finding do not un-baseline it, while editing the offending
-line itself does.
+A finding pins a rule violation to a file position.  Its *fingerprint*,
+``path::code::normalised-source-line``, deliberately excludes the line
+number, so code scanning (SARIF ``partialFingerprints``) tracks one
+finding across unrelated edits above it.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ class Finding:
 
     @property
     def fingerprint(self) -> str:
-        """Line-number-independent identity used by the baseline file."""
+        """Line-number-independent identity of the finding."""
         normalised = " ".join(self.source_line.split())
         return f"{self.path}::{self.code}::{normalised}"
 

@@ -6,9 +6,8 @@ report can itself be diffed byte-for-byte across runs (the same
 discipline DET004 demands of the simulator's own exports).
 
 The SARIF output targets GitHub code scanning: one run, the rule
-catalog under ``tool.driver.rules``, new findings at level ``error``
-and baselined ones carried along with an ``external`` suppression so
-the annotation history stays complete without failing the gate.
+catalog under ``tool.driver.rules`` and every finding at level
+``error``.  Findings suppressed inline never reach a reporter.
 """
 
 from __future__ import annotations
@@ -26,42 +25,25 @@ if TYPE_CHECKING:
 __all__ = ["render_text", "render_json", "render_sarif"]
 
 
-def render_text(
-    new: Sequence[Finding],
-    grandfathered: Sequence[Finding],
-    stale: Sequence[str],
-) -> str:
+def render_text(findings: Sequence[Finding]) -> str:
     """Human-readable report: one line per finding plus a summary."""
-    lines = [finding.render() for finding in new]
-    if new:
-        by_code = Counter(finding.code for finding in new)
+    lines = [finding.render() for finding in findings]
+    if findings:
+        by_code = Counter(finding.code for finding in findings)
         breakdown = ", ".join(
             f"{code} x{count}" for code, count in sorted(by_code.items())
         )
-        lines.append(f"{len(new)} finding(s): {breakdown}")
+        lines.append(f"{len(findings)} finding(s): {breakdown}")
     else:
         lines.append("no findings")
-    if grandfathered:
-        lines.append(f"{len(grandfathered)} baselined finding(s) not shown")
-    for fingerprint in stale:
-        lines.append(f"stale baseline entry (prune it): {fingerprint}")
     return "\n".join(lines)
 
 
-def render_json(
-    new: Sequence[Finding],
-    grandfathered: Sequence[Finding],
-    stale: Sequence[str],
-) -> str:
+def render_json(findings: Sequence[Finding]) -> str:
     """Machine-readable report (stable field ordering, sorted keys)."""
     payload = {
-        "findings": [finding.to_dict() for finding in new],
-        "counts": {
-            "new": len(new),
-            "grandfathered": len(grandfathered),
-            "stale_baseline_entries": len(stale),
-        },
-        "stale_baseline_entries": list(stale),
+        "findings": [finding.to_dict() for finding in findings],
+        "counts": {"new": len(findings)},
     }
     return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -72,13 +54,13 @@ _SARIF_SCHEMA = (
 )
 
 
-def _sarif_result(finding: Finding, *, suppressed: bool) -> dict[str, Any]:
+def _sarif_result(finding: Finding) -> dict[str, Any]:
     message = finding.message
     if finding.hint:
         message += f" — fix: {finding.hint}"
-    result: dict[str, Any] = {
+    return {
         "ruleId": finding.code,
-        "level": "note" if suppressed else "error",
+        "level": "error",
         "message": {"text": message},
         "locations": [
             {
@@ -96,24 +78,10 @@ def _sarif_result(finding: Finding, *, suppressed: bool) -> dict[str, Any]:
         ],
         "partialFingerprints": {"reproLint/v1": finding.fingerprint},
     }
-    if suppressed:
-        result["suppressions"] = [
-            {"kind": "external", "justification": "grandfathered in lint-baseline.json"}
-        ]
-    return result
 
 
-def render_sarif(
-    new: Sequence[Finding],
-    grandfathered: Sequence[Finding],
-    rules: Sequence["LintRule"],
-) -> str:
-    """SARIF 2.1.0 document for CI code-scanning upload.
-
-    New findings are ``error``-level results; baselined ones ride along
-    as suppressed ``note``-level results so the full picture reaches the
-    code-scanning UI without turning the gate red.
-    """
+def render_sarif(findings: Sequence[Finding], rules: Sequence["LintRule"]) -> str:
+    """SARIF 2.1.0 document for CI code-scanning upload."""
     rule_entries = [
         {
             "id": rule.code,
@@ -137,10 +105,7 @@ def render_sarif(
                     }
                 },
                 "originalUriBaseIds": {"SRCROOT": {"uri": "file:///"}},
-                "results": (
-                    [_sarif_result(f, suppressed=False) for f in new]
-                    + [_sarif_result(f, suppressed=True) for f in grandfathered]
-                ),
+                "results": [_sarif_result(f) for f in findings],
             }
         ],
     }

@@ -2,15 +2,16 @@
 
 Two forms, both explicit about *which* rule they silence:
 
-- ``# lint: disable=DET001`` (or ``=DET001,INV001``) on the offending
-  line suppresses those codes for that line only.
+- ``# lint: disable=DET001`` (or ``=DET001,INV002``) on the offending
+  line suppresses those codes for that line only.  Text after the codes
+  (conventionally the reason, in parentheses) is ignored.
 - ``# lint: disable-file=TEL001`` anywhere in a file suppresses the code
   for the whole file (conventionally placed right below the docstring).
 
-A suppression must name rule codes; there is deliberately no blanket
-``disable=all`` — silencing everything is what baselines are for, and
-those live in one reviewable committed file instead of being scattered
-through the source.
+This is the only way to accept a finding.  A suppression must name rule
+codes; there is deliberately no blanket ``disable=all``, so each one
+says which rule it silences at the site it silences it, where every
+diff shows it.
 """
 
 from __future__ import annotations

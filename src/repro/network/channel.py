@@ -10,11 +10,12 @@ Loss comes in two flavours: independent (Bernoulli per message, the
 ``loss_probability`` knob) and bursty (:class:`GilbertElliottLoss`, a
 two-state Markov model whose "bad" state clusters drops the way real
 wireless fades do).  Parameters are mutable mid-run via :meth:`configure` /
-:meth:`degrade` / :meth:`restore`; every change recomputes the transparent
-fast-path flag and notifies registered listeners (gateways cache a fused
-fast-path flag derived from channel state — see
-``WirelessGateway._refresh_fused``), so injected faults can never be
-bypassed by a stale fast path.
+:meth:`degrade` / :meth:`restore`.  The channel alone derives its
+:attr:`~WirelessChannel.transparent` flag (zero latency and jitter, no
+loss, no burst model, uninstrumented) and recomputes it on every
+parameter change; a gateway reads that one flag to take its fused
+delivery path, so an injected fault can never be bypassed by a stale
+fast path.
 """
 
 from __future__ import annotations
@@ -103,8 +104,6 @@ class WirelessChannel:
         self._loss_probability = loss_probability
         self._burst = burst_loss
         self._burst_bad = False
-        self._transparent = base_latency <= 0 and latency_jitter <= 0
-        self._listeners: list[Callable[[], None]] = []
         self._saved_params: tuple[float, float, float, GilbertElliottLoss | None] | None = None
         self.name = name
         self.stats = ChannelStats()
@@ -114,6 +113,7 @@ class WirelessChannel:
         self._t_delivered = tm.counter("net.channel.delivered", channel=name)
         self._t_dropped = tm.counter("net.channel.dropped", channel=name)
         self._t_latency = tm.histogram("net.channel.delivery_latency")
+        self._transparent = self._derive_transparent()
 
     @staticmethod
     def _validate(
@@ -128,7 +128,25 @@ class WirelessChannel:
                 f"loss_probability must be in [0, 1], got {loss_probability}"
             )
 
+    def _derive_transparent(self) -> bool:
+        return (
+            not self._instrumented
+            and self._base_latency <= 0
+            and self._latency_jitter <= 0
+            and self._loss_probability <= 0
+            and self._burst is None
+        )
+
     # -- mutable parameters ---------------------------------------------------
+    @property
+    def transparent(self) -> bool:
+        """True when a send always delivers at once and counts nothing else.
+
+        That is: zero latency and jitter, no loss, no burst model and no
+        telemetry.  Recomputed on every parameter change.
+        """
+        return self._transparent
+
     @property
     def base_latency(self) -> float:
         """Fixed delivery latency in seconds."""
@@ -166,8 +184,7 @@ class WirelessChannel:
 
         Only the named parameters change; ``burst_loss`` uses ``False`` as
         the "leave alone" sentinel so it can be explicitly cleared with
-        ``None``.  Recomputes the transparent fast-path flag and notifies
-        listeners (gateways) so cached fused-path flags follow suit.
+        ``None``.  Recomputes the :attr:`transparent` flag.
         """
         new_latency = self._base_latency if base_latency is None else base_latency
         new_jitter = self._latency_jitter if latency_jitter is None else latency_jitter
@@ -189,9 +206,7 @@ class WirelessChannel:
         self._base_latency = new_latency
         self._latency_jitter = new_jitter
         self._loss_probability = new_loss
-        self._transparent = new_latency <= 0 and new_jitter <= 0
-        for listener in self._listeners:
-            listener()
+        self._transparent = self._derive_transparent()
 
     def degrade(
         self,
@@ -237,10 +252,6 @@ class WirelessChannel:
             burst_loss=burst,
         )
 
-    def add_reconfigure_listener(self, listener: Callable[[], None]) -> None:
-        """Call *listener* after every parameter change (flag recompute)."""
-        self._listeners.append(listener)
-
     # -- transmission ---------------------------------------------------------
     def latency_sample(self) -> float:
         """One latency draw: base + exponential jitter."""
@@ -271,10 +282,16 @@ class WirelessChannel:
         Returns ``True`` when the message was accepted for delivery (it may
         still be in flight), ``False`` when it was dropped.
         """
-        instrumented = self._instrumented
         stats = self.stats
         stats.sent += 1
         stats.bytes_sent += message.size_bytes
+        if self._transparent:
+            # Transparent-channel fast path (the paper's default): no rng
+            # draw, no closure, no event — deliver synchronously.
+            stats.delivered += 1
+            deliver(message)
+            return True
+        instrumented = self._instrumented
         if instrumented:
             self._t_sent.inc()
         if (self._burst is not None or self._loss_probability > 0) and self._drop_draw():
@@ -282,15 +299,6 @@ class WirelessChannel:
             if instrumented:
                 self._t_dropped.inc()
             return False
-        if self._transparent:
-            # Transparent-channel fast path (the paper's default): no rng
-            # draw, no closure, no event — deliver synchronously.
-            stats.delivered += 1
-            if instrumented:
-                self._t_delivered.inc()
-                self._t_latency.observe(0.0)
-            deliver(message)
-            return True
         latency = self.latency_sample()
 
         def arrive() -> None:

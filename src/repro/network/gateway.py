@@ -51,26 +51,6 @@ class WirelessGateway:
         self._t_received = tm.counter("net.gateway.received", **labels)
         self._t_forwarded = tm.counter("net.gateway.forwarded", **labels)
         self._t_discarded = tm.counter("net.gateway.discarded", **labels)
-        # Transparent lossless uninstrumented uplinks (the paper's default
-        # channel) always accept and deliver synchronously; receive() can
-        # then fold the channel's send() bookkeeping into its own frame.
-        # The flag is derived from *mutable* channel state, so the channel
-        # re-invokes _refresh_fused after every parameter change — a fault
-        # injector raising loss mid-run must defeat the fused path too.
-        self._fused_uplink = False
-        self._refresh_fused()
-        uplink.add_reconfigure_listener(self._refresh_fused)
-
-    def _refresh_fused(self) -> None:
-        """Recompute the fused fast-path flag from current uplink state."""
-        uplink = self._uplink
-        self._fused_uplink = (
-            not self._instrumented
-            and not uplink._instrumented
-            and uplink._transparent
-            and uplink._loss_probability <= 0
-            and uplink._burst is None
-        )
 
     @property
     def gateway_id(self) -> str:
@@ -88,11 +68,15 @@ class WirelessGateway:
 
     def receive(self, update: LocationUpdate) -> None:
         """Accept an LU from an MN and forward it upstream."""
-        if self._fused_uplink and self.operational:
-            # Fused fast path: same counters the channel's send() would
-            # bump (sent/bytes_sent/delivered), same synchronous delivery.
+        uplink = self._uplink
+        if uplink.transparent and not self._instrumented and self.operational:
+            # Fused fast path: a transparent uplink always accepts and
+            # delivers at once, so fold its send() bookkeeping into this
+            # frame — same counters (sent/bytes_sent/delivered), same
+            # synchronous delivery.  The channel recomputes the flag on
+            # every parameter change, so an injected fault defeats it.
             self.received += 1
-            stats = self._uplink.stats
+            stats = uplink.stats
             stats.sent += 1
             stats.bytes_sent += update.size_bytes
             stats.delivered += 1
@@ -108,7 +92,7 @@ class WirelessGateway:
             if instrumented:
                 self._t_discarded.inc()
             return
-        accepted = self._uplink.send(update, self._sink)
+        accepted = uplink.send(update, self._sink)
         if accepted:
             self.forwarded += 1
             if instrumented:

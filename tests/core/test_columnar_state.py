@@ -1,13 +1,8 @@
-"""Columnar node state: conversions, round-trips and invariants."""
+"""Columnar node state: seeding from live nodes, and invariants."""
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.campus import default_campus
 from repro.core.columnar.state import (
@@ -15,80 +10,9 @@ from repro.core.columnar.state import (
     PATTERN_CODES,
     PATTERN_FROM_CODE,
     ColumnarNodeState,
-    NodeSnapshot,
 )
-from repro.geometry import Vec2
 from repro.mobility.population import build_population, table1_spec
-from repro.mobility.states import MobilityState
 from repro.util.rng import RngRegistry
-
-finite = st.floats(
-    allow_nan=False, allow_infinity=False, min_value=-1e9, max_value=1e9
-)
-patterns = st.sampled_from([None, *PATTERN_CODES])
-
-
-@st.composite
-def snapshots(draw, index: int) -> NodeSnapshot:
-    has_fix = draw(st.booleans())
-    return NodeSnapshot(
-        node_id=f"node-{index:04d}",
-        position=Vec2(draw(finite), draw(finite)),
-        velocity=Vec2(draw(finite), draw(finite)),
-        heading=draw(finite),
-        pattern=draw(patterns),
-        dth=draw(finite),
-        last_fix=Vec2(draw(finite), draw(finite)) if has_fix else None,
-        last_fix_time=draw(finite) if has_fix else None,
-    )
-
-
-@st.composite
-def snapshot_lists(draw) -> list[NodeSnapshot]:
-    count = draw(st.integers(min_value=1, max_value=12))
-    return [draw(snapshots(i)) for i in range(count)]
-
-
-class TestRoundTrip:
-    @settings(max_examples=150, deadline=None)
-    @given(snapshot_lists())
-    def test_snapshots_round_trip_exactly(self, snaps):
-        state = ColumnarNodeState.from_snapshots(snaps)
-        back = state.to_snapshots()
-        assert back == snaps
-
-    @settings(max_examples=150, deadline=None)
-    @given(snapshot_lists())
-    def test_from_snapshots_columns(self, snaps):
-        state = ColumnarNodeState.from_snapshots(snaps)
-        assert len(state) == len(snaps)
-        for i, snap in enumerate(snaps):
-            assert state.x[i] == snap.position.x
-            assert state.vy[i] == snap.velocity.y
-            code = (
-                PATTERN_CODES[snap.pattern]
-                if snap.pattern is not None
-                else NO_PATTERN
-            )
-            assert state.pattern[i] == code
-            assert bool(state.has_fix[i]) == (snap.last_fix is not None)
-
-    def test_double_round_trip_is_stable(self):
-        snaps = [
-            NodeSnapshot(
-                node_id="a",
-                position=Vec2(1.5, -2.25),
-                velocity=Vec2(0.0, 0.0),
-                heading=0.75,
-                pattern=MobilityState.LINEAR,
-                dth=3.0,
-                last_fix=Vec2(1.0, 1.0),
-                last_fix_time=4.0,
-            )
-        ]
-        once = ColumnarNodeState.from_snapshots(snaps).to_snapshots()
-        twice = ColumnarNodeState.from_snapshots(once).to_snapshots()
-        assert once == twice == snaps
 
 
 class TestFromNodes:
@@ -101,18 +25,12 @@ class TestFromNodes:
         for i, node in enumerate(nodes):
             assert state.x[i] == node.position.x
             assert state.y[i] == node.position.y
-            expected_heading = (
-                0.0
-                if node.velocity.x == 0.0 and node.velocity.y == 0.0
-                else math.atan2(node.velocity.y, node.velocity.x)
-            )
-            assert state.heading[i] == expected_heading
+            assert state.vx[i] == node.velocity.x
+            assert state.vy[i] == node.velocity.y
             if node.true_state is not None:
                 assert (
                     PATTERN_FROM_CODE[int(state.pattern[i])] == node.true_state
                 )
-        assert not state.has_fix.any()
-        assert np.all(state.dth == 0.0)
 
 
 class TestInvariants:

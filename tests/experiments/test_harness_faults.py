@@ -13,6 +13,7 @@ from repro.faults import (
 )
 from repro.faults.churn import Presence
 from repro.mobility.population import PopulationSpec
+from repro.network import GilbertElliottLoss
 from repro.util.rng import RngRegistry
 
 
@@ -41,18 +42,23 @@ def lane_fingerprint(result, name="adf-1"):
 
 
 class TestFastPathParity:
-    """Satellite check: the harness's inlined fused gateway path must be
-    observationally identical to routing through WirelessGateway.receive."""
+    """The gateways' fused uplink path must be observationally identical
+    to routing every LU through the channel's send()."""
 
     def test_inlined_path_matches_general_path(self):
         config = tiny_config()
         fused = MobileGridExperiment(config)
         general = MobileGridExperiment(config)
+        # A burst model that never changes state or drops draws nothing,
+        # but it makes the channel non-transparent: the general path.
+        never_drops = GilbertElliottLoss(
+            p_good_bad=0.0, p_bad_good=0.0, loss_good=0.0, loss_bad=0.0
+        )
         for lane in general.lanes:
             for gateway in lane.gateways.values():
-                assert gateway._fused_uplink  # default substrate is fused
-                # Forcing the slow path is the point of this parity test.
-                gateway._fused_uplink = False  # lint: disable=INV001
+                assert gateway.uplink.transparent  # default substrate is fused
+                gateway.uplink.configure(burst_loss=never_drops)
+                assert not gateway.uplink.transparent
         fused_result = fused.run()
         general_result = general.run()
         for name in fused_result.lanes:

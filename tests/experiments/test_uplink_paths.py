@@ -1,10 +1,10 @@
 """Gateway uplink paths: fused fast path vs the general path, and the
 deterministic gateway fallback for unroutable updates.
 
-The harness (and ``WirelessGateway.receive`` itself) hand-inlines the
-transparent-channel counter updates on the hot path.  These tests pin the
-fused path to the general path: same updates, same gateway and channel
-counters, same deliveries — so the inlined bookkeeping cannot drift from
+``WirelessGateway.receive`` folds a transparent channel's counter
+updates into its own frame (the fused path).  These tests pin the fused
+path to the general path: same updates, same gateway and channel
+counters, same deliveries — so the fused bookkeeping cannot drift from
 the spec'd slow path.
 """
 
@@ -41,7 +41,10 @@ def _updates(count: int, region_id: str) -> list[LocationUpdate]:
 def _gateway(region, *, telemetry=None):
     sim = Simulator()
     channel = WirelessChannel(
-        sim, np.random.default_rng(0), name=f"{region.region_id}-uplink"
+        sim,
+        np.random.default_rng(0),
+        name=f"{region.region_id}-uplink",
+        telemetry=telemetry,
     )
     delivered: list[LocationUpdate] = []
     gateway = WirelessGateway(
@@ -56,12 +59,12 @@ class TestFusedVsGeneralPath:
         path (here: forced by telemetry instrumentation) bumps."""
         region = default_campus().roads()[0]
         fused_gw, fused_ch, fused_out = _gateway(region)
-        assert fused_gw._fused_uplink  # sanity: this IS the fast path
+        assert fused_ch.transparent  # sanity: this IS the fast path
         telemetry = Telemetry.from_config(TelemetryConfig(enabled=True))
         general_gw, general_ch, general_out = _gateway(
             region, telemetry=telemetry
         )
-        assert not general_gw._fused_uplink
+        assert not general_ch.transparent
 
         for update in _updates(50, region.region_id):
             fused_gw.receive(update)
@@ -92,7 +95,7 @@ class TestFusedVsGeneralPath:
         assert fused_out == general_out == []
 
     def test_harness_inlined_fast_path_matches_instrumented_run(self):
-        """The harness's hand-inlined fused uplink must produce the same
+        """A harness run over fused uplinks must produce the same
         gateway/channel counters and traffic totals as the general path
         (telemetry on defeats fusion but changes no routing decision)."""
         config = ExperimentConfig(duration=6.0, seed=5, dth_factors=(1.0,))

@@ -125,18 +125,18 @@ class TestDegradations:
 
     def test_degradation_defeats_gateway_fused_path(self, sim, rng):
         gateway, got = make_gateway(sim, rng)
-        assert gateway._fused_uplink  # transparent lossless default
+        assert gateway.uplink.transparent  # transparent lossless default
         schedule = FaultSchedule(
             (ChannelDegradation(start=1.0, duration=2.0, loss_probability=1.0),)
         )
         FaultInjector(schedule).attach(sim, gateways=[gateway])
         sim.run_until(1.5)
-        assert not gateway._fused_uplink
+        assert not gateway.uplink.transparent
         gateway.receive(lu(1.5))
         assert got == []  # total loss actually applied
         assert gateway.discarded == 1
         sim.run()
-        assert gateway._fused_uplink
+        assert gateway.uplink.transparent
 
 
 class TestTimeline:

@@ -1,16 +1,16 @@
-"""The ``python -m repro.lint`` front-end: exit codes, formats, baseline.
+"""The ``python -m repro.lint`` front-end: exit codes and formats.
 
-Also the repo-clean gate: the checkout itself must lint clean, since CI
-runs ``repro.lint src tests`` with a fail-on-any-new-finding policy.
+Also the repo-clean gate: the checkout itself must lint with zero
+findings, since CI runs ``repro.lint src tests`` and fails on any.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import tokenize
 from pathlib import Path
 
-from repro.lint.baseline import Baseline
 from repro.lint.cli import main
 from repro.lint.engine import (
     PARSE_ERROR_CODE,
@@ -75,57 +75,22 @@ class TestFormats:
     def test_list_rules_prints_catalog(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("DET001", "DET004", "INV001", "TEL001", "CFG001"):
+        for code in ("DET001", "DET004", "INV002", "TEL001", "CFG001"):
             assert code in out
 
 
-class TestBaselineWorkflow:
-    def test_write_baseline_then_clean_rerun(self, fake_repo, capsys):
-        root = _seed(fake_repo)
-        src = str(root / "src")
-        assert main([src, "--write-baseline"]) == 0
-        assert (root / "lint-baseline.json").is_file()
-        assert "1 finding(s) grandfathered" in capsys.readouterr().out
-
-        assert main([src]) == 0
-        assert "1 baselined finding(s) not shown" in capsys.readouterr().out
-
-    def test_new_finding_still_fails_under_baseline(self, fake_repo, capsys):
-        root = _seed(fake_repo)
-        src = str(root / "src")
-        assert main([src, "--write-baseline"]) == 0
-        (root / "src/repro/experiments/y.py").write_text(
-            "import time\nstamp = time.time()\n"
-        )
-        capsys.readouterr()
-        assert main([src]) == 1
-        out = capsys.readouterr().out
-        assert "y.py" in out
-        assert "x.py:5" not in out  # grandfathered, not re-reported
-
-    def test_stale_entries_reported_and_gated_by_strict(
-        self, fake_repo, capsys
-    ):
-        root = _seed(fake_repo)
-        src = str(root / "src")
-        assert main([src, "--write-baseline"]) == 0
-        (root / "src/repro/experiments/x.py").write_text(CLEAN)
-        capsys.readouterr()
-        assert main([src]) == 0
-        assert "stale baseline entry" in capsys.readouterr().out
-        assert main([src, "--strict-baseline"]) == 1
-
-
 class TestRepoCleanGate:
-    def test_checkout_lints_clean_modulo_baseline(self):
-        """The CI gate: no new findings and no stale baseline entries."""
+    def test_checkout_lints_with_zero_findings_and_no_baseline(self):
+        """The CI gate: no finding survives, and nothing grandfathers one.
+
+        An inline ``# lint: disable=CODE`` at the site is the only way to
+        accept a finding, so each accepted one shows in its diff.
+        """
         findings = lint_paths(
             [REPO_ROOT / "src", REPO_ROOT / "tests"], root=REPO_ROOT
         )
-        baseline = Baseline.load(REPO_ROOT / "lint-baseline.json")
-        new, _, stale = baseline.filter(findings)
-        assert new == [], "\n".join(f.render() for f in new)
-        assert stale == []
+        assert findings == [], "\n".join(f.render() for f in findings)
+        assert not (REPO_ROOT / "lint-baseline.json").exists()
 
     def test_docs_rule_table_lists_exactly_the_catalog(self):
         """docs/static-analysis.md documents every rule and no retired one."""
@@ -134,36 +99,34 @@ class TestRepoCleanGate:
         catalog = [rule.code for rule in rule_catalog()]
         assert sorted(documented) == sorted([*catalog, PARSE_ERROR_CODE])
 
-    def test_committed_baseline_only_grandfathers_fast_path_peeks(self):
-        """Only INV002 (the deliberate hot-path private peeks) may be
-        grandfathered; every other rule stays strict everywhere."""
-        path = REPO_ROOT / "lint-baseline.json"
-        if path.is_file():
-            data = json.loads(path.read_text())
-            assert all(
-                "::INV002::" in fp for fp in data["fingerprints"]
-            ), sorted(data["fingerprints"])
+    def test_only_the_inlined_store_suppresses_a_finding(self):
+        """Inline suppressions in src/ stay at the one kept fast path.
 
-    #: The inlined fast paths that measurably pay for themselves (see the
-    #: table in docs/performance.md), each with the receiver its private
-    #: peeks go through: the broker's LocationDB.store inline, and the
-    #: fused uplink (the harness's probe and the gateway's fusion check).
-    KEPT_FAST_PATHS = {
-        "src/repro/broker/broker.py": "db._",
-        "src/repro/experiments/harness.py": "gateway._",
-        "src/repro/network/gateway.py": "uplink._",
-    }
-
-    def test_baseline_peeks_stay_at_the_kept_fast_paths(self):
-        """The INV002 baseline cannot regrow outside the kept fast paths:
-        every entry names one of them and peeks through its receiver."""
-        data = json.loads((REPO_ROOT / "lint-baseline.json").read_text())
-        fingerprints = data["fingerprints"]
-        misplaced = []
-        for fingerprint in fingerprints:
-            path, _, line = fingerprint.partition("::INV002::")
-            receiver = self.KEPT_FAST_PATHS.get(path)
-            if receiver is None or receiver not in line:
-                misplaced.append(fingerprint)
-        assert misplaced == []
-        assert sum(fingerprints.values()) <= 10
+        ``GridBroker.receive_update`` inlines ``LocationDB.store`` because
+        it measurably pays; its four lines that read the DB's privates
+        carry ``disable=INV002`` with the reason.  A new private peek
+        elsewhere needs a public accessor, not a suppression.
+        """
+        suppressed = []
+        for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+            rel = path.relative_to(REPO_ROOT).as_posix()
+            with path.open("rb") as handle:
+                for token in tokenize.tokenize(handle.readline):
+                    if token.type == tokenize.COMMENT and re.match(
+                        r"#\s*lint:\s*disable", token.string
+                    ):
+                        code = token.line[: token.start[1]].strip()
+                        suppressed.append((rel, code, token.string))
+        assert [(rel, code) for rel, code, _ in suppressed] == [
+            ("src/repro/broker/broker.py", "latest = db._latest"),
+            ("src/repro/broker/broker.py", "history = db._history.get(node_id)"),
+            (
+                "src/repro/broker/broker.py",
+                "history = db._history[node_id] = "
+                "deque(maxlen=db._history_length)",
+            ),
+            ("src/repro/broker/broker.py", "db._t_nodes.set(len(latest))"),
+        ]
+        for _, _, comment in suppressed:
+            # The one code, then its reason in parentheses.
+            assert re.fullmatch(r"# lint: disable=INV002 \(.+\)", comment)

@@ -1,63 +1,10 @@
-"""INV001, TEL001, CFG001: invariant, telemetry and config rules."""
+"""INV002, TEL001, CFG001: invariant, telemetry and config rules."""
 
 from __future__ import annotations
 
 
 def codes(findings):
     return [f.code for f in findings]
-
-
-class TestInv001DerivedFlags:
-    def test_assignment_outside_owners_flagged(self, lint_snippet):
-        findings = lint_snippet(
-            "src/repro/experiments/x.py",
-            """\
-            def force(channel, gateway):
-                channel._transparent = True
-                gateway._fused_uplink = False
-            """,
-        )
-        assert codes(findings) == ["INV001", "INV001"]
-        assert [f.line for f in findings] == [2, 3]
-
-    def test_annotated_and_augmented_assignment_flagged(self, lint_snippet):
-        findings = lint_snippet(
-            "tests/network/x.py",
-            """\
-            def force(channel):
-                channel._transparent: bool = True
-                channel._fused_uplink |= True
-            """,
-        )
-        assert codes(findings) == ["INV001", "INV001"]
-
-    def test_owner_modules_exempt(self, lint_snippet):
-        for owner in (
-            "src/repro/network/channel.py",
-            "src/repro/network/gateway.py",
-        ):
-            assert not lint_snippet(
-                owner,
-                """\
-                def _refresh(self):
-                    self._transparent = self.loss_rate == 0.0
-                    self._fused_uplink = self._transparent
-                """,
-            )
-
-    def test_reads_and_other_attributes_clean(self, lint_snippet):
-        # select=INV001: the read is INV001-clean but is exactly the kind
-        # of cross-module peek INV002 exists to flag.
-        assert not lint_snippet(
-            "src/repro/experiments/x.py",
-            """\
-            def inspect(channel):
-                flag = channel._transparent
-                channel._budget = 3
-                return flag
-            """,
-            select=["INV001"],
-        )
 
 
 class TestInv002PrivatePeek:
@@ -108,8 +55,7 @@ class TestInv002PrivatePeek:
         )
 
     def test_assignment_is_not_a_peek(self, lint_snippet):
-        # Writes are INV001's business (for derived flags); INV002 only
-        # cares about reads.
+        # INV002 only cares about reads.
         assert not lint_snippet(
             "src/repro/experiments/x.py",
             """\

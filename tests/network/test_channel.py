@@ -4,6 +4,7 @@ import pytest
 
 from repro.network import GilbertElliottLoss, Message, WirelessChannel
 from repro.simkernel import Simulator
+from repro.telemetry import Telemetry, TelemetryConfig
 from repro.util.rng import RngRegistry
 
 
@@ -85,11 +86,22 @@ class TestLoss:
 class TestReconfigure:
     def test_configure_recomputes_transparent_flag(self, sim, rng):
         channel = WirelessChannel(sim, rng)
-        assert channel._transparent
+        assert channel.transparent
         channel.configure(base_latency=1.0)
-        assert not channel._transparent
+        assert not channel.transparent
         channel.configure(base_latency=0.0)
-        assert channel._transparent
+        assert channel.transparent
+        channel.configure(loss_probability=0.1)
+        assert not channel.transparent
+        channel.configure(loss_probability=0.0)
+        assert channel.transparent
+
+    def test_instrumented_channel_is_never_transparent(self, sim, rng):
+        telemetry = Telemetry.from_config(TelemetryConfig(enabled=True))
+        channel = WirelessChannel(sim, rng, telemetry=telemetry)
+        assert not channel.transparent
+        channel.configure(base_latency=0.0, loss_probability=0.0)
+        assert not channel.transparent
 
     def test_configure_validates(self, sim, rng):
         channel = WirelessChannel(sim, rng)
@@ -115,7 +127,7 @@ class TestReconfigure:
         assert not channel.degraded
         assert channel.base_latency == 0.1
         assert channel.loss_probability == 0.0
-        assert channel._transparent is False  # latency 0.1 is back
+        assert channel.transparent is False  # latency 0.1 is back
 
     def test_invalid_degrade_leaves_the_channel_healthy(self, sim, rng):
         channel = WirelessChannel(sim, rng, base_latency=0.1)
@@ -138,15 +150,6 @@ class TestReconfigure:
         channel = WirelessChannel(sim, rng)
         channel.restore()
         assert not channel.degraded
-
-    def test_listeners_notified_on_every_change(self, sim, rng):
-        channel = WirelessChannel(sim, rng)
-        calls = []
-        channel.add_reconfigure_listener(lambda: calls.append(True))
-        channel.configure(base_latency=1.0)
-        channel.degrade(loss_probability=0.5)
-        channel.restore()
-        assert len(calls) == 3
 
 
 class TestBurstLoss:

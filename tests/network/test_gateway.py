@@ -5,6 +5,7 @@ import pytest
 from repro.geometry import Vec2
 from repro.network import LocationUpdate, WirelessChannel, WirelessGateway
 from repro.simkernel import Simulator
+from repro.telemetry import Telemetry, TelemetryConfig
 
 from tests.campus.test_region import make_building, make_road
 
@@ -71,43 +72,43 @@ class TestFailureInjection:
 
 
 class TestFusedFastPath:
-    """The fused-uplink flag must track mutable channel state.
+    """The channel's transparent flag must track mutable channel state.
 
-    Regression guard: PR 3 cached ``_fused_uplink`` at construction; a
-    mid-run channel reconfiguration (fault injection) must defeat the
-    cached fast path, not be silently bypassed by it.
+    Regression guard: a fused-path flag once cached at construction let a
+    mid-run channel reconfiguration (fault injection) be silently
+    bypassed by the fast path; a fault must defeat it.
     """
 
     def test_transparent_lossless_default_is_fused(self, setup):
         _, gateway, _ = setup
-        assert gateway._fused_uplink
+        assert gateway.uplink.transparent
 
     def test_lossy_channel_is_not_fused(self, rng):
         sim = Simulator()
         channel = WirelessChannel(sim, rng, loss_probability=0.5)
         gateway = WirelessGateway(make_road(), channel, lambda m: None)
-        assert not gateway._fused_uplink
+        assert not gateway.uplink.transparent
 
     def test_degrade_clears_flag_and_restore_resets_it(self, setup):
         _, gateway, _ = setup
         gateway.uplink.degrade(loss_probability=0.5)
-        assert not gateway._fused_uplink
+        assert not gateway.uplink.transparent
         gateway.uplink.restore()
-        assert gateway._fused_uplink
+        assert gateway.uplink.transparent
 
     def test_latency_reconfigure_clears_flag(self, setup):
         _, gateway, _ = setup
         gateway.uplink.configure(base_latency=1.0)
-        assert not gateway._fused_uplink
+        assert not gateway.uplink.transparent
 
     def test_burst_loss_clears_flag(self, setup):
         from repro.network import GilbertElliottLoss
 
         _, gateway, _ = setup
         gateway.uplink.configure(burst_loss=GilbertElliottLoss())
-        assert not gateway._fused_uplink
+        assert not gateway.uplink.transparent
         gateway.uplink.configure(burst_loss=None)
-        assert gateway._fused_uplink
+        assert gateway.uplink.transparent
 
     def test_degraded_traffic_actually_lost(self, setup):
         """A stale fused flag would deliver despite 100% loss."""
@@ -124,12 +125,17 @@ class TestFusedFastPath:
         """The fused fast path must be observationally identical."""
         sim = Simulator()
         fused_ch = WirelessChannel(sim, rng, name="fused")
-        general_ch = WirelessChannel(sim, rng_registry.stream("g"), name="general")
+        # An instrumented channel is never transparent: the general path.
+        general_ch = WirelessChannel(
+            sim,
+            rng_registry.stream("g"),
+            name="general",
+            telemetry=Telemetry.from_config(TelemetryConfig(enabled=True)),
+        )
         fused_got, general_got = [], []
         fused = WirelessGateway(make_road(), fused_ch, fused_got.append)
         general = WirelessGateway(make_road(), general_ch, general_got.append)
-        # Forcing the slow path is the point of this parity test.
-        general._fused_uplink = False  # lint: disable=INV001
+        assert fused_ch.transparent and not general_ch.transparent
         for _ in range(10):
             update = lu()
             fused.receive(update)
