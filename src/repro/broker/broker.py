@@ -15,7 +15,6 @@ The broker is driven two ways:
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
@@ -31,7 +30,6 @@ from repro.estimation.tracker import (
     LocationTracker,
     SimpleSmoothingTracker,
     VelocityComponentTracker,
-    tracker_from_state,
 )
 from repro.geometry import Vec2
 from repro.network.messages import LocationUpdate
@@ -230,14 +228,14 @@ class GridBroker:
                     position=update.position,
                     source=RecordSource.RECEIVED,
                 )
-            # Inlined LocationDB.store (same checks, counters and history
-            # bookkeeping): this path runs once per LU per broker.  With
-            # store() called instead, a 60 s run took a median 4.2 % longer
-            # (slower in 27 of 40 same-interpreter A/B rounds,
-            # benchmarks/runs/one-fast-path/), so the four lines that read
-            # the DB's internals carry a suppression saying so.
+            # Inlined LocationDB.store (same check and counters): this path
+            # runs once per LU per broker.  With store() called instead, a
+            # 60 s run took a median 3.4 % longer (slower in 27 of 40
+            # same-interpreter A/B rounds, benchmarks/runs/latest-only-db/),
+            # so the two lines that read the DB's internals carry a
+            # suppression saying so.
             db = self.location_db
-            latest = db._latest  # lint: disable=INV002 (inlined store, +4 % un-inlined)
+            latest = db._latest  # lint: disable=INV002 (inlined store, +3.4 % un-inlined)
             previous = latest.get(node_id)
             if previous is not None and timestamp < previous.time:
                 raise ValueError(
@@ -245,14 +243,10 @@ class GridBroker:
                     f"latest ({previous.time})"
                 )
             latest[node_id] = record
-            history = db._history.get(node_id)  # lint: disable=INV002 (inlined store, +4 % un-inlined)
-            if history is None:
-                history = db._history[node_id] = deque(maxlen=db._history_length)  # lint: disable=INV002 (inlined store, +4 % un-inlined)
-            history.append(record)
             db.stored_received += 1
             if db._instrumented:
                 db._t_received.inc()
-                db._t_nodes.set(len(latest))  # lint: disable=INV002 (inlined store, +4 % un-inlined)
+                db._t_nodes.set(len(latest))  # lint: disable=INV002 (inlined store, +3.4 % un-inlined)
         self._updated_since_tick.add(node_id)
 
     # -- the estimation sweep ------------------------------------------------
@@ -340,12 +334,10 @@ class GridBroker:
 
         Covers the location DB (latest records + counters), every tracker's
         smoothing state, the quarantine/updated-since-tick sets and the
-        broker counters.  :meth:`load_state` on a freshly-constructed broker
-        with the same config reproduces ``receive_update``/``tick``/
-        ``believed_position`` behaviour bit-exactly — the contract the
-        serving layer's shard snapshots (``repro.serving.durability``) rely
-        on.  Raises :class:`TypeError` when a tracker family has no state
-        codec (kalman/arima/map-matched).
+        broker counters.  It is the parity document that
+        ``ColumnShard.state_dict`` must reproduce; nothing restores from
+        it.  Raises :class:`TypeError` when a tracker kind has no state
+        document (only ``brown`` and ``last_known`` have one).
         """
         return {
             "db": self.location_db.state_dict(),
@@ -361,28 +353,6 @@ class GridBroker:
             "updated_since_tick": sorted(self._updated_since_tick),
             "updates_received": self.updates_received,
         }
-
-    def load_state(self, state: dict) -> None:
-        """Restore state produced by :meth:`state_dict` bit-exactly.
-
-        The broker must have been constructed with the same config as the
-        one that produced *state* (config itself is not serialized — it is
-        the restoring owner's responsibility, mirroring how the serving
-        store rebuilds shards from its own ``ServingConfig``).
-        """
-        self.location_db.load_state(state["db"])
-        self._trackers.clear()
-        for node_id, tracker_state in state["trackers"].items():
-            self._trackers[node_id] = tracker_from_state(tracker_state)
-        self._updated_since_tick.clear()
-        self._updated_since_tick.update(state["updated_since_tick"])
-        self._quarantined.clear()
-        self._quarantined.update(state["quarantined"])
-        self.estimates_made = int(state["estimates_made"])
-        self.quarantines = int(state["quarantines"])
-        self.resyncs = int(state["resyncs"])
-        self.stale_lus_dropped = int(state["stale_lus_dropped"])
-        self.updates_received = int(state["updates_received"])
 
     # -- queries ------------------------------------------------------------------
     def believed_position(self, node_id: str, now: float | None = None) -> Vec2 | None:

@@ -1,16 +1,16 @@
 """The broker's location database.
 
-Stores, per MN, the latest location record plus bounded history.  Every
-record is tagged with its provenance: ``RECEIVED`` (an actual LU arrived)
-or ``ESTIMATED`` (the Location Estimator filled a gap while LUs were being
-filtered) — the distinction the paper's Fig. 7 analysis rests on.
+Stores one record per MN, its latest: every figure reads only that.
+Every record is tagged with its provenance: ``RECEIVED`` (an actual LU
+arrived) or ``ESTIMATED`` (the Location Estimator filled a gap while LUs
+were being filtered) — the distinction the paper's Fig. 7 analysis
+rests on.
 """
 
 from __future__ import annotations
 
 import enum
 import types
-from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Any
@@ -44,21 +44,11 @@ class LocationRecord:
 
 
 class LocationDB:
-    """Latest-record store with bounded per-node history."""
+    """Latest-record store: one record per node."""
 
-    def __init__(
-        self,
-        history_length: int = 128,
-        *,
-        telemetry: Any = None,
-        name: str = "db",
-    ) -> None:
-        if history_length < 1:
-            raise ValueError(f"history_length must be >= 1, got {history_length}")
+    def __init__(self, *, telemetry: Any = None, name: str = "db") -> None:
         self._latest: dict[str, LocationRecord] = {}
         self._latest_view = types.MappingProxyType(self._latest)
-        self._history: dict[str, deque[LocationRecord]] = {}
-        self._history_length = history_length
         self.stored_received = 0
         self.stored_estimated = 0
         tm = telemetry if telemetry is not None else NULL_TELEMETRY
@@ -77,14 +67,6 @@ class LocationDB:
                 f"latest ({previous.time})"
             )
         self._latest[node_id] = record
-        # dict.setdefault would construct a throwaway deque on every call;
-        # this path runs once per stored record across the whole simulation.
-        history = self._history.get(node_id)
-        if history is None:
-            history = self._history[node_id] = deque(
-                maxlen=self._history_length
-            )
-        history.append(record)
         if record.source is RecordSource.RECEIVED:
             self.stored_received += 1
         else:
@@ -97,14 +79,11 @@ class LocationDB:
             self._t_nodes.set(len(self._latest))
 
     def state_dict(self) -> dict:
-        """Durable DB state as JSON-safe values.
-
-        Only latest records and counters are durable; per-node history is a
-        bounded diagnostic ring and is reseeded with the latest record on
-        restore.
-        """
+        """Latest records and counters as JSON-safe values."""
         return {
-            "history_length": self._history_length,
+            # Kept as a constant: ColumnShard.state_dict emits the same
+            # value and the golden renderings pin it.
+            "history_length": 128,
             "latest": {
                 node_id: [
                     record.time,
@@ -117,31 +96,6 @@ class LocationDB:
             "stored_estimated": self.stored_estimated,
             "stored_received": self.stored_received,
         }
-
-    def load_state(self, state: dict) -> None:
-        """Restore state produced by :meth:`state_dict`.
-
-        Latest records and counters round-trip exactly; each node's history
-        restarts with just its latest record.
-        """
-        self._latest.clear()
-        self._history.clear()
-        self._history_length = int(state["history_length"])
-        for node_id, row in state["latest"].items():
-            record = LocationRecord(
-                node_id=node_id,
-                time=float(row[0]),
-                position=Vec2(float(row[1]), float(row[2])),
-                source=RecordSource(row[3]),
-            )
-            self._latest[node_id] = record
-            history: deque[LocationRecord] = deque(maxlen=self._history_length)
-            history.append(record)
-            self._history[node_id] = history
-        self.stored_estimated = int(state["stored_estimated"])
-        self.stored_received = int(state["stored_received"])
-        if self._instrumented:
-            self._t_nodes.set(len(self._latest))
 
     def latest(self, node_id: str) -> LocationRecord | None:
         """The node's most recent record, if any."""
@@ -161,10 +115,6 @@ class LocationDB:
         them a method call and ``None`` dance per node.
         """
         return self._latest_view
-
-    def history(self, node_id: str) -> list[LocationRecord]:
-        """The node's retained history, oldest first."""
-        return list(self._history.get(node_id, ()))
 
     def node_ids(self) -> list[str]:
         """Ids of every node with at least one record."""

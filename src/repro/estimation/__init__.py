@@ -23,7 +23,6 @@ from repro.estimation.tracker import (
     LocationTracker,
     SimpleSmoothingTracker,
     VelocityComponentTracker,
-    tracker_from_state,
 )
 from repro.estimation.metrics import mae, max_error, rmse
 
@@ -42,7 +41,6 @@ __all__ = [
     "VelocityComponentTracker",
     "SimpleSmoothingTracker",
     "HoltTracker",
-    "tracker_from_state",
     "rmse",
     "mae",
     "max_error",

@@ -6,11 +6,9 @@ chosen over ARIMA because it is cheap to update online and needs no training
 dataset.  We also provide simple (single) smoothing and Holt's linear method
 for the estimator ablation.
 
-Every smoother exposes ``state_dict()`` / ``load_state()``: the complete
-internal state as plain JSON scalars, restored bit-exactly (floats
-round-trip through Python's shortest-repr ``json`` encoding).  The
-serving layer's shard snapshots (``repro.serving.durability``) lean on
-this to make broker estimator state reconstructible after a crash.
+:class:`BrownDoubleExponentialSmoothing` exposes ``state_dict()``: its
+complete internal state as plain JSON scalars, the smoother entries of
+the ``brown`` tracker's parity document (``GridBroker.state_dict``).
 """
 
 from __future__ import annotations
@@ -34,10 +32,6 @@ class _Smoother(abc.ABC):
 
     def state_dict(self) -> dict:
         """Full internal state as JSON-safe scalars."""
-        raise NotImplementedError
-
-    def load_state(self, state: dict) -> None:
-        """Restore state produced by :meth:`state_dict` bit-exactly."""
         raise NotImplementedError
 
     @property
@@ -79,16 +73,6 @@ class SimpleExponentialSmoothing(_Smoother):
     def alpha(self) -> float:
         """The smoothing constant."""
         return self._alpha
-
-    def state_dict(self) -> dict:
-        """Full internal state as JSON-safe scalars."""
-        return {"alpha": self._alpha, "n": self._n, "s": self._s}
-
-    def load_state(self, state: dict) -> None:
-        """Restore state produced by :meth:`state_dict` bit-exactly."""
-        self._alpha = float(state["alpha"])
-        self._n = int(state["n"])
-        self._s = float(state["s"])
 
     def update(self, value: float) -> float:
         value = float(value)
@@ -136,13 +120,6 @@ class BrownDoubleExponentialSmoothing(_Smoother):
         """Full internal state as JSON-safe scalars."""
         return {"alpha": self._alpha, "n": self._n, "s1": self._s1, "s2": self._s2}
 
-    def load_state(self, state: dict) -> None:
-        """Restore state produced by :meth:`state_dict` bit-exactly."""
-        self._alpha = float(state["alpha"])
-        self._n = int(state["n"])
-        self._s1 = float(state["s1"])
-        self._s2 = float(state["s2"])
-
     def update(self, value: float) -> float:
         value = float(value)
         if self._n == 0:
@@ -185,24 +162,6 @@ class HoltLinearSmoothing(_Smoother):
         self._beta = check_in_range(beta, "beta", 0.0, 1.0, inclusive=False)
         self._level = 0.0
         self._trend = 0.0
-
-    def state_dict(self) -> dict:
-        """Full internal state as JSON-safe scalars."""
-        return {
-            "alpha": self._alpha,
-            "beta": self._beta,
-            "level": self._level,
-            "n": self._n,
-            "trend": self._trend,
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Restore state produced by :meth:`state_dict` bit-exactly."""
-        self._alpha = float(state["alpha"])
-        self._beta = float(state["beta"])
-        self._level = float(state["level"])
-        self._n = int(state["n"])
-        self._trend = float(state["trend"])
 
     def update(self, value: float) -> float:
         value = float(value)

@@ -28,15 +28,14 @@ __all__ = [
     "VelocityComponentTracker",
     "SimpleSmoothingTracker",
     "HoltTracker",
-    "tracker_from_state",
 ]
 
 
 class LocationTracker(abc.ABC):
     """Base tracker: one per (broker, MN) pair."""
 
-    #: Stable identifier used by :meth:`state_dict` / :func:`tracker_from_state`.
-    #: ``None`` means the tracker family has no snapshot codec.
+    #: The ``kind`` of :meth:`state_dict`; ``None`` means the tracker has no
+    #: state document.
     _state_kind: str | None = None
 
     def __init__(self) -> None:
@@ -48,14 +47,15 @@ class LocationTracker(abc.ABC):
     def state_dict(self) -> dict:
         """Full tracker state as JSON-safe values.
 
-        Restoring via :func:`tracker_from_state` (or :meth:`load_state` on a
-        fresh instance of the same class) reproduces ``predict`` bit-exactly.
-        Raises :class:`TypeError` for tracker families without a codec.
+        The ``trackers`` entries of ``GridBroker.state_dict``, the parity
+        document the column store renders for the ``brown`` and
+        ``last_known`` kinds.  Raises :class:`TypeError` for any other
+        tracker.
         """
         if self._state_kind is None:
             raise TypeError(
-                f"{type(self).__name__} does not support state snapshots; "
-                "durable serving shards require a snapshot-capable tracker"
+                f"{type(self).__name__} has no state document; only the "
+                "brown and last_known trackers have one"
             )
         state = {
             "displacement_cap": self._displacement_cap,
@@ -71,26 +71,8 @@ class LocationTracker(abc.ABC):
         state.update(self._extra_state())
         return state
 
-    def load_state(self, state: dict) -> None:
-        """Restore state produced by :meth:`state_dict` bit-exactly."""
-        if state.get("kind") != self._state_kind:
-            raise ValueError(
-                f"tracker state kind {state.get('kind')!r} does not match "
-                f"{type(self).__name__} ({self._state_kind!r})"
-            )
-        self._last_time = None if state["last_time"] is None else float(state["last_time"])
-        pos = state["last_position"]
-        self._last_position = None if pos is None else Vec2(float(pos[0]), float(pos[1]))
-        cap = state["displacement_cap"]
-        self._displacement_cap = None if cap is None else float(cap)
-        self._updates = int(state["updates"])
-        self._load_extra_state(state)
-
     def _extra_state(self) -> dict:
         return {}
-
-    def _load_extra_state(self, state: dict) -> None:
-        pass
 
     @property
     def updates_received(self) -> int:
@@ -182,19 +164,10 @@ class VelocityComponentTracker(LocationTracker):
     unwrapping; included as an estimator-design ablation.
     """
 
-    _state_kind = "velocity"
-
     def __init__(self, alpha: float = 0.4) -> None:
         super().__init__()
         self._vx = BrownDoubleExponentialSmoothing(alpha)
         self._vy = BrownDoubleExponentialSmoothing(alpha)
-
-    def _extra_state(self) -> dict:
-        return {"vx": self._vx.state_dict(), "vy": self._vy.state_dict()}
-
-    def _load_extra_state(self, state: dict) -> None:
-        self._vx.load_state(state["vx"])
-        self._vy.load_state(state["vy"])
 
     def _observe(self, time: float, position: Vec2, velocity: Vec2) -> None:
         self._vx.update(velocity.x)
@@ -234,11 +207,6 @@ class _ScalarPairTracker(LocationTracker):
             "dir_sin": self._dir_sin.state_dict(),
             "speed": self._speed.state_dict(),
         }
-
-    def _load_extra_state(self, state: dict) -> None:
-        self._dir_cos.load_state(state["dir_cos"])
-        self._dir_sin.load_state(state["dir_sin"])
-        self._speed.load_state(state["speed"])
 
     def _observe(self, time: float, position: Vec2, velocity: Vec2) -> None:
         vx, vy = velocity.x, velocity.y
@@ -306,8 +274,6 @@ class BrownTracker(_ScalarPairTracker):
 class SimpleSmoothingTracker(_ScalarPairTracker):
     """Single exponential smoothing on speed/direction (no trend)."""
 
-    _state_kind = "simple"
-
     def __init__(self, alpha: float = 0.4) -> None:
         super().__init__(
             SimpleExponentialSmoothing(alpha),
@@ -319,8 +285,6 @@ class SimpleSmoothingTracker(_ScalarPairTracker):
 class HoltTracker(_ScalarPairTracker):
     """Holt's linear method on speed/direction."""
 
-    _state_kind = "holt"
-
     def __init__(self, alpha: float = 0.4, beta: float = 0.2) -> None:
         super().__init__(
             HoltLinearSmoothing(alpha, beta),
@@ -328,22 +292,3 @@ class HoltTracker(_ScalarPairTracker):
             HoltLinearSmoothing(alpha, beta),
         )
 
-
-_TRACKER_CLASSES: dict[str, type[LocationTracker]] = {
-    "last_known": LastKnownTracker,
-    "brown": BrownTracker,
-    "velocity": VelocityComponentTracker,
-    "simple": SimpleSmoothingTracker,
-    "holt": HoltTracker,
-}
-
-
-def tracker_from_state(state: dict) -> LocationTracker:
-    """Rebuild a tracker from a :meth:`LocationTracker.state_dict` dict."""
-    kind = state.get("kind")
-    cls = _TRACKER_CLASSES.get(kind) if isinstance(kind, str) else None
-    if cls is None:
-        raise ValueError(f"unknown tracker state kind: {kind!r}")
-    tracker = cls()
-    tracker.load_state(state)
-    return tracker

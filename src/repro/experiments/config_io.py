@@ -25,7 +25,7 @@ from typing import Any
 from repro.experiments.config import ExperimentConfig
 from repro.mobility.population import PopulationSpec
 
-__all__ = ["config_from_dict", "load_config", "apply_overrides"]
+__all__ = ["config_from_dict", "load_config", "apply_overrides", "read_data_file"]
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 _POPULATION_FIELDS = {f.name for f in dataclasses.fields(PopulationSpec)}
@@ -88,13 +88,16 @@ def apply_overrides(
     return dataclasses.replace(config, **top)
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
-    """Load a config from a ``.toml`` or ``.json`` file."""
+def read_data_file(path: str | Path) -> dict[str, Any]:
+    """Parse a ``.toml`` or ``.json`` file by its suffix."""
     path = Path(path)
     if path.suffix == ".toml":
-        data = tomllib.loads(path.read_text())
-    elif path.suffix == ".json":
-        data = json.loads(path.read_text())
-    else:
-        raise ValueError(f"unsupported config format {path.suffix!r}")
-    return config_from_dict(data)
+        return tomllib.loads(path.read_text())
+    if path.suffix == ".json":
+        return json.loads(path.read_text())
+    raise ValueError(f"unsupported file format {path.suffix!r}: {path}")
+
+
+def load_config(path: str | Path) -> ExperimentConfig:
+    """Load a config from a ``.toml`` or ``.json`` file."""
+    return config_from_dict(read_data_file(path))

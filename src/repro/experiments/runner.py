@@ -32,7 +32,6 @@ import hashlib
 import itertools
 import json
 import re
-import tomllib
 from collections import deque
 from collections.abc import Callable, Mapping, Sequence
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -42,7 +41,11 @@ from typing import Any
 
 from repro.analysis.multirun import MetricSummary, summarize_values
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.config_io import apply_overrides, config_from_dict
+from repro.experiments.config_io import (
+    apply_overrides,
+    config_from_dict,
+    read_data_file,
+)
 from repro.experiments.harness import run_experiment
 from repro.experiments.io import load_json, result_to_dict, write_json_atomic
 from repro.telemetry.export import merge_snapshots
@@ -230,14 +233,7 @@ def sweep_spec_from_dict(data: dict[str, Any]) -> SweepSpec:
 
 def load_sweep_spec(path: str | Path) -> SweepSpec:
     """Load a sweep definition from a ``.toml`` or ``.json`` file."""
-    path = Path(path)
-    if path.suffix == ".toml":
-        data = tomllib.loads(path.read_text())
-    elif path.suffix == ".json":
-        data = json.loads(path.read_text())
-    else:
-        raise ValueError(f"unsupported sweep format {path.suffix!r}")
-    return sweep_spec_from_dict(data)
+    return sweep_spec_from_dict(read_data_file(path))
 
 
 # -- execution ---------------------------------------------------------------

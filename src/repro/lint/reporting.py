@@ -41,10 +41,7 @@ def render_text(findings: Sequence[Finding]) -> str:
 
 def render_json(findings: Sequence[Finding]) -> str:
     """Machine-readable report (stable field ordering, sorted keys)."""
-    payload = {
-        "findings": [finding.to_dict() for finding in findings],
-        "counts": {"new": len(findings)},
-    }
+    payload = {"findings": [finding.to_dict() for finding in findings]}
     return json.dumps(payload, indent=2, sort_keys=True)
 
 

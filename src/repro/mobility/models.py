@@ -225,11 +225,6 @@ class LinearPathModel(MobilityModel):
         if self._base_speed <= 0.0:
             self._base_speed = max(self._band.high, 0.1)
 
-    @property
-    def current_path(self) -> Path | None:
-        """The path being traversed, if any (for tests/visualisation)."""
-        return self._path
-
     def step(self, dt: float) -> Vec2:
         self._require_dt(dt)
         remaining = dt

@@ -126,11 +126,6 @@ class ItineraryModel(MobilityModel):
         """Ground-truth mobility pattern at this instant."""
         return self._state
 
-    @property
-    def step_index(self) -> int:
-        """Index of the itinerary step currently executing."""
-        return min(self._step_index, len(self._itinerary.steps) - 1)
-
     def _enter_next_step(self) -> None:
         if self._step_index >= len(self._itinerary.steps):
             self.finished = True

@@ -13,10 +13,6 @@ __all__ = ["Message", "LocationUpdate", "Ack", "SequenceSource"]
 _sequence = itertools.count()
 
 
-def _next_seq() -> int:
-    return next(_sequence)
-
-
 class SequenceSource:
     """A per-run message sequence counter.
 
@@ -61,8 +57,8 @@ class Message:
 
     sender: str
     timestamp: float
-    # _sequence.__next__ directly: the factory runs per message, and the
-    # wrapper function added a frame to every construction.
+    # _sequence.__next__ directly: the factory runs per message, and a
+    # wrapper function would add a frame to every construction.
     seq: int = field(default_factory=_sequence.__next__)
 
     #: Approximate over-the-air size (headers only for the base class).

@@ -596,9 +596,9 @@ class ColumnShard(_Growable):
     def load_image(self, image: ShardImage) -> None:
         """Restore a fresh shard from an :meth:`image`.
 
-        Rows are created as a broker restores its ``state_dict``: nodes
-        with a tracker by node id, then nodes with only a DB record by
-        node id, born in that order (quarantine events follow it).
+        Rows are created in a fixed order: tracked nodes by node id, then
+        nodes with only a DB record by node id, born in that order
+        (quarantine events follow it).
         """
         if self.n:
             raise ValueError(f"{self.name}: load_image needs a fresh shard")

@@ -47,40 +47,22 @@ class TestStore:
         assert db.node_ids() == ["n"]
 
 
-class TestHistory:
-    def test_history_ordered(self):
-        db = LocationDB()
-        for t in range(5):
-            db.store(record(t=float(t), x=float(t)))
-        times = [r.time for r in db.history("n")]
-        assert times == [0.0, 1.0, 2.0, 3.0, 4.0]
-
-    def test_history_bounded(self):
-        db = LocationDB(history_length=3)
-        for t in range(10):
-            db.store(record(t=float(t)))
-        assert len(db.history("n")) == 3
-
-    def test_invalid_history_length(self):
-        with pytest.raises(ValueError):
-            LocationDB(history_length=0)
-
-    def test_history_unknown_empty(self):
-        assert LocationDB().history("ghost") == []
-
-
 class TestOutOfOrderDelivery:
     """DB-time monotonicity under the reordered/duplicate streams the
     serving replay path can produce (drains can reorder across shards)."""
 
     def test_out_of_order_store_rejected_history_stays_sorted(self):
+        # The rejected record is neither stored nor counted: the latest
+        # record is still the newer one.
         db = LocationDB()
         db.store(record(t=1.0, x=1.0))
         db.store(record(t=3.0, x=3.0))
         with pytest.raises(ValueError, match="older"):
             db.store(record(t=2.0, x=2.0))
-        times = [r.time for r in db.history("n")]
-        assert times == sorted(times) == [1.0, 3.0]
+        latest = db.latest("n")
+        assert latest is not None
+        assert (latest.time, latest.position) == (3.0, Vec2(3, 0))
+        assert (db.stored_received, db.stored_estimated) == (2, 0)
 
     def test_duplicate_time_redelivery_keeps_monotonicity(self):
         # Equal-time re-store is allowed (last-writer-wins), so a
@@ -88,10 +70,9 @@ class TestOutOfOrderDelivery:
         db = LocationDB()
         db.store(record(t=1.0, x=1.0))
         db.store(record(t=1.0, x=1.0))
-        times = [r.time for r in db.history("n")]
-        assert times == sorted(times)
         latest = db.latest("n")
         assert latest is not None and latest.time == 1.0
+        assert (db.stored_received, db.stored_estimated) == (2, 0)
 
     def test_estimate_then_older_real_fix_needs_skip_db(self):
         """The raw DB rejects the PR 4 ``skip_db`` case; the degraded
@@ -125,10 +106,13 @@ class TestOutOfOrderDelivery:
                 position=Vec2(3.0, 0.0), velocity=Vec2(1.0, 0.0),
             )
         )
-        history = broker.location_db.history("n")
-        assert [r.time for r in history] == sorted(r.time for r in history)
-        latest = broker.location_db.latest("n")
+        db = broker.location_db
+        latest = db.latest("n")
         assert latest is not None and latest.source is RecordSource.ESTIMATED
+        assert latest.time == 4.0
+        # One received record (t=1) and one estimate (t=4); the late fix
+        # at t=3 never reached the DB.
+        assert (db.stored_received, db.stored_estimated) == (1, 1)
         # ... while the tracker did absorb the real fix:
         tracker = broker.tracker("n")
         assert tracker is not None and tracker.last_fix is not None
