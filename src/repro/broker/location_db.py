@@ -81,9 +81,6 @@ class LocationDB:
     def state_dict(self) -> dict:
         """Latest records and counters as JSON-safe values."""
         return {
-            # Kept as a constant: ColumnShard.state_dict emits the same
-            # value and the golden renderings pin it.
-            "history_length": 128,
             "latest": {
                 node_id: [
                     record.time,

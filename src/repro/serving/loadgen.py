@@ -23,7 +23,7 @@ per-record object: a plain list of records is turned into a
 :class:`~repro.serving.trace.TraceBatch` once.
 
 Everything here is deterministic: same trace + same config ⇒ the same
-event sequence, the same shed decisions, the same P² latency estimates,
+event sequence, the same shed decisions, the same latency quantiles,
 and a byte-identical :class:`~repro.serving.report.ServingReport`.
 """
 

@@ -26,8 +26,8 @@ a lone LU (:meth:`IngestService.submit`) is a one-row batch.  A flush
 hands each shard's rows to the store in one call.
 
 Ingest latency (enqueue to batched-apply, in virtual seconds) feeds a
-telemetry histogram with streaming p50/p90/p99 — the SLO surface the
-load generator reports against.
+telemetry histogram that keeps every sample, so the p50/p90/p99 the
+load generator reports against (the SLO surface) are exact.
 """
 
 from __future__ import annotations
@@ -70,10 +70,6 @@ LATENCY_BUCKETS: tuple[float, ...] = (
     2.5,
     5.0,
 )
-
-#: Quantiles the ingest latency histogram estimates (the SLO points).
-LATENCY_QUANTILES: tuple[float, ...] = (0.5, 0.9, 0.99)
-
 
 @dataclass(frozen=True)
 class ServingConfig:
@@ -229,16 +225,11 @@ class IngestService:
         # a standalone (unregistered) instrument when telemetry is off.
         if tm.enabled:
             self.latency: Histogram = tm.histogram(
-                "serving.ingest.latency",
-                buckets=LATENCY_BUCKETS,
-                quantiles=LATENCY_QUANTILES,
-                service=name,
+                "serving.ingest.latency", buckets=LATENCY_BUCKETS, service=name
             )
         else:
             self.latency = Histogram(
-                "serving.ingest.latency",
-                buckets=LATENCY_BUCKETS,
-                quantiles=LATENCY_QUANTILES,
+                "serving.ingest.latency", buckets=LATENCY_BUCKETS
             )
 
     # -- intake ---------------------------------------------------------------
@@ -382,7 +373,7 @@ class IngestService:
                         if len(applied):
                             durability.wal(index).append_update(batch, applied)
                             appended += len(applied)
-                    observe((now - arrivals).tolist())
+                    observe(now - arrivals)
                 if durability is not None:
                     if appended:
                         durability.note_appended(index, appended)
@@ -502,10 +493,6 @@ class IngestService:
     def backlog(self) -> int:
         """Records currently queued across all shards."""
         return sum(self._depths)
-
-    def latency_quantile(self, q: float) -> float:
-        """Streaming ingest-latency quantile estimate (virtual seconds)."""
-        return self.latency.quantile(q)
 
 
 def _node_ids(batch: TraceBatch, rows: NDArray[Any]) -> list[str]:

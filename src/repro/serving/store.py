@@ -73,9 +73,6 @@ _RECEIVED = 1
 _ESTIMATED = 2
 _SOURCES = {_RECEIVED: RecordSource.RECEIVED, _ESTIMATED: RecordSource.ESTIMATED}
 
-#: The location DB's history length a broker snapshot records.
-_HISTORY_LENGTH = 128
-
 #: The broker counters a shard image carries.
 _COUNTERS = (
     "updates_received", "estimates_made", "quarantines", "resyncs",
@@ -524,7 +521,6 @@ class ColumnShard(_Growable):
         trackers = self._tracker_states()
         return {
             "db": {
-                "history_length": _HISTORY_LENGTH,
                 "latest": {
                     node_id: latest[row] for node_id, row in by_id if db_src[row]
                 },

@@ -30,7 +30,6 @@ from repro.telemetry.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    P2Quantile,
     TelemetryError,
 )
 from repro.telemetry.sampler import Sampler
@@ -46,7 +45,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "P2Quantile",
     "Tracer",
     "Span",
     "SpanStats",

@@ -47,9 +47,9 @@ def merge_snapshots(snapshots: list[dict[str, Any]]) -> dict[str, Any]:
     * counters — values summed across runs;
     * gauges — last values averaged across runs;
     * histograms — ``count``/``sum`` summed, ``min``/``max`` taken over
-      all runs, ``mean`` recomputed from the merged totals (per-run P²
-      quantile markers and buckets cannot be merged exactly and are
-      dropped);
+      all runs, ``mean`` recomputed from the merged totals (per-run
+      quantiles and buckets are dropped: a snapshot keeps no samples to
+      re-derive merged quantiles from);
     * spans — ``count``/``wall_total``/``sim_total`` summed;
     * events — per-severity counts summed.
 

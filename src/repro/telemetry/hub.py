@@ -23,13 +23,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.telemetry.config import TelemetryConfig
 from repro.telemetry.events import EventLog, Severity
-from repro.telemetry.metrics import (
-    DEFAULT_QUANTILES,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.telemetry.sampler import Sampler
 from repro.telemetry.tracing import Span, Tracer
 
@@ -78,13 +72,10 @@ class Telemetry:
         name: str,
         *,
         buckets: tuple[float, ...] | None = None,
-        quantiles: tuple[float, ...] = DEFAULT_QUANTILES,
         **labels: Any,
     ) -> Histogram:
         """Registry histogram for ``(name, labels)``."""
-        return self.registry.histogram(
-            name, buckets=buckets, quantiles=quantiles, **labels
-        )
+        return self.registry.histogram(name, buckets=buckets, **labels)
 
     # -- tracing / events -------------------------------------------------
     def span(self, name: str) -> Span:

@@ -8,8 +8,8 @@ expose:
 * :class:`Gauge` — a value that moves both ways (queue depth, live
   cluster count, staleness);
 * :class:`Histogram` — a distribution (delivery latency, queueing
-  delay) with fixed cumulative buckets *and* streaming quantile
-  estimates (the P² algorithm, so no samples are retained).
+  delay): every sample is kept, and fixed cumulative buckets and exact
+  quantiles are derived from them when read.
 
 Instruments are keyed by ``(name, labels)`` in a
 :class:`MetricsRegistry`; asking twice for the same key returns the same
@@ -20,16 +20,18 @@ paths cache them once.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from collections.abc import Iterable, Sequence
+from array import array
+from collections.abc import Sequence
 from typing import Any
+
+import numpy as np
+from numpy.typing import NDArray
 
 __all__ = [
     "TelemetryError",
     "LabelTuple",
     "Counter",
     "Gauge",
-    "P2Quantile",
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_BUCKETS",
@@ -55,7 +57,7 @@ DEFAULT_BUCKETS: tuple[float, ...] = (
     10.0,
 )
 
-#: Quantiles every histogram estimates by default.
+#: Quantiles a histogram snapshot reports.
 DEFAULT_QUANTILES: tuple[float, ...] = (0.5, 0.9, 0.99)
 
 
@@ -155,147 +157,17 @@ class Gauge(_Instrument):
         return {"kind": self.kind, "value": self._value}
 
 
-def _p2_step(
-    up: bool,
-    n_prev: float,
-    n_here: float,
-    n_next: float,
-    h_prev: float,
-    h_here: float,
-    h_next: float,
-) -> tuple[float, float]:
-    """One P² marker move (up or down a position): the new height and
-    position — parabolic when that keeps the heights ordered, else linear
-    toward the neighbour the marker moves to."""
-    step = 1.0 if up else -1.0
-    candidate = h_here + step / (n_next - n_prev) * (
-        (n_here - n_prev + step) * (h_next - h_here) / (n_next - n_here)
-        + (n_next - n_here - step) * (h_here - h_prev) / (n_here - n_prev)
-    )
-    if h_prev < candidate < h_next:
-        return candidate, n_here + step
-    if up:
-        return h_here + step * (h_next - h_here) / (n_next - n_here), n_here + step
-    return h_here + step * (h_prev - h_here) / (n_prev - n_here), n_here + step
+class Histogram(_Instrument):
+    """Distribution summary: every sample kept, statistics derived on read.
 
-
-class P2Quantile:
-    """Streaming quantile estimation via the P² algorithm.
-
-    Jain & Chlamtac (1985): five markers track the running quantile
-    without retaining observations.  Estimates are exact for the first
-    five samples and converge quickly after; memory is O(1) and every
-    update is deterministic, which keeps telemetry snapshots seed-stable.
+    Samples go into one growable float64 column: 8 B per observation,
+    kept for the histogram's lifetime.  Count, sum, extremes, cumulative
+    bucket counts and quantiles are exact functions of that column,
+    computed each time they are read.
     """
 
-    __slots__ = ("q", "_heights", "_positions", "_desired", "_increments", "_count")
-
-    def __init__(self, q: float) -> None:
-        if not (0.0 < q < 1.0):
-            raise TelemetryError(f"quantile must be in (0, 1), got {q}")
-        self.q = q
-        self._heights: list[float] = []
-        self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        # Desired positions and their per-sample increments of the three
-        # interior markers; the end markers always sit at 1 and count.
-        self._desired = [1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q]
-        self._increments = [q / 2.0, q, (1.0 + q) / 2.0]
-        self._count = 0
-
-    def observe(self, x: float) -> None:
-        """Absorb one observation."""
-        self.observe_many((x,))
-
-    def observe_many(self, values: Iterable[float]) -> None:
-        """Absorb *values* in order (the same state as one observe each)."""
-        stream = iter(values)
-        h = self._heights
-        while len(h) < 5:
-            first = next(stream, None)
-            if first is None:
-                return
-            self._count += 1
-            h.append(first)
-            h.sort()
-        h0, h1, h2, h3, h4 = h
-        n0, n1, n2, n3, n4 = self._positions
-        d1, d2, d3 = self._desired
-        inc1, inc2, inc3 = self._increments
-        count = self._count
-        step = _p2_step
-        for x in stream:
-            count += 1
-            # Locate the cell containing x, extending extremes when needed.
-            # The chain tests the cells in order, so a NaN lands in cell 3.
-            if x < h0:
-                h0 = x
-                n1 += 1.0
-                n2 += 1.0
-                n3 += 1.0
-            elif x >= h4:
-                h4 = x
-            elif h0 <= x < h1:
-                n1 += 1.0
-                n2 += 1.0
-                n3 += 1.0
-            elif h1 <= x < h2:
-                n2 += 1.0
-                n3 += 1.0
-            elif h2 <= x < h3:
-                n3 += 1.0
-            n4 += 1.0
-            d1 += inc1
-            d2 += inc2
-            d3 += inc3
-            # Adjust the three interior markers in order, each toward its
-            # desired position by one step when it has room to move.
-            d = d1 - n1
-            if (d >= 1.0 and n2 - n1 > 1.0) or (d <= -1.0 and n0 - n1 < -1.0):
-                h1, n1 = step(d >= 1.0, n0, n1, n2, h0, h1, h2)
-            d = d2 - n2
-            if (d >= 1.0 and n3 - n2 > 1.0) or (d <= -1.0 and n1 - n2 < -1.0):
-                h2, n2 = step(d >= 1.0, n1, n2, n3, h1, h2, h3)
-            d = d3 - n3
-            if (d >= 1.0 and n4 - n3 > 1.0) or (d <= -1.0 and n2 - n3 < -1.0):
-                h3, n3 = step(d >= 1.0, n2, n3, n4, h2, h3, h4)
-        self._count = count
-        self._heights = [h0, h1, h2, h3, h4]
-        self._positions = [n0, n1, n2, n3, n4]
-        self._desired = [d1, d2, d3]
-
-    @property
-    def count(self) -> int:
-        """Observations absorbed so far."""
-        return self._count
-
-    @property
-    def value(self) -> float:
-        """The current quantile estimate (0.0 before any observation)."""
-        if not self._heights:
-            return 0.0
-        if len(self._heights) < 5:
-            # Exact quantile over the few retained samples.
-            idx = self.q * (len(self._heights) - 1)
-            lo = int(math.floor(idx))
-            hi = min(lo + 1, len(self._heights) - 1)
-            frac = idx - lo
-            return self._heights[lo] * (1.0 - frac) + self._heights[hi] * frac
-        return self._heights[2]
-
-
-class Histogram(_Instrument):
-    """Distribution summary: fixed buckets plus streaming quantiles."""
-
     kind = "histogram"
-    __slots__ = (
-        "_buckets",
-        "_bucket_counts",
-        "_count",
-        "_sum",
-        "_min",
-        "_max",
-        "_quantiles",
-    )
+    __slots__ = ("_buckets", "_values")
 
     def __init__(
         self,
@@ -303,7 +175,6 @@ class Histogram(_Instrument):
         labels: LabelTuple = (),
         *,
         buckets: tuple[float, ...] | None = None,
-        quantiles: tuple[float, ...] = DEFAULT_QUANTILES,
     ) -> None:
         super().__init__(name, labels)
         bounds = tuple(buckets) if buckets is not None else DEFAULT_BUCKETS
@@ -312,98 +183,110 @@ class Histogram(_Instrument):
                 f"histogram buckets must be non-empty and sorted, got {bounds}"
             )
         self._buckets = bounds
-        self._bucket_counts = [0] * (len(bounds) + 1)  # final bucket = +inf
-        self._count = 0
-        self._sum = 0.0
-        self._min = math.inf
-        self._max = -math.inf
-        self._quantiles = {q: P2Quantile(q) for q in quantiles}
+        self._values = array("d")
 
     def observe(self, value: float) -> None:
         """Record one sample."""
-        self.observe_many((value,))
+        self._values.append(value)
 
-    def observe_many(self, values: Sequence[float]) -> None:
-        """Record *values* in order (the same state as one observe each)."""
-        total = self._sum
-        low = self._min
-        high = self._max
-        bounds = self._buckets
-        counts = self._bucket_counts
-        for value in values:
-            total += value
-            if value < low:
-                low = value
-            if value > high:
-                high = value
-            # The first bound >= value; past the last bound (or NaN, which
-            # no bound admits) the sample lands in the final +inf bucket.
-            if value == value:
-                counts[bisect_left(bounds, value)] += 1
-            else:
-                counts[-1] += 1
-        self._count += len(values)
-        self._sum = total
-        self._min = low
-        self._max = high
-        for estimator in self._quantiles.values():
-            estimator.observe_many(values)
+    def observe_many(self, values: Sequence[float] | NDArray[Any]) -> None:
+        """Record *values*, a list or an array, in order."""
+        column = np.ascontiguousarray(values, dtype=np.float64)
+        self._values.frombytes(column.view(np.uint8))
+
+    def _column(self) -> NDArray[np.float64]:
+        """The samples as an array, without a copy.  The column cannot
+        grow while such a view is alive, so callers must not keep one."""
+        return np.frombuffer(self._values, dtype=np.float64)
 
     @property
     def count(self) -> int:
         """Samples recorded."""
-        return self._count
+        return len(self._values)
 
     @property
     def sum(self) -> float:
-        """Sum of all samples."""
-        return self._sum
+        """Sum of all samples, added in observation order."""
+        if not self._values:
+            return 0.0
+        # A sequential fold, as a running ``total += value`` from 0.0
+        # would add (overflow to inf and inf - inf = NaN included); the
+        # trailing ``+ 0.0`` gives that fold's +0.0 when every sample is
+        # -0.0.
+        with np.errstate(over="ignore", invalid="ignore"):
+            folded = np.add.accumulate(self._column())[-1]
+        return float(folded) + 0.0
 
     @property
     def mean(self) -> float:
         """Average sample (0.0 when empty)."""
-        return self._sum / self._count if self._count else 0.0
+        return self.sum / self.count if self._values else 0.0
+
+    def _extremes(self) -> tuple[float, float]:
+        """The first smallest and first largest non-NaN sample, or
+        ``(inf, -inf)`` when every sample is NaN."""
+        column = self._column()
+        column = column[column == column]
+        if not len(column):
+            return math.inf, -math.inf
+        return float(column[column.argmin()]), float(column[column.argmax()])
 
     @property
     def min(self) -> float:
-        """Smallest sample (0.0 when empty)."""
-        return self._min if self._count else 0.0
+        """Smallest sample, ignoring NaN (0.0 when empty)."""
+        return self._extremes()[0] if self._values else 0.0
 
     @property
     def max(self) -> float:
-        """Largest sample (0.0 when empty)."""
-        return self._max if self._count else 0.0
+        """Largest sample, ignoring NaN (0.0 when empty)."""
+        return self._extremes()[1] if self._values else 0.0
 
     def quantile(self, q: float) -> float:
-        """Streaming estimate of quantile *q* (must have been configured)."""
-        try:
-            return self._quantiles[q].value
-        except KeyError:
+        """Exact quantile *q* in [0, 1] of the samples (0.0 when empty).
+
+        The linear rule of ``np.quantile``'s default method: sort, then
+        interpolate between the samples at ranks ``floor(q * (n - 1))``
+        and the next.  The interpolation is written so it never falls
+        below the lower sample or passes the upper one, which keeps the
+        result non-decreasing in *q* to the last bit.
+        """
+        if not 0.0 <= q <= 1.0:
             raise TelemetryError(
-                f"histogram {self.full_name} does not track quantile {q}; "
-                f"tracked: {sorted(self._quantiles)}"
-            ) from None
+                f"histogram {self.full_name}: quantile must be in [0, 1], got {q}"
+            )
+        n = len(self._values)
+        if not n:
+            return 0.0
+        position = q * (n - 1)
+        lower = int(position)
+        upper = min(lower + 1, n - 1)
+        ranked = np.partition(self._column(), (lower, upper))
+        low = float(ranked[lower])
+        high = float(ranked[upper])
+        return min(low + (high - low) * (position - lower), high)
 
     def bucket_counts(self) -> list[tuple[float, int]]:
-        """Cumulative counts per bucket upper bound (last bound is inf)."""
-        out: list[tuple[float, int]] = []
-        running = 0
-        for upper, count in zip(self._buckets, self._bucket_counts):
-            running += count
-            out.append((upper, running))
-        out.append((math.inf, running + self._bucket_counts[-1]))
-        return out
+        """Cumulative counts per bucket upper bound (last bound is inf).
+
+        A sample lands in the first bucket whose bound is >= it; past the
+        last bound (or NaN, which no bound admits) it lands in the final
+        +inf bucket.
+        """
+        bounds = self._buckets
+        index = np.searchsorted(bounds, self._column(), side="left")
+        running = np.cumsum(np.bincount(index, minlength=len(bounds) + 1))
+        return list(zip((*bounds, math.inf), running.tolist()))
 
     def snapshot(self) -> dict[str, Any]:
         """JSON-serialisable state (inf bucket rendered as a string)."""
         return {
             "kind": self.kind,
-            "count": self._count,
-            "sum": self._sum,
+            "count": self.count,
+            "sum": self.sum,
             "mean": self.mean,
             "min": self.min,
             "max": self.max,
-            "quantiles": {str(q): est.value for q, est in self._quantiles.items()},
+            "quantiles": {str(q): self.quantile(q) for q in DEFAULT_QUANTILES},
             "buckets": [
                 ["inf" if math.isinf(upper) else upper, count]
                 for upper, count in self.bucket_counts()
@@ -458,13 +341,10 @@ class MetricsRegistry:
         name: str,
         *,
         buckets: tuple[float, ...] | None = None,
-        quantiles: tuple[float, ...] = DEFAULT_QUANTILES,
         **labels: Any,
     ) -> Histogram:
         """The histogram for ``(name, labels)``, created on first use."""
-        return self._get_or_create(
-            Histogram, name, labels, buckets=buckets, quantiles=quantiles
-        )
+        return self._get_or_create(Histogram, name, labels, buckets=buckets)
 
     def instruments(self) -> list[_Instrument]:
         """Every registered instrument, in registration order."""

@@ -16,10 +16,14 @@ logged JSON entries: the binary WALs hold exactly what it logged.
 
 Each snapshot is also loaded into a fresh shard and rendered as the
 version-1 snapshot document (``shard-*.snap.json``: the shard's
-``GridBroker.state_dict`` and its gates as sorted-key JSON).  Those
-digests were taken from the object store (one ``GridBroker`` per shard)
-that the column store replaced, and from the JSON snapshots that the
-column dumps replaced: both reproduce them byte for byte.
+``GridBroker.state_dict`` and its gates as sorted-key JSON).  The
+column store first reproduced, byte for byte, the digests taken from
+the object store (one ``GridBroker`` per shard) and from the JSON
+snapshots that the column dumps replaced.  They were re-taken once, from
+the column store, when the document dropped its constant
+``"history_length"`` key (neither store keeps history);
+``test_store_parity.py`` still holds that document equal to
+``GridBroker.state_dict``.
 """
 
 import hashlib
@@ -48,13 +52,13 @@ from repro.telemetry import Telemetry, TelemetryConfig
 
 GOLDEN = {
     "plain/report.json": (
-        "f63a458a6dd58a2f076302538091637bcbd7655992f7031b4d3d275158434e05"
+        "7bcbc2acb48afe41760db4db1379c8337b639083bbd58c24c0db3fdcf8bca6fb"
     ),
     "plain/shard-000.snap": (
         "804369d70c3a6f67a0eb851285e6546db0ee9b6ca4e17fe0e5b4c5c10d662422"
     ),
     "plain/shard-000.snap.json": (
-        "f8696f22d3af1b8612d0bfe3e8c28a9eb92579ea4538ac04978c86f83850f594"
+        "711056b543c171914df180b275475013993c06e61243ee1ac25d3a44a381d86b"
     ),
     "plain/shard-000.wal": (
         "f225c6d84a3d19dc83bfbb3422d11b399d535287968f7298c550f8dd4463b36e"
@@ -66,7 +70,7 @@ GOLDEN = {
         "9bf46f2d63c49d25598d331aad9f538b1eb8e8bfe4eb2f618db13bfd1d2c1513"
     ),
     "plain/shard-001.snap.json": (
-        "a0632abc636e993ad2214a78e46811154ffaa05ee22f4b251ab393187357c90c"
+        "965c585733bf42001a547399555b361346d1574c033aff6eee4d15434fa972e6"
     ),
     "plain/shard-001.wal": (
         "623cb88b0c75abbf692329a1396d66356f22bc29a3ff1e097c13a39c091e0cf9"
@@ -78,7 +82,7 @@ GOLDEN = {
         "75a36c1bc6f8805fb1cb9937a036c3dc42c4dd88bde4ae571d5873d2bda895e6"
     ),
     "plain/shard-002.snap.json": (
-        "ba52399e175a627324c2966b8b5cac0ed6539343ad8490c3c42c3f767ba8ebfa"
+        "7a83e735d9653197203be5b69f39113ac74ad241d0b4273bcb0bad19011f182b"
     ),
     "plain/shard-002.wal": (
         "ed10ea7a289c143ba6f5cc4583635c995d82f04e96a0bc6d6452189d558d878e"
@@ -90,7 +94,7 @@ GOLDEN = {
         "76f27d6f6e77803a96c9551acaf0a2949ca30a4bb9ca2bcdd5dc015e3da6e377"
     ),
     "plain/shard-003.snap.json": (
-        "0c94462d5543a86f4b24bf3d617d2bf842cc8336d12d70a728bdeed80a96f73e"
+        "1a452f92c3a06fffcd4097983803af110fa7d35d9639673c4afbd1a6754a3556"
     ),
     "plain/shard-003.wal": (
         "f1750dfdb0e180823ef40ca932c72f1d5498ebfe7efc0aa55fde7ec693c268b7"
@@ -99,13 +103,13 @@ GOLDEN = {
         "841a13d5eb69333d8d544448ddd9e4223b3ef38127ab4bd9f6028e6b7cf1b0da"
     ),
     "telemetry/report.json": (
-        "832ebde061597355ece282ac843e5efc53ddf1e42dbe3251155e34882438b4dc"
+        "9c7868b1239519cfafeaa8de2954bc3574a12157c50973f5726efd62ebf555c0"
     ),
     "telemetry/shard-000.snap": (
         "804369d70c3a6f67a0eb851285e6546db0ee9b6ca4e17fe0e5b4c5c10d662422"
     ),
     "telemetry/shard-000.snap.json": (
-        "f8696f22d3af1b8612d0bfe3e8c28a9eb92579ea4538ac04978c86f83850f594"
+        "711056b543c171914df180b275475013993c06e61243ee1ac25d3a44a381d86b"
     ),
     "telemetry/shard-000.wal": (
         "f225c6d84a3d19dc83bfbb3422d11b399d535287968f7298c550f8dd4463b36e"
@@ -117,7 +121,7 @@ GOLDEN = {
         "9bf46f2d63c49d25598d331aad9f538b1eb8e8bfe4eb2f618db13bfd1d2c1513"
     ),
     "telemetry/shard-001.snap.json": (
-        "a0632abc636e993ad2214a78e46811154ffaa05ee22f4b251ab393187357c90c"
+        "965c585733bf42001a547399555b361346d1574c033aff6eee4d15434fa972e6"
     ),
     "telemetry/shard-001.wal": (
         "623cb88b0c75abbf692329a1396d66356f22bc29a3ff1e097c13a39c091e0cf9"
@@ -129,7 +133,7 @@ GOLDEN = {
         "75a36c1bc6f8805fb1cb9937a036c3dc42c4dd88bde4ae571d5873d2bda895e6"
     ),
     "telemetry/shard-002.snap.json": (
-        "ba52399e175a627324c2966b8b5cac0ed6539343ad8490c3c42c3f767ba8ebfa"
+        "7a83e735d9653197203be5b69f39113ac74ad241d0b4273bcb0bad19011f182b"
     ),
     "telemetry/shard-002.wal": (
         "ed10ea7a289c143ba6f5cc4583635c995d82f04e96a0bc6d6452189d558d878e"
@@ -141,7 +145,7 @@ GOLDEN = {
         "76f27d6f6e77803a96c9551acaf0a2949ca30a4bb9ca2bcdd5dc015e3da6e377"
     ),
     "telemetry/shard-003.snap.json": (
-        "0c94462d5543a86f4b24bf3d617d2bf842cc8336d12d70a728bdeed80a96f73e"
+        "1a452f92c3a06fffcd4097983803af110fa7d35d9639673c4afbd1a6754a3556"
     ),
     "telemetry/shard-003.wal": (
         "f1750dfdb0e180823ef40ca932c72f1d5498ebfe7efc0aa55fde7ec693c268b7"

@@ -94,7 +94,7 @@ class TestSubmitAndFlush:
         # The flush fires 0.5 s after submission (at sim time 0).
         assert service.latency.count == 1
         assert service.latency.max == pytest.approx(0.5)
-        assert service.latency_quantile(0.5) == pytest.approx(0.5)
+        assert service.latency.quantile(0.5) == pytest.approx(0.5)
 
 
 class TestBackpressure:
@@ -181,7 +181,7 @@ class TestTelemetry:
         service = IngestService(sim, ServingConfig(shards=1))
         service.submit(lu(t=1.0, seq=1))
         sim.run()
-        assert service.latency_quantile(0.99) > 0.0
+        assert service.latency.quantile(0.99) > 0.0
 
 
 class TestCrashRecovery:
