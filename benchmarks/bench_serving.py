@@ -23,7 +23,7 @@ from repro.serving import (
     ReplayConfig,
     ServingConfig,
     read_trace,
-    record_trace,
+    record_columnar_trace,
     replay_trace,
     replay_trace_full,
     run_recovery_gate,
@@ -68,7 +68,7 @@ def recorded_trace(tmp_path_factory):
     loaded batch, so the WAL packs its rows' entries from the columns
     once per trace instead of on every replay.
     """
-    meta, records = record_trace(TRACE_CONFIG)
+    meta, records = record_columnar_trace(TRACE_CONFIG)
     path = write_trace(
         records, tmp_path_factory.mktemp("trace") / "lane.jsonl", meta=meta
     )

@@ -11,12 +11,17 @@ Usage::
 """
 
 from repro import ExperimentConfig
-from repro.serving import ReplayConfig, ServingConfig, record_trace, replay_trace
+from repro.serving import (
+    ReplayConfig,
+    ServingConfig,
+    record_columnar_trace,
+    replay_trace,
+)
 
 
 def main() -> None:
     config = ExperimentConfig(duration=60.0, seed=7, dth_factors=(1.0,))
-    meta, records = record_trace(config)
+    meta, records = record_columnar_trace(config)
     print(
         f"recorded {len(records)} LUs from lane {meta['lane']} "
         f"({meta['node_count']} nodes, {meta['duration']:.0f} s)\n"

@@ -228,25 +228,7 @@ class GridBroker:
                     position=update.position,
                     source=RecordSource.RECEIVED,
                 )
-            # Inlined LocationDB.store (same check and counters): this path
-            # runs once per LU per broker.  With store() called instead, a
-            # 60 s run took a median 3.4 % longer (slower in 27 of 40
-            # same-interpreter A/B rounds, benchmarks/runs/latest-only-db/),
-            # so the two lines that read the DB's internals carry a
-            # suppression saying so.
-            db = self.location_db
-            latest = db._latest  # lint: disable=INV002 (inlined store, +3.4 % un-inlined)
-            previous = latest.get(node_id)
-            if previous is not None and timestamp < previous.time:
-                raise ValueError(
-                    f"record for {node_id} at {timestamp} is older than "
-                    f"latest ({previous.time})"
-                )
-            latest[node_id] = record
-            db.stored_received += 1
-            if db._instrumented:
-                db._t_received.inc()
-                db._t_nodes.set(len(latest))  # lint: disable=INV002 (inlined store, +3.4 % un-inlined)
+            self.location_db.store(record)
         self._updated_since_tick.add(node_id)
 
     # -- the estimation sweep ------------------------------------------------

@@ -322,7 +322,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=str,
         default=None,
         metavar="PATH",
-        help="record the experiment's LU stream as a replayable trace",
+        help="record the experiment's LU stream as a replayable trace "
+        "(columnar engine; exits 2 on a config it does not support)",
     )
     serving.add_argument(
         "--replay",
@@ -500,7 +501,9 @@ def _lint_target(args: argparse.Namespace) -> int:
 def _profile_target(args: argparse.Namespace) -> int:
     """cProfile one experiment run and print the hottest functions.
 
-    The duration default (1800 s) is sized for figures, not profiling;
+    The run is ``run_experiment``'s, so it profiles the engine it picks:
+    columnar for a supported config, the object harness otherwise.  The
+    duration default (1800 s) is sized for figures, not profiling;
     20-30 simulated seconds is plenty to rank the hot paths.
     """
     import cProfile
@@ -794,7 +797,7 @@ def _serving_target(args: argparse.Namespace) -> int:
         ReplayConfig,
         ServingConfig,
         read_trace,
-        record_trace,
+        record_columnar_trace,
         replay_trace,
     )
     from repro.telemetry import Telemetry, TelemetryConfig
@@ -813,7 +816,7 @@ def _serving_target(args: argparse.Namespace) -> int:
                 building_linear=1,
             ),
         )
-        meta, records = record_trace(
+        meta, records = record_columnar_trace(
             config, lane=args.trace_lane, path=args.record
         )
         print(f"recorded {len(records)} LUs (lane {args.trace_lane})")
@@ -825,8 +828,15 @@ def _serving_target(args: argparse.Namespace) -> int:
         rate = args.rate if args.rate is not None else 10_000.0
         sweep = args.sweep_interval
     elif args.record:
-        meta, records = record_trace(
-            _build_config(args), lane=args.trace_lane, path=args.record
+        from repro.core.columnar.engine import unsupported_reason
+
+        config = _build_config(args)
+        reason = unsupported_reason(config)
+        if reason is not None:
+            print(f"serving --record: {reason}", file=sys.stderr)
+            return 2
+        meta, records = record_columnar_trace(
+            config, lane=args.trace_lane, path=args.record
         )
         print(
             f"wrote {args.record}: {len(records)} LUs "

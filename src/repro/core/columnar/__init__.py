@@ -7,6 +7,7 @@ path (:class:`repro.experiments.harness.MobileGridExperiment`) remains
 the reference spec, exactly as ``Campus.region_at_linear`` is the
 reference for the spatial index: the columnar engine in *exact* mode is
 locked bit-for-bit against it by the golden parity test.
+``run_experiment`` runs this engine whenever the config allows it.
 """
 
 from repro.core.columnar.classifier import ColumnarClassifier

@@ -10,10 +10,10 @@ every collected metric (locked by the golden parity test against the
 determinism fixture).
 
 Scope: the engine models the paper's ideal substrate — telemetry off, no
-fault schedule, lossless zero-latency channels (exactly the fixture and
-scaling-study configuration).  Anything richer needs the object harness;
-the constructor rejects unsupported configurations instead of silently
-diverging.
+fault schedule, lossless zero-latency channels — and honours every other
+:class:`ExperimentConfig` field.  :func:`unsupported_reason` is that rule;
+``run_experiment`` uses it to pick this engine, and the constructor
+rejects a configuration it names instead of silently diverging.
 
 Sequential-to-columnar correspondences worth knowing when reading the
 code:
@@ -69,6 +69,7 @@ __all__ = [
     "RegionResolver",
     "df_decide",
     "run_columnar_experiment",
+    "unsupported_reason",
 ]
 
 _STOP = PATTERN_CODES[MobilityState.STOP]
@@ -111,14 +112,18 @@ class RegionResolver:
 
     def __init__(self, campus: Campus) -> None:
         index = campus.spatial_index
-        self.region_ids: list[str] = list(campus.regions)
+        #: Region ids by code.  The last, ``""``, is "no region": the home
+        #: of a node that has none (a classic-model node), which an
+        #: unresolved node falls back to, as its LU does in the harness.
+        self.region_ids: list[str] = [*campus.regions, ""]
         self.code_of: dict[str, int] = {
             rid: i for i, rid in enumerate(self.region_ids)
         }
         #: The narrowest signed dtype holding every region code and -1.
         self.code_dtype = np.min_scalar_type(-len(self.region_ids))
         self.is_road = np.asarray(
-            [campus.regions[rid].is_road for rid in self.region_ids], dtype=bool
+            [region.is_road for region in campus.regions.values()] + [False],
+            dtype=bool,
         )
         (
             self._x_min,
@@ -433,6 +438,21 @@ class _ColumnarLane:
         self.cluster_series = TimeSeries()
 
 
+def unsupported_reason(config: ExperimentConfig) -> str | None:
+    """Why :class:`ColumnarExperiment` cannot run *config*, or None if it can.
+
+    The engine needs telemetry off, no fault schedule and a lossless
+    zero-latency channel; it honours every other config field.
+    """
+    if config.telemetry.enabled:
+        return "the columnar engine does not support telemetry"
+    if config.faults is not None and config.faults:
+        return "the columnar engine does not support fault schedules"
+    if config.channel_loss != 0.0 or config.channel_latency != 0.0:
+        return "the columnar engine models the lossless zero-latency channel only"
+    return None
+
+
 class ColumnarExperiment:
     """The struct-of-arrays evaluation engine."""
 
@@ -451,26 +471,14 @@ class ColumnarExperiment:
         self.kernel = kernel
         #: Optional LU-stream sink, called once per lane per step as
         #: ``lu_observer(lane_name, now, idx, x, y, vx, vy, codes, dth)``
-        #: with the transmitting row indices — the columnar analogue of
-        #: the harness's per-update observer (trace recording hook).
+        #: with the transmitting row indices — the trace recording hook
+        #: (:class:`~repro.serving.trace.ColumnarTraceRecorder`).
         self._lu_observer = lu_observer
+        reason = unsupported_reason(cfg)
+        if reason is not None:
+            raise ValueError(f"{reason}; use MobileGridExperiment")
         self.campus = campus or default_campus()
         self.telemetry = Telemetry.from_config(cfg.telemetry)
-        if self.telemetry.enabled:
-            raise ValueError(
-                "the columnar engine does not support telemetry; "
-                "use MobileGridExperiment"
-            )
-        if cfg.faults is not None and cfg.faults:
-            raise ValueError(
-                "the columnar engine does not support fault schedules; "
-                "use MobileGridExperiment"
-            )
-        if cfg.channel_loss != 0.0 or cfg.channel_latency != 0.0:
-            raise ValueError(
-                "the columnar engine models the lossless zero-latency "
-                "substrate only; use MobileGridExperiment"
-            )
         if source is None:
             nodes = build_population(
                 self.campus, cfg.population, RngRegistry(cfg.seed)

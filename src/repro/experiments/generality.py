@@ -7,8 +7,8 @@ Gauss-Markov and Manhattan grid — in an open field.  If the reduction and
 bounded-error properties only held for the campus generator, the
 reproduction would be suspect; they hold for all of them.
 
-Each fleet runs through the evaluation harness on a one-region campus,
-the arena, with a single ADF lane.
+Each fleet runs through ``run_experiment`` on a one-region campus, the
+arena, with a single ADF lane.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from repro.campus import Campus, NetworkAccess, Region, RegionKind
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.harness import MobileGridExperiment
+from repro.experiments.harness import run_experiment
 from repro.geometry import Rect
 from repro.mobility.classic import (
     GaussMarkovModel,
@@ -73,6 +73,32 @@ class GeneralityResult:
         return self.mean_rmse_with_le / self.mean_rmse_without_le
 
 
+def arena_campus() -> Campus:
+    """The campus the fleets roam: one building region covering the arena."""
+    arena = Region(
+        region_id="arena",
+        name="open-field arena",
+        kind=RegionKind.BUILDING,
+        bounds=_ARENA,
+        access=NetworkAccess.WLAN,
+        entrance=_ARENA.center,
+    )
+    return Campus([arena])
+
+
+def classic_fleet(label: str, factory, n_nodes: int, seed: int) -> list[MobileNode]:
+    """*n_nodes* nodes driven by the generator *factory*, started at
+    random arena points; each node draws from its own stream of *seed*
+    forked by *label*."""
+    registry = RngRegistry(seed).fork(label)
+    nodes = []
+    for i in range(n_nodes):
+        rng = registry.stream(f"node-{i}")
+        start = _ARENA.random_point(rng)
+        nodes.append(MobileNode(f"{label}-{i}", factory(start, rng)))
+    return nodes
+
+
 def generality_study(
     *,
     models: dict | None = None,
@@ -91,25 +117,14 @@ def generality_study(
     if not models:
         raise ValueError("need at least one mobility generator")
     config = ExperimentConfig(duration=duration, dth_factors=(dth_factor,), seed=seed)
-    # Each fleet runs on a campus of one building region covering the arena.
-    arena = Region(
-        region_id="arena",
-        name="open-field arena",
-        kind=RegionKind.BUILDING,
-        bounds=_ARENA,
-        access=NetworkAccess.WLAN,
-        entrance=_ARENA.center,
-    )
     lane = f"adf-{dth_factor:g}"
     out: list[GeneralityResult] = []
     for label, factory in models.items():
-        registry = RngRegistry(seed).fork(label)
-        nodes = []
-        for i in range(n_nodes):
-            rng = registry.stream(f"node-{i}")
-            start = _ARENA.random_point(rng)
-            nodes.append(MobileNode(f"{label}-{i}", factory(start, rng)))
-        result = MobileGridExperiment(config, campus=Campus([arena]), nodes=nodes).run()
+        result = run_experiment(
+            config,
+            campus=arena_campus(),
+            nodes=classic_fleet(label, factory, n_nodes, seed),
+        )
         adf = result.lanes[lane]
         out.append(
             GeneralityResult(

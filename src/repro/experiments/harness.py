@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,14 +88,9 @@ class MobileGridExperiment:
         *,
         campus: Campus | None = None,
         nodes: Sequence[MobileNode] | None = None,
-        lu_observer: Callable[[str, LocationUpdate], None] | None = None,
     ) -> None:
         """*nodes* replaces the Table 1 population built on *campus*."""
         self.config = config or ExperimentConfig()
-        #: Called as ``lu_observer(lane_name, update)`` for every LU that
-        #: survives a lane's filter (the serving trace recorder taps this).
-        #: None costs one identity test per transmitted LU.
-        self._lu_observer = lu_observer
         self.campus = campus or default_campus()
         self.rng = RngRegistry(self.config.seed)
         self.telemetry = Telemetry.from_config(self.config.telemetry)
@@ -240,8 +235,6 @@ class MobileGridExperiment:
         lane.meter.count(
             timestamp, update.region_id, size_bytes=update.size_bytes, node_id=node_id
         )
-        if self._lu_observer is not None:
-            self._lu_observer(lane.name, update)
         # Both brokers store an identical RECEIVED record; build it once.
         record = LocationRecord(
             node_id=node_id,
@@ -508,6 +501,26 @@ class MobileGridExperiment:
         )
 
 
-def run_experiment(config: ExperimentConfig | None = None) -> ExperimentResult:
-    """Convenience wrapper: build, run and collect in one call."""
-    return MobileGridExperiment(config).run()
+def run_experiment(
+    config: ExperimentConfig | None = None,
+    *,
+    campus: Campus | None = None,
+    nodes: Sequence[MobileNode] | None = None,
+) -> ExperimentResult:
+    """Build, run and collect in one call, on the faster engine that fits.
+
+    A config the columnar engine supports (``unsupported_reason`` is
+    None) runs there in exact kernel mode, which gives the object
+    harness's result bit for bit; any other config runs on
+    :class:`MobileGridExperiment`.  *campus* and *nodes* are as in
+    :class:`MobileGridExperiment`.
+    """
+    # The engine imports this package's config and results modules.
+    from repro.core.columnar.engine import ColumnarExperiment, unsupported_reason
+    from repro.core.columnar.mobility import ObjectMobilitySource
+
+    config = config or ExperimentConfig()
+    if unsupported_reason(config) is not None:
+        return MobileGridExperiment(config, campus=campus, nodes=nodes).run()
+    source = None if nodes is None else ObjectMobilitySource(nodes)
+    return ColumnarExperiment(config, campus=campus, source=source).run()

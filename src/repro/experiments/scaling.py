@@ -234,8 +234,8 @@ def population_sweep(
                     "duration": duration,
                     "report_interval": config.report_interval,
                     "node_count": result.node_count,
-                    "engine": "columnar",
                     "cluster_mode": cluster_mode,
+                    "kernel": kernel.name,
                 },
             )
     return points

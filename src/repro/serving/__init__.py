@@ -2,8 +2,8 @@
 
 The serving layer lifts the paper's in-loop broker into a service shape:
 
-* :mod:`repro.serving.trace` — record one harness lane's transmitted LU
-  stream into a compact replayable log (``repro-lu-trace``);
+* :mod:`repro.serving.trace` — record one lane's transmitted LU stream
+  into a compact replayable log (``repro-lu-trace``);
 * :mod:`repro.serving.store` — a region-sharded location store whose
   shards hold the state of a degraded-mode
   :class:`~repro.broker.broker.GridBroker` (staleness, extrapolation,
@@ -49,12 +49,14 @@ from repro.serving.trace import (
     TraceBatch,
     TraceError,
     TraceRecord,
-    TraceRecorder,
     read_trace,
     record_columnar_trace,
-    record_trace,
     write_trace,
 )
+
+#: The former name of :func:`record_columnar_trace`, now the one recorder;
+#: kept while ``benchmarks/e2e/test_e2e.py`` imports it.
+record_trace = record_columnar_trace
 
 __all__ = [
     "ColumnShard",
@@ -72,12 +74,10 @@ __all__ = [
     "TraceBatch",
     "TraceError",
     "TraceRecord",
-    "TraceRecorder",
     "WriteAheadLog",
     "read_trace",
     "read_wal",
     "record_columnar_trace",
-    "record_trace",
     "replay_trace",
     "replay_trace_full",
     "run_recovery_gate",

@@ -1,12 +1,11 @@
 """LU trace record/replay: a compact, replayable log of an LU stream.
 
 The serving subsystem decouples workload *generation* from workload
-*serving*: a :class:`TraceRecorder` captures the LU stream one harness
-lane actually transmitted (post-filter, DTH-stamped) into a flat list of
-:class:`TraceRecord` rows (:class:`ColumnarTraceRecorder` does the same
-for the columnar engine, straight into columns), and :func:`write_trace`
-/ :func:`read_trace` persist them as a file the load generator replays
-at any rate.  :func:`read_trace` returns the rows as a
+*serving*: :func:`record_columnar_trace` captures the LU stream one lane
+of the columnar engine actually transmitted (post-filter, DTH-stamped)
+straight into columns, with a :class:`ColumnarTraceRecorder`, and
+:func:`write_trace` / :func:`read_trace` persist it as a file the load
+generator replays at any rate.  :func:`read_trace` returns the rows as a
 :class:`TraceBatch`, one column per field, which is what the serving
 path consumes.
 
@@ -28,7 +27,7 @@ depend only on the record sequence: the header is dumped with
 writing the same records twice (as a list, a batch, or a slice of a
 wider batch) produces byte-identical files, which the serving
 determinism gate (CI ``serving-smoke``) relies on.  Records are written
-in capture order; the recorders capture in simulation order, so per
+in capture order; the recorder captures in simulation order, so per
 node both ``time`` and ``seq`` are non-decreasing, the trace invariant
 the sharded store's duplicate detection leans on.  The file name's
 extension is not significant: the header's ``version`` says what the
@@ -63,11 +62,9 @@ __all__ = [
     "TraceBatch",
     "TraceError",
     "TraceRecord",
-    "TraceRecorder",
     "ColumnarTraceRecorder",
     "write_trace",
     "read_trace",
-    "record_trace",
     "record_columnar_trace",
 ]
 
@@ -318,50 +315,31 @@ def _intern_into(table: dict[str, int], values: Sequence[str]) -> NDArray[Any]:
     return np.fromiter(map(table.__getitem__, values), np.int64, len(values))
 
 
-class TraceRecorder:
-    """Captures one lane's transmitted LU stream from the harness.
-
-    Instances are :class:`~repro.experiments.harness.MobileGridExperiment`
-    ``lu_observer`` callables: the harness invokes them as
-    ``observer(lane_name, update)`` for every LU that survived the lane's
-    filter.  Only the configured *lane*'s stream is kept — recording the
-    ADF lane yields the paper's reduced traffic, recording ``ideal`` the
-    unfiltered firehose.
-    """
-
-    def __init__(self, lane: str = "adf-1") -> None:
-        self.lane = lane
-        self.records: list[TraceRecord] = []
-
-    def __call__(self, lane_name: str, update: LocationUpdate) -> None:
-        if lane_name == self.lane:
-            self.records.append(TraceRecord.from_update(update))
-
-
 class ColumnarTraceRecorder:
     """Captures one lane's LU stream from the *columnar* engine.
 
     Instances are :class:`~repro.core.columnar.engine.ColumnarExperiment`
     ``lu_observer`` callables: the engine invokes them once per lane per
     step with the transmitting row indices and the full-width state
-    columns.  The recorder keeps each step's row indices and gathered
-    columns, and :attr:`records` joins them into one :class:`TraceBatch`
-    whose id tables hold only the node and region ids the rows use —
-    call :meth:`bind` with the experiment's ``node_ids`` and
-    ``resolver.region_ids`` before the run.
+    columns.  Only the configured *lane*'s stream is kept — recording the
+    ADF lane yields the paper's reduced traffic, recording ``ideal`` the
+    unfiltered firehose.  The recorder keeps each step's rows and
+    gathered columns, and :attr:`records` joins them into one
+    :class:`TraceBatch` whose id tables hold only the node and region ids
+    the rows use — call :meth:`bind` with the experiment's ``node_ids``
+    and ``resolver.region_ids`` before the run.
 
-    The columnar engine has no per-LU sequence stamps, so the recorder
-    synthesises ``seq`` from a single per-run counter advanced in
-    capture order (steps advance time, rows within a step are visited in
-    ascending index order) — per node both ``time`` and ``seq`` are
-    non-decreasing, the trace invariant replay relies on.
+    Row ``i``'s LU at the ``k``-th step (from 0) gets ``seq = k * n + i``
+    for ``n`` nodes: the harness's per-run numbering, in which every node
+    takes one seq per step in node order.  Per node both ``time`` and
+    ``seq`` increase, the trace invariant replay relies on.
     """
 
     def __init__(self, lane: str = "adf-1") -> None:
         self.lane = lane
         self._node_ids: Sequence[str] | None = None
         self._region_ids: Sequence[str] | None = None
-        #: Per captured step, the rows' time, indices, x, y, vx, vy,
+        #: Per captured step, the rows' time, seq, indices, x, y, vx, vy,
         #: region codes and dth.
         self._steps: list[tuple[NDArray[Any], ...]] = []
         self._batch: TraceBatch | None = None
@@ -392,8 +370,9 @@ class ColumnarTraceRecorder:
             )
         idx = np.array(idx, dtype=np.int64)
         time = np.full(len(idx), float(now))
+        seq = len(self._steps) * len(x) + idx
         self._steps.append(
-            (time, idx, x[idx], y[idx], vx[idx], vy[idx], codes[idx], dth[idx])
+            (time, seq, idx, x[idx], y[idx], vx[idx], vy[idx], codes[idx], dth[idx])
         )
         self._batch = None
 
@@ -407,12 +386,14 @@ class ColumnarTraceRecorder:
     def _join(self) -> TraceBatch:
         if not self._steps or self._node_ids is None or self._region_ids is None:
             return TraceBatch.from_rows(())
-        time, idx, x, y, vx, vy, codes, dth = map(np.concatenate, zip(*self._steps))
+        time, seq, idx, x, y, vx, vy, codes, dth = map(
+            np.concatenate, zip(*self._steps)
+        )
         node_ids, node = _first_seen(self._node_ids, idx)
         region_ids, region = _first_seen(self._region_ids, codes)
         return TraceBatch(
             time=time,
-            seq=np.arange(1, len(idx) + 1, dtype=np.int64),
+            seq=seq,
             node=node,
             x=x.astype(np.float64, copy=False),
             y=y.astype(np.float64, copy=False),
@@ -616,36 +597,6 @@ def _in_first_seen_order(codes: NDArray[Any], size: int) -> NDArray[Any]:
     return (codes < size) & (codes <= bound)
 
 
-def record_trace(
-    config: "ExperimentConfig",
-    *,
-    lane: str = "adf-1",
-    path: str | Path | None = None,
-) -> tuple[dict[str, Any], list[TraceRecord]]:
-    """Run one experiment and capture *lane*'s transmitted LU stream.
-
-    Returns ``(meta, records)``; when *path* is given the trace is also
-    written there.  The capture is a pure function of the experiment
-    seed/config, so re-recording produces byte-identical traces.
-    """
-    from repro.experiments.harness import MobileGridExperiment
-
-    recorder = TraceRecorder(lane)
-    experiment = MobileGridExperiment(config, lu_observer=recorder)
-    experiment.lane(lane)  # fail fast on an unknown lane name
-    experiment.run()
-    meta: dict[str, Any] = {
-        "lane": lane,
-        "seed": config.seed,
-        "duration": config.duration,
-        "report_interval": config.report_interval,
-        "node_count": len(experiment.nodes),
-    }
-    if path is not None:
-        write_trace(recorder.records, path, meta=meta)
-    return meta, recorder.records
-
-
 def record_columnar_trace(
     config: "ExperimentConfig",
     *,
@@ -656,15 +607,17 @@ def record_columnar_trace(
     kernel: Any = None,
     cluster_mode: str = "exact",
 ) -> tuple[dict[str, Any], TraceBatch]:
-    """Record one lane's LU stream through the *columnar* engine.
+    """Run one experiment on the columnar engine and capture *lane*'s
+    transmitted LU stream.
 
-    The array-speed twin of :func:`record_trace`, for fleets the object
-    harness cannot reach (the 1M-node synthetic-city traces) — pass a
-    generated *campus* plus a :class:`ColumnarMobilitySource` *source*
-    to record a big-city workload.  Returns ``(meta, records)`` and,
-    when *path* is given, also writes the trace file.  Like the object
-    recorder, the capture is a pure function of seed/config/campus, so
-    re-recording produces byte-identical traces.
+    Returns ``(meta, records)``; when *path* is given the trace is also
+    written there.  With the default exact kernel the capture is byte for
+    byte the stream the object harness transmits on that lane.  Pass a
+    generated *campus* plus a :class:`ColumnarMobilitySource` *source* to
+    record a big-city workload.  The capture is a pure function of
+    seed/config/campus, so re-recording produces byte-identical traces.
+    A config the engine does not support raises ``ValueError`` (see
+    :func:`~repro.core.columnar.engine.unsupported_reason`).
     """
     from repro.core.columnar.engine import ColumnarExperiment
     from repro.core.columnar.kernels import EXACT_KERNEL
@@ -691,8 +644,8 @@ def record_columnar_trace(
         "duration": config.duration,
         "report_interval": config.report_interval,
         "node_count": len(experiment.node_ids),
-        "engine": "columnar",
         "cluster_mode": cluster_mode,
+        "kernel": experiment.kernel.name,
     }
     if path is not None:
         write_trace(recorder.records, path, meta=meta)

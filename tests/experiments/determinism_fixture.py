@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.experiments import ExperimentConfig, run_experiment
+from repro.experiments import ExperimentConfig, MobileGridExperiment
 from repro.experiments.results import ExperimentResult
 
 FIXTURE_PATH = Path(__file__).parent / "data" / "determinism_baseline.json"
@@ -89,7 +89,7 @@ def collect_metrics(result: ExperimentResult) -> dict:
 
 def generate() -> Path:
     """Run the fixture configuration and write the golden JSON."""
-    metrics = collect_metrics(run_experiment(FIXTURE_CONFIG))
+    metrics = collect_metrics(MobileGridExperiment(FIXTURE_CONFIG).run())
     FIXTURE_PATH.parent.mkdir(parents=True, exist_ok=True)
     FIXTURE_PATH.write_text(json.dumps(metrics, indent=1, sort_keys=True))
     return FIXTURE_PATH

@@ -141,6 +141,29 @@ class TestServingCli:
         assert main(["serving"]) == 2
         assert "needs --record" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, text, reason",
+        [
+            ("lossy.toml", "channel_loss = 0.1\n", "lossless"),
+            ("faulted.json", '{"faults": [{"kind": "outage"}]}', "fault schedules"),
+        ],
+    )
+    def test_record_refuses_an_unsupported_config(
+        self, capsys, tmp_path, name, text, reason
+    ):
+        """The recorder runs on the columnar engine: a config it cannot
+        run exits 2 with the one-line reason, not a traceback."""
+        config = tmp_path / name
+        config.write_text(text)
+        trace = tmp_path / "t.trace"
+        assert main([
+            "serving", "--record", str(trace), "--duration", "5",
+            "--config", str(config),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert reason in err and len(err.splitlines()) == 1
+        assert not trace.exists()
+
 
 class TestSweepCli:
     GRID = (

@@ -7,7 +7,8 @@ reproduce all of them bit-for-bit — traffic totals, per-region and
 per-node counts, both RMSE series, region error sums, cluster series,
 filter summaries, classification accuracy and fleet speed.  A fresh
 object-harness run on a *different* configuration is compared too, so
-parity does not silently narrow to the one committed fixture.
+parity does not silently narrow to the one committed fixture, and so
+are the generality study's classic-model fleets.
 """
 
 from __future__ import annotations
@@ -22,7 +23,12 @@ from repro.core.columnar import (
     run_columnar_experiment,
 )
 from repro.core.columnar.kernels import EXACT_KERNEL, FAST_KERNEL
-from repro.experiments import ExperimentConfig, run_experiment
+from repro.experiments import ExperimentConfig, MobileGridExperiment
+from repro.experiments.generality import (
+    MOBILITY_GENERATORS,
+    arena_campus,
+    classic_fleet,
+)
 from repro.telemetry import TelemetryConfig
 from tests.experiments.determinism_fixture import (
     FIXTURE_CONFIG,
@@ -75,7 +81,7 @@ class TestGoldenParity:
     def test_exact_kernel_matches_live_object_harness_off_fixture(self, config):
         # Different seeds, durations and factor sets than the fixture: the
         # engines must agree on configurations nobody hand-tuned for.
-        reference = collect_metrics(run_experiment(config))
+        reference = collect_metrics(MobileGridExperiment(config).run())
         columnar = collect_metrics(
             run_columnar_experiment(config, kernel=EXACT_KERNEL)
         )
@@ -85,11 +91,34 @@ class TestGoldenParity:
         # The schedule fires at interval multiples while they stay within
         # the duration; both engines must agree on the step count.
         config = ExperimentConfig(duration=5.0, report_interval=1.5, seed=3)
-        reference = collect_metrics(run_experiment(config))
+        reference = collect_metrics(MobileGridExperiment(config).run())
         columnar = collect_metrics(
             run_columnar_experiment(config, kernel=EXACT_KERNEL)
         )
         assert _normalized(columnar) == _normalized(reference)
+
+
+class TestClassicFleetParity:
+    """The generality fleets (nodes with no home region) on both engines."""
+
+    @pytest.mark.parametrize("model", sorted(MOBILITY_GENERATORS))
+    def test_exact_kernel_matches_object_harness(self, model):
+        config = ExperimentConfig(duration=40.0, dth_factors=(1.0,), seed=5)
+        factory = MOBILITY_GENERATORS[model]
+        reference = MobileGridExperiment(
+            config,
+            campus=arena_campus(),
+            nodes=classic_fleet(model, factory, 30, seed=5),
+        ).run()
+        columnar = run_columnar_experiment(
+            config,
+            campus=arena_campus(),
+            source=ObjectMobilitySource(classic_fleet(model, factory, 30, seed=5)),
+            kernel=EXACT_KERNEL,
+        )
+        assert _normalized(collect_metrics(columnar)) == _normalized(
+            collect_metrics(reference)
+        )
 
 
 class TestFastKernel:

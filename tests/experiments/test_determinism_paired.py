@@ -13,7 +13,7 @@ sides see the same representation (floats survive the round-trip exactly).
 
 import json
 
-from repro.experiments.harness import run_experiment
+from repro.experiments.harness import MobileGridExperiment
 
 from tests.experiments.determinism_fixture import (
     FIXTURE_CONFIG,
@@ -22,9 +22,16 @@ from tests.experiments.determinism_fixture import (
 )
 
 
+def object_metrics() -> dict:
+    """The fixture configuration's metrics from the object harness (the
+    reference; ``run_experiment`` runs this config on the columnar
+    engine)."""
+    result = MobileGridExperiment(FIXTURE_CONFIG).run()
+    return json.loads(json.dumps(collect_metrics(result)))
+
+
 def test_metrics_bit_identical_to_golden_baseline():
-    result = run_experiment(FIXTURE_CONFIG)
-    current = json.loads(json.dumps(collect_metrics(result)))
+    current = object_metrics()
     baseline = json.loads(FIXTURE_PATH.read_text())
     # Compare section by section so a failure names the drifting metric
     # instead of dumping two multi-thousand-line dicts.
@@ -43,6 +50,4 @@ def test_metrics_bit_identical_to_golden_baseline():
 
 def test_same_config_runs_are_identical():
     """Two in-process runs of the same seed agree with each other too."""
-    a = json.loads(json.dumps(collect_metrics(run_experiment(FIXTURE_CONFIG))))
-    b = json.loads(json.dumps(collect_metrics(run_experiment(FIXTURE_CONFIG))))
-    assert a == b
+    assert object_metrics() == object_metrics()

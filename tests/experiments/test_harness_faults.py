@@ -1,5 +1,6 @@
 """Harness fault-injection wiring and fast-path parity tests."""
 
+import functools
 from dataclasses import replace
 
 import pytest
@@ -160,6 +161,12 @@ def churn_schedule(hazard=0.2, mean_outage=3.0, start=0.0, duration=21.0):
     )
 
 
+def tap(receive, seen, update, record=None):
+    """Note *update* in *seen*, then hand it to the broker's *receive*."""
+    seen.add((update.node_id, update.timestamp))
+    receive(update, record)
+
+
 def record_presence(experiment):
     """Wrap the harness's churn tracker; returns the (node, time, presence) log."""
     tracker = experiment._churn
@@ -186,13 +193,6 @@ class TestHarnessChurn:
         assert result.ideal.total_lus == online < len(log)
 
     def test_every_reconnection_transmits_on_every_filter_lane(self):
-        transmitted = {}
-
-        def observe(lane, update):
-            transmitted.setdefault(lane, set()).add(
-                (update.node_id, update.timestamp)
-            )
-
         config = replace(
             tiny_config(
                 duration=30.0,
@@ -201,7 +201,14 @@ class TestHarnessChurn:
             ),
             dth_factors=(0.75, 1.25),
         )
-        experiment = MobileGridExperiment(config, lu_observer=observe)
+        experiment = MobileGridExperiment(config)
+        transmitted = {lane.name: set() for lane in experiment.lanes}
+        for lane in experiment.lanes:
+            # Each LU a lane transmits reaches its with-LE broker once.
+            broker = lane.broker_with_le
+            broker.receive_update = functools.partial(
+                tap, broker.receive_update, transmitted[lane.name]
+            )
         log = record_presence(experiment)
         result = experiment.run()
         returns = {

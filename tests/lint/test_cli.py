@@ -100,12 +100,11 @@ class TestRepoCleanGate:
         assert sorted(documented) == sorted([*catalog, PARSE_ERROR_CODE])
 
     def test_only_the_inlined_store_suppresses_a_finding(self):
-        """Inline suppressions in src/ stay at the one kept fast path.
+        """No inline suppression is left in src/.
 
-        ``GridBroker.receive_update`` inlines ``LocationDB.store`` because
-        it measurably pays; its two lines that read the DB's privates
-        carry ``disable=INV002`` with the reason.  A new private peek
-        elsewhere needs a public accessor, not a suppression.
+        The last two, on the broker's inlined ``LocationDB.store``, went
+        with the inlined copy.  A new private peek needs a public
+        accessor, not a suppression.
         """
         suppressed = []
         for path in sorted((REPO_ROOT / "src").rglob("*.py")):
@@ -115,12 +114,5 @@ class TestRepoCleanGate:
                     if token.type == tokenize.COMMENT and re.match(
                         r"#\s*lint:\s*disable", token.string
                     ):
-                        code = token.line[: token.start[1]].strip()
-                        suppressed.append((rel, code, token.string))
-        assert [(rel, code) for rel, code, _ in suppressed] == [
-            ("src/repro/broker/broker.py", "latest = db._latest"),
-            ("src/repro/broker/broker.py", "db._t_nodes.set(len(latest))"),
-        ]
-        for _, _, comment in suppressed:
-            # The one code, then its reason in parentheses.
-            assert re.fullmatch(r"# lint: disable=INV002 \(.+\)", comment)
+                        suppressed.append((rel, token.string))
+        assert suppressed == []

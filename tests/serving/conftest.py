@@ -4,7 +4,7 @@ import pytest
 
 from repro.experiments import ExperimentConfig
 from repro.mobility.population import PopulationSpec
-from repro.serving import record_trace
+from repro.serving import record_columnar_trace
 
 
 def tiny_config(duration=15.0, seed=11):
@@ -25,4 +25,4 @@ def tiny_config(duration=15.0, seed=11):
 @pytest.fixture(scope="session")
 def tiny_trace():
     """One recorded (meta, records) pair, shared across the session."""
-    return record_trace(tiny_config())
+    return record_columnar_trace(tiny_config())

@@ -16,7 +16,7 @@ import pytest
 from repro.serving import (
     ReplayConfig,
     ServingConfig,
-    record_trace,
+    record_columnar_trace,
     run_recovery_gate,
     write_filtered_export,
 )
@@ -26,7 +26,7 @@ from tests.serving.conftest import tiny_config
 @pytest.fixture(scope="module")
 def second_trace():
     """A second seed so convergence isn't an accident of one stream."""
-    return record_trace(tiny_config(seed=7))
+    return record_columnar_trace(tiny_config(seed=7))
 
 
 def gate(trace, tmp_path, **kw):

@@ -1,4 +1,4 @@
-"""Tests for the LU trace format and the harness capture hook."""
+"""Tests for the LU trace format and the columnar capture hook."""
 
 import json
 from dataclasses import replace
@@ -6,16 +6,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.core.columnar.kernels import FAST_KERNEL
+from repro.experiments import MobileGridExperiment
 from repro.geometry import Vec2
 from repro.network.messages import LocationUpdate
 from repro.serving import (
     ColumnarTraceRecorder,
     TraceError,
     TraceRecord,
-    TraceRecorder,
     read_trace,
     record_columnar_trace,
-    record_trace,
     write_trace,
 )
 
@@ -195,24 +195,28 @@ class TestNonFiniteRows:
         assert [r.seq for r in got] == [0, 1, 2]
 
 
-class TestRecorder:
-    def test_lane_filtering(self):
-        recorder = TraceRecorder("adf-1")
-        update = LocationUpdate(sender="n", timestamp=0.0, seq=0, node_id="n")
-        recorder("ideal", update)
-        recorder("adf-1", update)
-        assert len(recorder.records) == 1
+def object_stream(config, lane):
+    """The LUs the object harness transmits on *lane*, as trace records,
+    tapped at the lane's with-LE broker (which receives each one once)."""
+    experiment = MobileGridExperiment(config)
+    broker = experiment.lane(lane).broker_with_le
+    records = []
+    receive = broker.receive_update
 
-    def test_unknown_lane_fails_fast(self):
-        with pytest.raises(KeyError):
-            record_trace(tiny_config(duration=5.0), lane="no-such-lane")
+    def tap(update, record=None):
+        records.append(TraceRecord.from_update(update))
+        receive(update, record)
+
+    broker.receive_update = tap
+    experiment.run()
+    return records
 
 
-class TestRecordTrace:
+class TestRecordColumnarTrace:
     def test_capture_is_seed_deterministic(self, tmp_path, tiny_trace):
         meta, records = tiny_trace
         path = tmp_path / "again.jsonl"
-        meta2, records2 = record_trace(tiny_config(), path=path)
+        meta2, records2 = record_columnar_trace(tiny_config(), path=path)
         assert meta2 == meta
         assert records2 == records
         # and the on-disk form round-trips the in-memory capture
@@ -221,10 +225,23 @@ class TestRecordTrace:
 
     def test_meta_provenance(self, tiny_trace):
         meta, records = tiny_trace
-        assert meta["lane"] == "adf-1"
-        assert meta["seed"] == 11
+        assert meta == {
+            "lane": "adf-1",
+            "seed": 11,
+            "duration": 15.0,
+            "report_interval": 1.0,
+            "node_count": meta["node_count"],
+            "cluster_mode": "exact",
+            "kernel": "exact",
+        }
         assert meta["node_count"] > 0
         assert records, "the ADF lane should transmit at least some LUs"
+
+    def test_fast_kernel_says_so(self):
+        meta, _ = record_columnar_trace(
+            tiny_config(duration=3.0), kernel=FAST_KERNEL
+        )
+        assert meta["kernel"] == "fast"
 
     def test_per_node_time_and_seq_monotone(self, tiny_trace):
         """The trace invariant the store's duplicate gate relies on."""
@@ -239,40 +256,18 @@ class TestRecordTrace:
 
     def test_ideal_lane_records_superset(self):
         config = tiny_config(duration=6.0)
-        _, adf = record_trace(config, lane="adf-1")
-        _, ideal = record_trace(config, lane="ideal")
+        _, adf = record_columnar_trace(config, lane="adf-1")
+        _, ideal = record_columnar_trace(config, lane="ideal")
         assert len(ideal) > len(adf)
 
-
-class TestRecordColumnarTrace:
-    def test_capture_is_seed_deterministic(self, tmp_path):
-        config = tiny_config(duration=6.0)
-        path = tmp_path / "columnar.jsonl"
-        meta, records = record_columnar_trace(config, path=path)
-        meta2, records2 = record_columnar_trace(config)
-        assert meta2 == meta
-        assert records2 == records
-        meta3, records3 = read_trace(path)
-        assert (meta3, records3) == (meta, records)
-
-    def test_meta_provenance(self):
-        meta, records = record_columnar_trace(tiny_config(duration=6.0))
-        assert meta["engine"] == "columnar"
-        assert meta["cluster_mode"] == "exact"
-        assert meta["lane"] == "adf-1"
-        assert meta["node_count"] > 0
-        assert records, "the ADF lane should transmit at least some LUs"
-
-    def test_per_node_time_and_seq_monotone(self):
-        """The synthesised seq must satisfy the store's duplicate gate."""
-        _, records = record_columnar_trace(tiny_config(duration=6.0))
-        last = {}
-        for record in records:
-            if record.node_id in last:
-                prev_seq, prev_time = last[record.node_id]
-                assert record.seq > prev_seq
-                assert record.time >= prev_time
-            last[record.node_id] = (record.seq, record.time)
+    def test_lane_filtering(self):
+        recorder = ColumnarTraceRecorder("adf-1")
+        recorder.bind(["n0", "n1"], ["road-1"])
+        columns = (np.zeros(2),) * 4
+        codes = np.zeros(2, dtype=np.int64)
+        recorder("ideal", 1.0, np.arange(2), *columns, codes, np.zeros(2))
+        recorder("adf-1", 1.0, np.arange(1), *columns, codes, np.zeros(2))
+        assert [(r.node_id, r.seq) for r in recorder.records] == [("n0", 0)]
 
     def test_unknown_lane_fails_fast(self):
         with pytest.raises(ValueError):
@@ -287,13 +282,14 @@ class TestRecordColumnarTrace:
                 np.zeros(1),
             )
 
-    def test_matches_object_recorder_on_exact_kernel(self):
-        """Same config, same lane: the columnar capture transmits the
-        same (time, node) events as the object harness (seq numbering
-        differs by design — the columnar engine synthesises it)."""
+    def test_matches_object_recorder_on_exact_kernel(self, tmp_path):
+        """Same config, same lane: the columnar capture is the LU stream
+        the object harness transmits, byte for byte, ``seq`` included."""
         config = tiny_config(duration=6.0)
-        _, obj = record_trace(config, lane="adf-1")
-        _, col = record_columnar_trace(config, lane="adf-1")
-        obj_events = [(r.time, r.node_id, r.x, r.y, r.region_id) for r in obj]
-        col_events = [(r.time, r.node_id, r.x, r.y, r.region_id) for r in col]
-        assert sorted(col_events) == sorted(obj_events)
+        for lane in ("adf-1", "ideal"):
+            meta, col = record_columnar_trace(config, lane=lane)
+            obj = object_stream(config, lane)
+            assert col == obj, lane
+            a = write_trace(col, tmp_path / f"col-{lane}.trace", meta=meta)
+            b = write_trace(obj, tmp_path / f"obj-{lane}.trace", meta=meta)
+            assert a.read_bytes() == b.read_bytes(), lane
