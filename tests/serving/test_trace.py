@@ -16,6 +16,7 @@ from repro.serving import (
     TraceRecord,
     read_trace,
     record_columnar_trace,
+    record_trace,
     write_trace,
 )
 
@@ -212,11 +213,29 @@ def object_stream(config, lane):
     return records
 
 
-class TestRecordColumnarTrace:
+class TestRecorder:
+    def test_lane_filtering(self):
+        recorder = ColumnarTraceRecorder("adf-1")
+        recorder.bind(["n0", "n1"], ["road-1"])
+        columns = (np.zeros(2),) * 4
+        codes = np.zeros(2, dtype=np.int64)
+        recorder("ideal", 1.0, np.arange(2), *columns, codes, np.zeros(2))
+        recorder("adf-1", 1.0, np.arange(1), *columns, codes, np.zeros(2))
+        assert [(r.node_id, r.seq) for r in recorder.records] == [("n0", 0)]
+
+    def test_unknown_lane_fails_fast(self):
+        with pytest.raises(ValueError, match="unknown lane 'no-such-lane'"):
+            record_trace(tiny_config(duration=5.0), lane="no-such-lane")
+
+
+class TestRecordTrace:
+    """``record_trace``, the name the e2e benchmark suite records with,
+    checked on the session's shared ``tiny_trace`` capture."""
+
     def test_capture_is_seed_deterministic(self, tmp_path, tiny_trace):
         meta, records = tiny_trace
         path = tmp_path / "again.jsonl"
-        meta2, records2 = record_columnar_trace(tiny_config(), path=path)
+        meta2, records2 = record_trace(tiny_config(), path=path)
         assert meta2 == meta
         assert records2 == records
         # and the on-disk form round-trips the in-memory capture
@@ -237,12 +256,6 @@ class TestRecordColumnarTrace:
         assert meta["node_count"] > 0
         assert records, "the ADF lane should transmit at least some LUs"
 
-    def test_fast_kernel_says_so(self):
-        meta, _ = record_columnar_trace(
-            tiny_config(duration=3.0), kernel=FAST_KERNEL
-        )
-        assert meta["kernel"] == "fast"
-
     def test_per_node_time_and_seq_monotone(self, tiny_trace):
         """The trace invariant the store's duplicate gate relies on."""
         _, records = tiny_trace
@@ -256,18 +269,49 @@ class TestRecordColumnarTrace:
 
     def test_ideal_lane_records_superset(self):
         config = tiny_config(duration=6.0)
-        _, adf = record_columnar_trace(config, lane="adf-1")
-        _, ideal = record_columnar_trace(config, lane="ideal")
+        _, adf = record_trace(config, lane="adf-1")
+        _, ideal = record_trace(config, lane="ideal")
         assert len(ideal) > len(adf)
 
-    def test_lane_filtering(self):
-        recorder = ColumnarTraceRecorder("adf-1")
-        recorder.bind(["n0", "n1"], ["road-1"])
-        columns = (np.zeros(2),) * 4
-        codes = np.zeros(2, dtype=np.int64)
-        recorder("ideal", 1.0, np.arange(2), *columns, codes, np.zeros(2))
-        recorder("adf-1", 1.0, np.arange(1), *columns, codes, np.zeros(2))
-        assert [(r.node_id, r.seq) for r in recorder.records] == [("n0", 0)]
+
+class TestRecordColumnarTrace:
+    def test_capture_is_seed_deterministic(self, tmp_path):
+        config = tiny_config(duration=6.0)
+        path = tmp_path / "columnar.jsonl"
+        meta, records = record_columnar_trace(config, path=path)
+        meta2, records2 = record_columnar_trace(config)
+        assert meta2 == meta
+        assert records2 == records
+        meta3, records3 = read_trace(path)
+        assert (meta3, records3) == (meta, records)
+
+    def test_meta_provenance(self):
+        meta, records = record_columnar_trace(
+            tiny_config(duration=6.0), lane="ideal"
+        )
+        assert meta["kernel"] == "exact"
+        assert meta["cluster_mode"] == "exact"
+        assert meta["lane"] == "ideal"
+        assert meta["duration"] == 6.0
+        assert meta["node_count"] > 0
+        assert records, "the ideal lane transmits every report"
+
+    def test_fast_kernel_says_so(self):
+        meta, _ = record_columnar_trace(
+            tiny_config(duration=3.0), kernel=FAST_KERNEL
+        )
+        assert meta["kernel"] == "fast"
+
+    def test_per_node_time_and_seq_monotone(self):
+        """The stamped seq must satisfy the store's duplicate gate."""
+        _, records = record_columnar_trace(tiny_config(duration=6.0))
+        last = {}
+        for record in records:
+            if record.node_id in last:
+                prev_seq, prev_time = last[record.node_id]
+                assert record.seq > prev_seq
+                assert record.time >= prev_time
+            last[record.node_id] = (record.seq, record.time)
 
     def test_unknown_lane_fails_fast(self):
         with pytest.raises(ValueError):
