@@ -65,8 +65,9 @@ def recorded_trace(tmp_path_factory):
 
     Recorded once, then written and loaded back — replaying a trace
     *file* is what the serving CLI does.  Every round replays the same
-    loaded batch, so the WAL packs its rows' entries from the columns
-    once per trace instead of on every replay.
+    loaded batch, so the WAL packs its rows (fixed blocks and encoded id
+    tables) once per trace instead of on every replay; each round's
+    group appends gather from that packing.
     """
     meta, records = record_columnar_trace(TRACE_CONFIG)
     path = write_trace(

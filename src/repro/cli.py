@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Callable
+from typing import Any
 
 from repro.experiments import (
     ExperimentConfig,
@@ -535,24 +536,19 @@ def _parse_axis_token(token: str) -> object:
 def _smoke_spec() -> "SweepSpec":
     """A tiny 2x2 grid over a reduced population (the CI smoke sweep)."""
     from repro.experiments import SweepSpec
-    from repro.mobility.population import PopulationSpec
 
-    base = ExperimentConfig(
-        duration=8.0,
-        dth_factors=(1.0,),
-        population=PopulationSpec(
-            road_humans_per_road=1,
-            road_vehicles_per_road=1,
-            building_stop=1,
-            building_random=1,
-            building_linear=1,
-        ),
-    )
     return SweepSpec.from_axes(
         {"duration": (6.0, 8.0), "channel_loss": (0.0, 0.01)},
-        base=base,
+        base=_smoke_config(duration=8.0, dth_factors=(1.0,)),
         replications=1,
     )
+
+
+def _smoke_config(**fields: Any) -> ExperimentConfig:
+    """*fields* over one node of each kind per region (the smoke runs)."""
+    from repro.mobility.population import PopulationSpec
+
+    return ExperimentConfig(population=PopulationSpec(1, 1, 1, 1, 1), **fields)
 
 
 @register_target(
@@ -562,20 +558,9 @@ def _smoke_spec() -> "SweepSpec":
 def _chaos_target(args: argparse.Namespace) -> int:
     """Fault-intensity sweep; prints (and optionally exports) the report."""
     from repro.experiments import ChaosConfig, chaos_sweep
-    from repro.mobility.population import PopulationSpec
 
     if args.smoke:
-        config = ExperimentConfig(
-            duration=40.0,
-            seed=args.seed,
-            population=PopulationSpec(
-                road_humans_per_road=1,
-                road_vehicles_per_road=1,
-                building_stop=1,
-                building_random=1,
-                building_linear=1,
-            ),
-        )
+        config = _smoke_config(duration=40.0, seed=args.seed)
         intensities = tuple(args.intensities or (0.0, 0.6))
     else:
         config = _build_config(args)
@@ -628,13 +613,20 @@ def _sweep_target(args: argparse.Namespace) -> int:
     return 0
 
 
+class _UsageError(Exception):
+    """A bad option or input file: one line on stderr, exit code 2."""
+
+
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.config:
         from dataclasses import replace
 
         from repro.experiments.config_io import load_config
 
-        config = load_config(args.config)
+        try:
+            config = load_config(args.config)
+        except ValueError as error:
+            raise _UsageError(f"--config {args.config}: {error}") from error
         return replace(
             config,
             duration=args.duration,
@@ -787,6 +779,14 @@ def _figure_target(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_lane(config: ExperimentConfig, lane: str) -> None:
+    """Refuse a ``--trace-lane`` that a run of *config* does not have."""
+    if lane not in config.lane_names:
+        raise _UsageError(
+            f"unknown --trace-lane {lane!r}; have {', '.join(config.lane_names)}"
+        )
+
+
 @register_target(
     "serving",
     description="broker-as-a-service: record / replay LU traces at rate",
@@ -803,19 +803,8 @@ def _serving_target(args: argparse.Namespace) -> int:
     from repro.telemetry import Telemetry, TelemetryConfig
 
     if args.smoke:
-        from repro.mobility.population import PopulationSpec
-
-        config = ExperimentConfig(
-            duration=20.0,
-            seed=args.seed,
-            population=PopulationSpec(
-                road_humans_per_road=1,
-                road_vehicles_per_road=1,
-                building_stop=1,
-                building_random=1,
-                building_linear=1,
-            ),
-        )
+        config = _smoke_config(duration=20.0, seed=args.seed)
+        _check_lane(config, args.trace_lane)
         meta, records = record_columnar_trace(
             config, lane=args.trace_lane, path=args.record
         )
@@ -835,6 +824,7 @@ def _serving_target(args: argparse.Namespace) -> int:
         if reason is not None:
             print(f"serving --record: {reason}", file=sys.stderr)
             return 2
+        _check_lane(config, args.trace_lane)
         meta, records = record_columnar_trace(
             config, lane=args.trace_lane, path=args.record
         )
@@ -940,18 +930,11 @@ def _population_scaling_target(args: argparse.Namespace) -> int:
         print(f"recorded trace to {args.record_trace}")
     if args.export_json:
         import json
+        from dataclasses import asdict
 
         payload = [
             {
-                "target_nodes": p.target_nodes,
-                "node_count": p.node_count,
-                "reduction": p.reduction,
-                "lu_rate": p.lu_rate,
-                "ideal_lu_rate": p.ideal_lu_rate,
-                "rmse_with_le": p.rmse_with_le,
-                "wall_seconds": p.wall_seconds,
-                "steps": p.steps,
-                "peak_rss_mb": p.peak_rss_mb,
+                **asdict(p),
                 "node_steps_per_second": p.node_steps_per_second,
                 "cluster_mode": args.cluster_mode,
             }
@@ -970,7 +953,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.target is None or args.list_targets:
         print(list_targets())
         return 0
-    return _HANDLERS[args.target](args)
+    try:
+        return _HANDLERS[args.target](args)
+    except _UsageError as error:
+        print(f"{args.target}: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -507,24 +507,15 @@ class ColumnarExperiment:
         n_regions = len(self.resolver.region_ids)
         self._bin_width = min(1.0, cfg.report_interval)
         self._size_bytes = LocationUpdate.size_bytes
+        # The config names the lanes: ideal, then one per DTH factor for
+        # each filter kind, so the factors repeat after the ideal lane.
+        factors = (None, *cfg.dth_factors, *cfg.dth_factors)
         self.lanes: list[_ColumnarLane] = [
-            _ColumnarLane("ideal", "ideal", None, n, n_regions, cfg.smoothing_alpha)
-        ]
-        for factor in cfg.dth_factors:
-            self.lanes.append(
-                _ColumnarLane(
-                    f"adf-{factor:g}", "adf", factor, n, n_regions,
-                    cfg.smoothing_alpha,
-                )
+            _ColumnarLane(
+                name, name.partition("-")[0], factor, n, n_regions, cfg.smoothing_alpha
             )
-        if cfg.include_general_df:
-            for factor in cfg.dth_factors:
-                self.lanes.append(
-                    _ColumnarLane(
-                        f"gdf-{factor:g}", "gdf", factor, n, n_regions,
-                        cfg.smoothing_alpha,
-                    )
-                )
+            for name, factor in zip(cfg.lane_names, factors)
+        ]
         self.adf_brain = _AdfBrain(
             cfg.adf_config(cfg.dth_factors[0]), n, kernel, cluster_mode
         )

@@ -66,6 +66,14 @@ class ExperimentConfig:
             report_interval=self.report_interval,
         )
 
+    @property
+    def lane_names(self) -> tuple[str, ...]:
+        """The lanes a run has: ``ideal``, ``adf-<factor>`` per DTH factor,
+        then ``gdf-<factor>`` per factor with the general DF on."""
+        kinds = ("adf", "gdf") if self.include_general_df else ("adf",)
+        factors = [f"{factor:g}" for factor in self.dth_factors]
+        return ("ideal", *(f"{kind}-{f}" for kind in kinds for f in factors))
+
     def steps(self) -> int:
         """Number of reporting intervals in the run."""
         return int(round(self.duration / self.report_interval))

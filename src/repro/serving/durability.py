@@ -16,7 +16,7 @@ deterministic function of its applied-LU/tick sequence and
 :meth:`~repro.serving.store.ColumnShard.load_image` restores the
 snapshot point exactly.
 
-WAL format (``repro-shard-wal`` version 2)
+WAL format (``repro-shard-wal`` version 3)
 ------------------------------------------
 
 A flat sequence of length+checksum framed records::
@@ -24,42 +24,43 @@ A flat sequence of length+checksum framed records::
     [u32 length (LE)] [u32 crc32(payload) (LE)] [payload bytes]
 
 Frame 0 is the file header, UTF-8 JSON
-``{"base_lsn": N, "format": "repro-shard-wal", "shard": i, "version": 2}``;
-every further frame is one entry, a binary payload whose first byte is
-its tag:
+``{"base_lsn": N, "format": "repro-shard-wal", "shard": i, "version": 3}``;
+every further frame is a binary payload whose first byte is its tag:
 
-* ``L`` — one *applied* LU (post-dedup: the WAL records what the shard
-  actually absorbed, so replay needs no gate logic).  Little-endian
-  ``<d q d d d d d`` (time, seq, x, y, vx, vy, dth), then the ``u32``
-  byte length of the node id, the node id, and the region id filling
-  the rest of the payload.  Ids are UTF-8 with ``surrogatepass``, so
-  any id a JSON trace can carry (a lone surrogate included) is logged.
+* ``B`` — a group of *applied* LUs (post-dedup: the WAL records what
+  the shard absorbed, so replay needs no gate logic), one group per
+  :meth:`WriteAheadLog.append_update`: a ``u32`` row count, then per
+  row a 64-byte block — :data:`~repro.serving.trace.LU_NUMBERS` and the
+  ``u32`` byte lengths of its node and region ids — then the rows' node
+  ids, then their region ids (UTF-8, ``surrogatepass``, so a lone
+  surrogate a JSON trace can carry is logged too).
 * ``T`` — one estimation sweep boundary: ``<d`` (now).
 
-An applied batch's fixed blocks are packed at once from its columns
-(one structured array and ``tobytes``), so the logged bytes depend only
-on the decoded values, never on the trace file's spelling.  Recovery
-reads the fixed blocks of a tail back with one ``numpy.frombuffer``.
-:func:`read_wal` also returns each entry in its diagnostic list shape,
-``["lu", time, seq, node_id, x, y, vx, vy, region_id, dth]`` or
-``["tick", now]``.  A version-1 (JSON entry) WAL raises
-:class:`WalError`.
+A batch is packed once, however many shards and replays log its rows:
+its blocks as one array, its id tables encoded once each.  A group
+append is then array gathers, one ``join`` and one CRC, with no Python
+call per row.  :func:`read_wal` returns each entry in its diagnostic
+list shape, ``["lu", time, seq, node_id, x, y, vx, vy, region_id,
+dth]`` or ``["tick", now]``.  A version-1 (JSON entries) or version-2
+(a frame per LU) WAL raises :class:`WalError`.
 
-Entries carry implicit log sequence numbers: the first entry frame in a
-file has LSN ``base_lsn + 1``.  Compaction rewrites the file with a new
-``base_lsn`` (atomically, via a temp file and ``os.replace``), so LSNs
-are absolute across the shard's lifetime and a snapshot taken at LSN
-``k`` pairs with any WAL whose ``base_lsn <= k``.  The writer keeps the
-end offset of every frame it flushed, so compaction copies the
-surviving frames' bytes from there without reading the rest back.
+Entries carry implicit log sequence numbers, a group's rows consecutive
+ones: the first entry has LSN ``base_lsn + 1``.  Compaction rewrites the
+file with a new ``base_lsn`` (atomically, via a temp file and
+``os.replace``), so LSNs are absolute across the shard's lifetime and a
+snapshot taken at LSN ``k`` pairs with any WAL whose ``base_lsn <= k``.
+The writer keeps the end offset and last LSN of every frame it flushed,
+so compaction copies the surviving frames' bytes from there without
+reading the rest back, re-packing a group the cut falls inside.
 
 Torn tails are expected, not fatal: :func:`read_wal` scans frames and
 stops at the first incomplete or checksum-failing one, or at the first
 CRC-valid payload that does not decode, returning the longest valid
 prefix plus how many trailing bytes it discarded — exactly the contract
-a killed writer needs.  One walker, :func:`_frame_spans`, owns the
-framing rules; it checks lengths and CRCs only, so recovery (which
-skips the frames a snapshot covers) decodes no entry it does not
+a killed writer needs.  A torn group loses its whole flush, which was
+never durable.  One walker, :func:`_frame_spans`, owns the framing
+rules; it checks lengths and CRCs only, so recovery (which counts the
+frames a snapshot covers from their heads) decodes no entry it does not
 return.  One decoder, :func:`_decode_entries`, owns the entry layout.
 
 Snapshot format (``repro-shard-snapshot`` version 2)
@@ -84,8 +85,9 @@ import json
 import os
 import struct
 import zlib
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, islice
+from itertools import accumulate, count, islice
 from pathlib import Path
 from typing import Any, Callable
 
@@ -115,7 +117,7 @@ __all__ = [
 ]
 
 WAL_FORMAT = "repro-shard-wal"
-WAL_VERSION = 2
+WAL_VERSION = 3
 SNAPSHOT_FORMAT = "repro-shard-snapshot"
 SNAPSHOT_VERSION = 2
 
@@ -123,21 +125,21 @@ SNAPSHOT_VERSION = 2
 _FRAME_HEADER = struct.Struct("<II")
 
 #: Entry tags: the first byte of every entry payload.
-_LU_TAG = ord("L")
+_GROUP_TAG = ord("B")
 _TICK_TAG = ord("T")
 
-#: An ``lu`` entry's fixed block: the tag, the row's numbers and the byte
-#: length of its node id (packed, so 61 bytes); the ids follow it.
-_LU_BLOCK = np.dtype([("tag", "u1"), *LU_NUMBERS, ("node_len", "<u4")])
+#: A group's head: the tag and its row count.
+_GROUP_HEAD = struct.Struct("<BI")
+
+#: One row of a group: its numbers and the byte lengths of its node and
+#: region ids (packed, so 64 bytes); the rows' ids follow the blocks.
+_GROUP_ROW = np.dtype([*LU_NUMBERS, ("node_len", "<u4"), ("region_len", "<u4")])
 
 #: A ``tick`` entry: the tag and the sweep's time.
 _TICK = struct.Struct("<Bd")
 
-#: The row columns an ``lu`` entry's fixed block carries.
+#: The row columns a group's fixed blocks carry.
 _LU_COLUMNS = tuple(name for name, _ in LU_NUMBERS)
-
-#: Every column of a :class:`TraceBatch`.
-_BATCH_COLUMNS = (*_LU_COLUMNS, "node", "region")
 
 
 class WalError(ValueError):
@@ -181,156 +183,166 @@ def _frame_spans(data: bytes) -> tuple[list[tuple[int, int]], int]:
     return spans, offset
 
 
-def _lu_frames(batch: TraceBatch) -> list[bytes]:
-    """The ``lu`` entry frame of every row of *batch*.
-
-    The fixed blocks of all rows are packed at once from the columns;
-    each id is encoded once, per id table entry.
-    """
-    node_ids = [node.encode("utf-8", "surrogatepass") for node in batch.node_ids]
-    region_ids = [r.encode("utf-8", "surrogatepass") for r in batch.region_ids]
-    block = np.empty(len(batch), _LU_BLOCK)
-    block["tag"] = _LU_TAG
-    for name in _LU_COLUMNS:
-        block[name] = getattr(batch, name)
-    block["node_len"] = np.fromiter(map(len, node_ids), np.uint32, len(node_ids))[
-        batch.node
-    ]
-    fixed = block.tobytes()
-    width = _LU_BLOCK.itemsize
-    pack = _FRAME_HEADER.pack
-    crc32 = zlib.crc32
-    frames = []
-    for start, node, region in zip(
-        range(0, len(fixed), width),
-        map(node_ids.__getitem__, batch.node.tolist()),
-        map(region_ids.__getitem__, batch.region.tolist()),
-    ):
-        payload = fixed[start : start + width] + node + region
-        frames.append(pack(len(payload), crc32(payload)) + payload)
-    return frames
-
-
-@dataclass(frozen=True)
-class _Entries:
-    """Decoded WAL entries, in append order, held as columns."""
-
-    #: Per entry: True for a ``tick``, False for an ``lu``.
-    is_tick: NDArray[Any]
-    #: The ``lu`` entries' rows (a :class:`TraceBatch` of all of them).
-    lus: TraceBatch
-    #: The ``tick`` entries' times.
-    ticks: list[float]
-
-    def __len__(self) -> int:
-        return len(self.is_tick)
-
-    def lists(self) -> list[list[Any]]:
-        """Each entry in its diagnostic list shape."""
-        lus = (["lu", *record.to_row()] for record in self.lus)
-        ticks = (["tick", now] for now in self.ticks)
-        return [next(ticks) if tick else next(lus) for tick in self.is_tick.tolist()]
-
-    def runs(self) -> list[TraceBatch | float]:
-        """The entries as runs of ``lu`` rows split at ``tick`` times."""
-        lus = self.lus
-        tick_at = np.flatnonzero(self.is_tick)
-        cuts = (tick_at - np.arange(len(tick_at))).tolist() + [len(lus)]
-        runs: list[TraceBatch | float] = []
-        start = 0
-        for cut, now in zip(cuts, [*self.ticks, None]):
-            if cut > start:
-                runs.append(_slice(lus, start, cut))
-            if now is not None:
-                runs.append(now)
-            start = cut
-        return runs
-
-
-def _slice(batch: TraceBatch, start: int, stop: int) -> TraceBatch:
-    """Rows *start* to *stop* of *batch*, sharing its id tables."""
-    return TraceBatch(
-        **{name: getattr(batch, name)[start:stop] for name in _BATCH_COLUMNS},
-        node_ids=batch.node_ids,
-        region_ids=batch.region_ids,
+def _pack_rows(batch: TraceBatch) -> tuple[NDArray[Any], NDArray[Any], NDArray[Any]]:
+    """*batch* packed for groups: every row's fixed block, in one array of
+    opaque 64-byte items (which gather as a plain copy), and the encoded
+    node and region id tables, each id encoded once."""
+    node_ids, region_ids = (
+        np.array([text.encode("utf-8", "surrogatepass") for text in ids], object)
+        for ids in (batch.node_ids, batch.region_ids)
     )
+    fixed = np.empty(len(batch), _GROUP_ROW)
+    for name in _LU_COLUMNS:
+        fixed[name] = getattr(batch, name)
+    for name, ids, codes in (
+        ("node_len", node_ids, batch.node),
+        ("region_len", region_ids, batch.region),
+    ):
+        fixed[name] = np.fromiter(map(len, ids), np.uint32, len(ids))[codes]
+    return fixed.view((np.void, _GROUP_ROW.itemsize)), node_ids, region_ids
+
+
+def _group_rows(data: bytes, start: int, stop: int, rows: int) -> NDArray[Any] | None:
+    """The *rows* fixed blocks of the group payload ``data[start:stop]``,
+    or None when they and the id bytes they count do not fill it exactly."""
+    ids_at = start + _GROUP_HEAD.size + rows * _GROUP_ROW.itemsize
+    if ids_at > stop:
+        return None
+    fixed = np.frombuffer(data, _GROUP_ROW, rows, start + _GROUP_HEAD.size)
+    ids = sum(int(fixed[name].sum()) for name in ("node_len", "region_len"))
+    return fixed if ids == stop - ids_at else None
+
+
+def _drop_rows(payload: bytes, drop: int) -> bytes:
+    """The group *payload*, which the writer framed, without its first
+    *drop* rows."""
+    rows = _GROUP_HEAD.unpack_from(payload)[1]
+    fixed = np.frombuffer(payload, _GROUP_ROW, rows, _GROUP_HEAD.size)
+    nodes_at = _GROUP_HEAD.size + fixed.nbytes
+    regions_at = nodes_at + int(fixed["node_len"].sum())
+    return b"".join(
+        [
+            _GROUP_HEAD.pack(_GROUP_TAG, rows - drop),
+            fixed[drop:].tobytes(),
+            payload[nodes_at + int(fixed["node_len"][:drop].sum()) : regions_at],
+            payload[regions_at + int(fixed["region_len"][:drop].sum()) :],
+        ]
+    )
+
+
+#: Decoded WAL entries in append order: runs of ``lu`` rows split at
+#: ``tick`` times.
+_Runs = list[TraceBatch | float]
+
+
+def _entry_lists(runs: _Runs) -> list[list[Any]]:
+    """Each entry of *runs* in its diagnostic list shape."""
+    return [
+        entry
+        for run in runs
+        for entry in (
+            [["tick", run]]
+            if isinstance(run, float)
+            else (["lu", *record.to_row()] for record in run)
+        )
+    ]
 
 
 def _decode_entries(
-    data: bytes, spans: list[tuple[int, int]], end: int
-) -> tuple[_Entries, int]:
-    """Decode the entry payloads at *spans*, in order.
+    data: bytes, spans: list[tuple[int, int]], end: int, skip: int = 0
+) -> tuple[_Runs, int]:
+    """Decode the entries of the frames at *spans*, in order, past the
+    first *skip*.
 
     Stops at the first payload that does not decode — an unknown tag, a
-    short block, a node id running past the payload, a tick of the wrong
-    size or an id that is not UTF-8 — and returns the entries before it
-    with the offset of that frame's start, or *end*, the walk's stopping
-    offset, when every payload decodes.
+    tick of the wrong size, a short group head, rows or id bytes that
+    run past the payload or fall short of its end, or an id that is not
+    UTF-8 — and returns the entries before that frame with the offset of
+    its start, or *end*, the walk's stopping offset, when every payload
+    decodes.  A frame wholly among the first *skip* entries is counted
+    from its head, not decoded: the writer frames only well-formed
+    entries, so it is trusted on its CRC.
     """
-    count = len(spans)
-    start, stop = np.array(spans, dtype=np.int64).reshape(count, 2).T
-    size = stop - start
-    tag = np.zeros(count, np.uint8)
-    tag[size > 0] = np.frombuffer(data, np.uint8)[start[size > 0]]
-    is_tick = (tag == _TICK_TAG) & (size == _TICK.size)
-    width = _LU_BLOCK.itemsize
-    lu_at = np.flatnonzero((tag == _LU_TAG) & (size >= width))
-    block = np.frombuffer(
-        b"".join([data[s : s + width] for s in start[lu_at].tolist()]), _LU_BLOCK
-    )
-    valid = is_tick.copy()
-    valid[lu_at] = start[lu_at] + width + block["node_len"] <= stop[lu_at]
-    decoded = count if valid.all() else int(np.argmin(valid))
-    node_table: dict[str, int] = {}
-    region_table: dict[str, int] = {}
-    pairs: dict[bytes, tuple[int, int]] = {}
-    codes: list[tuple[int, int]] = []
-    # Each row's id bytes (the node id's length, the node id, the region
-    # id) are decoded once per distinct value.
-    for entry, id_start, id_stop in zip(
-        lu_at.tolist(), (start[lu_at] + width - 4).tolist(), stop[lu_at].tolist()
-    ):
-        if entry >= decoded:
+    runs: _Runs = []
+    # The open run's groups: fixed blocks, node ids and region ids.
+    groups: list[tuple[NDArray[Any], list[bytes], list[bytes]]] = []
+    texts: dict[bytes, str] = {}
+    for start, stop in spans:
+        tag = data[start] if stop > start else None
+        if tag == _TICK_TAG and stop - start == _TICK.size:
+            entries = 1
+        elif tag == _GROUP_TAG and stop - start >= _GROUP_HEAD.size:
+            entries = _GROUP_HEAD.unpack_from(data, start)[1]
+        else:
+            end = start - _FRAME_HEADER.size
             break
-        key = data[id_start:id_stop]
-        pair = pairs.get(key)
-        if pair is None:
+        if skip and entries <= skip:
+            skip -= entries
+            continue
+        if tag == _TICK_TAG:
+            runs += [_run(groups, texts)] if groups else []
+            runs.append(_TICK.unpack_from(data, start)[1])
+            groups = []
+            continue
+        fixed = _group_rows(data, start, stop, entries)
+        ids = None if fixed is None else _id_keys(data, start, fixed, texts)
+        if fixed is None or ids is None:
+            end = start - _FRAME_HEADER.size
+            break
+        # A group the snapshot covers in part loses its covered rows.
+        groups.append((fixed[skip:], ids[0][skip:], ids[1][skip:]))
+        skip = 0
+    return runs + ([_run(groups, texts)] if groups else []), end
+
+
+def _run(
+    groups: list[tuple[NDArray[Any], list[bytes], list[bytes]]],
+    texts: dict[bytes, str],
+) -> TraceBatch:
+    """The rows of consecutive *groups*, ids decoded through *texts*."""
+    fixed = np.concatenate([rows for rows, _, _ in groups])
+    node, node_ids = _codes([key for _, keys, _ in groups for key in keys], texts)
+    region, region_ids = _codes([key for _, _, keys in groups for key in keys], texts)
+    return TraceBatch(
+        **{name: fixed[name].copy() for name in _LU_COLUMNS},
+        node=node,
+        region=region,
+        node_ids=node_ids,
+        region_ids=region_ids,
+    )
+
+
+def _id_keys(
+    data: bytes, start: int, fixed: NDArray[Any], texts: dict[bytes, str]
+) -> tuple[list[bytes], list[bytes]] | None:
+    """The node and region id bytes of the group payload at *start*, whose
+    fixed blocks are *fixed*, or None when one is not UTF-8.
+
+    Each id not yet in *texts* is decoded into it.
+    """
+    at = start + _GROUP_HEAD.size + fixed.nbytes
+    columns = []
+    for name in ("node_len", "region_len"):
+        ends = (at + np.cumsum(fixed[name], dtype=np.int64)).tolist()
+        columns.append(list(map(data.__getitem__, map(slice, [at, *ends], ends))))
+        at = ends[-1] if ends else at
+    for key in dict.fromkeys(columns[0] + columns[1]):
+        if key not in texts:
             try:
-                pair = pairs[key] = _intern_ids(key, node_table, region_table)
+                texts[key] = key.decode("utf-8", "surrogatepass")
             except UnicodeDecodeError:
-                decoded = entry
-                break
-        codes.append(pair)
-    block = block[: len(codes)]
-    is_tick = is_tick[:decoded]
-    tick_start = start[:decoded][is_tick] + 1
-    ticks = np.frombuffer(
-        b"".join([data[s : s + 8] for s in tick_start.tolist()]), "<f8"
-    )
-    ids = np.array(codes, dtype=np.int64).reshape(len(codes), 2)
-    lus = TraceBatch(
-        **{name: block[name].copy() for name in _LU_COLUMNS},
-        node=ids[:, 0].copy(),
-        region=ids[:, 1].copy(),
-        node_ids=tuple(node_table),
-        region_ids=tuple(region_table),
-    )
-    if decoded < count:
-        end = spans[decoded][0] - _FRAME_HEADER.size
-    return _Entries(is_tick=is_tick, lus=lus, ticks=ticks.tolist()), end
+                return None
+    return columns[0], columns[1]
 
 
-def _intern_ids(
-    key: bytes, node_table: dict[str, int], region_table: dict[str, int]
-) -> tuple[int, int]:
-    """The node and region codes of an ``lu`` entry's id bytes *key*."""
-    split = 4 + int.from_bytes(key[:4], "little")
-    node = key[4:split].decode("utf-8", "surrogatepass")
-    region = key[split:].decode("utf-8", "surrogatepass")
-    return (
-        node_table.setdefault(node, len(node_table)),
-        region_table.setdefault(region, len(region_table)),
-    )
+def _codes(
+    keys: list[bytes], texts: dict[bytes, str]
+) -> tuple[NDArray[Any], tuple[str, ...]]:
+    """Codes of the ids *keys* into a table of them in first-seen order,
+    and that table, decoded through *texts*."""
+    table = dict(zip(dict.fromkeys(keys), count()))
+    codes = np.fromiter(map(table.__getitem__, keys), np.int64, len(keys))
+    return codes, tuple(map(texts.__getitem__, table))
 
 
 def scan_frames(data: bytes) -> tuple[list[Any], int]:
@@ -342,8 +354,8 @@ def scan_frames(data: bytes) -> tuple[list[Any], int]:
     tail.  A frame is intact only when its length fits, its CRC matches
     and its payload decodes as a WAL entry.
     """
-    entries, valid = _decode_entries(data, *_frame_spans(data))
-    return entries.lists(), valid
+    runs, valid = _decode_entries(data, *_frame_spans(data))
+    return _entry_lists(runs), valid
 
 
 @dataclass(frozen=True)
@@ -361,37 +373,14 @@ class WalContents:
         return self.base_lsn + len(self.entries) + 1
 
 
-@dataclass(frozen=True)
-class _WalFrames:
-    """A WAL file's bytes, its validated header and its intact entry frames."""
-
-    data: bytes
-    shard: int
-    base_lsn: int
-    #: Payload spans of the CRC-checked entry frames, header excluded.
-    entry_spans: list[tuple[int, int]]
-    #: Offset the frame walk stopped at.
-    end: int
-
-    def decode(self, skip: int = 0) -> tuple[_Entries, int]:
-        """Decode the entries past the first *skip*; returns them and the
-        torn-tail byte count.
-
-        The writer frames only well-formed entries, so a frame whose CRC
-        matches decodes: the skipped frames are trusted on their CRC alone.
-        """
-        entries, valid = _decode_entries(
-            self.data, self.entry_spans[skip:], self.end
-        )
-        return entries, len(self.data) - valid
-
-
-def _read_frames(path: str | Path) -> _WalFrames:
-    """Read a WAL file and walk its frames, decoding only the header.
+def _read_wal(path: str | Path, past_lsn: int = 0) -> tuple[int, int, _Runs, int]:
+    """Read a WAL file: its shard, its base LSN, its entries with LSNs
+    past *past_lsn* (the frames of those before are counted, not
+    decoded) and how many torn-tail bytes follow its valid prefix.
 
     Raises :class:`WalError` when the file has no intact, well-formed
     header frame — that is not a torn write, it is not a WAL — or when
-    it is not a version-2 WAL.
+    it is not a version-3 WAL.
     """
     data = Path(path).read_bytes()
     spans, end = _frame_spans(data)
@@ -410,13 +399,10 @@ def _read_frames(path: str | Path) -> _WalFrames:
         raise WalError(
             f"{path}: unsupported WAL version {header.get('version')!r}"
         )
-    return _WalFrames(
-        data=data,
-        shard=int(header.get("shard", 0)),
-        base_lsn=int(header.get("base_lsn", 0)),
-        entry_spans=spans[1:],
-        end=end,
-    )
+    base_lsn = int(header.get("base_lsn", 0))
+    skip = max(past_lsn - base_lsn, 0)
+    runs, valid = _decode_entries(data, spans[1:], end, skip)
+    return int(header.get("shard", 0)), base_lsn, runs, len(data) - valid
 
 
 def read_wal(path: str | Path) -> WalContents:
@@ -425,14 +411,8 @@ def read_wal(path: str | Path) -> WalContents:
     Raises :class:`WalError` when the file has no intact, well-formed
     header frame — that is not a torn write, it is not a WAL.
     """
-    wal = _read_frames(path)
-    entries, torn_bytes = wal.decode()
-    return WalContents(
-        shard=wal.shard,
-        base_lsn=wal.base_lsn,
-        entries=entries.lists(),
-        torn_bytes=torn_bytes,
-    )
+    shard, base_lsn, runs, torn_bytes = _read_wal(path)
+    return WalContents(shard, base_lsn, _entry_lists(runs), torn_bytes)
 
 
 class WriteAheadLog:
@@ -461,14 +441,18 @@ class WriteAheadLog:
         self.appended = 0
         self.flushes = 0
         self.fsyncs = 0
+        #: Appended-but-unflushed frames, and the LSN each one ends at.
         self._buffer: list[bytes] = []
+        self._pending: list[int] = []
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = self.path.open("wb")
         header = frame(self._header_payload())
         self._fh.write(header)
         self._fh.flush()
-        #: File offset where the header and each flushed entry frame end.
+        #: File offset where the header and each flushed frame end, and
+        #: the LSN of the last entry up to there.
         self._ends = [len(header)]
+        self._lsns = [base_lsn]
         if self.fsync:
             os.fsync(self._fh.fileno())
             self.fsyncs += 1
@@ -492,7 +476,7 @@ class WriteAheadLog:
         LSN already compacted *into* a snapshot, so "entries strictly
         past LSN k" is always ``entries[k - base_lsn:]``.
         """
-        return self.base_lsn + len(self._ends) + len(self._buffer)
+        return (self._pending or self._lsns)[-1] + 1
 
     @property
     def last_lsn(self) -> int:
@@ -500,29 +484,41 @@ class WriteAheadLog:
         return self.next_lsn - 1
 
     def append_update(self, batch: TraceBatch, rows: NDArray[Any]) -> int:
-        """Append *batch*'s *rows* (applied LUs), in order; returns the
-        last one's LSN.
+        """Append *batch*'s *rows* (applied LUs), in order, as one group;
+        returns the last one's LSN.
 
-        Each entry is the row's ``L`` payload, packed from the batch's
-        columns.  A batch is framed once, with the batch, however many
-        shards and replays log its rows.
+        The group is gathered from the batch's packed rows.  A batch is
+        packed once, with the batch, however many shards and replays log
+        its rows.
         """
-        frames = batch.memo(_lu_frames)
-        self._buffer += map(frames.__getitem__, rows.tolist())
-        self.appended += len(rows)
+        if len(rows):
+            fixed, node_ids, region_ids = batch.memo(_pack_rows)
+            payload = b"".join(
+                [
+                    _GROUP_HEAD.pack(_GROUP_TAG, len(rows)),
+                    fixed[rows].tobytes(),
+                    *node_ids[batch.node[rows]].tolist(),
+                    *region_ids[batch.region[rows]].tolist(),
+                ]
+            )
+            self._append(payload, len(rows))
         return self.last_lsn
 
     def append_tick(self, now: float) -> int:
         """Append one estimation-sweep boundary; returns its LSN."""
-        self._buffer.append(frame(_TICK.pack(_TICK_TAG, now)))
-        self.appended += 1
+        self._append(_TICK.pack(_TICK_TAG, now), 1)
         return self.last_lsn
+
+    def _append(self, payload: bytes, entries: int) -> None:
+        self._pending.append(self.next_lsn - 1 + entries)
+        self._buffer.append(frame(payload))
+        self.appended += entries
 
     def flush(self) -> int:
         """Write buffered frames; returns how many entries became durable."""
         if not self._buffer:
             return 0
-        flushed = len(self._buffer)
+        flushed = self._pending[-1] - self._lsns[-1]
         self._fh.write(b"".join(self._buffer))
         self._fh.flush()
         if self.fsync:
@@ -531,14 +527,17 @@ class WriteAheadLog:
         self._ends += islice(
             accumulate(map(len, self._buffer), initial=self._ends[-1]), 1, None
         )
+        self._lsns += self._pending
         self._buffer.clear()
+        self._pending.clear()
         self.flushes += 1
         return flushed
 
     def drop_buffer(self) -> int:
         """Discard appended-but-unflushed entries (the crash's lost window)."""
-        dropped = len(self._buffer)
+        dropped = self.last_lsn - self._lsns[-1]
         self._buffer.clear()
+        self._pending.clear()
         self.appended -= dropped
         return dropped
 
@@ -549,20 +548,28 @@ class WriteAheadLog:
         frames' bytes, read from the offsets this writer recorded, via a
         temp file and an atomic ``os.replace``, so a crash mid-compaction
         leaves either the old or the new file intact; with ``fsync`` the
-        directory is fsynced after the rename.
+        directory is fsynced after the rename.  A group the cut falls
+        inside is re-packed with its rows past the cut.
         """
         self.flush()
-        ends = self._ends
-        keep_from = min(upto_lsn - self.base_lsn, len(ends) - 1)
-        if keep_from <= 0:
+        ends, lsns = self._ends, self._lsns
+        upto_lsn = min(upto_lsn, lsns[-1])
+        dropped = upto_lsn - self.base_lsn
+        if dropped <= 0:
             return 0
-        survivors = b""
-        if keep_from < len(ends) - 1:
-            with self.path.open("rb") as source:
-                source.seek(ends[keep_from])
-                survivors = source.read(ends[-1] - ends[keep_from])
+        keep_from = bisect_right(lsns, upto_lsn) - 1
+        with self.path.open("rb") as source:
+            source.seek(ends[keep_from])
+            survivors = source.read(ends[-1] - ends[keep_from])
+        if lsns[keep_from] < upto_lsn:
+            straddling = ends[keep_from + 1] - ends[keep_from]
+            payload = survivors[_FRAME_HEADER.size : straddling]
+            survivors = (
+                frame(_drop_rows(payload, upto_lsn - lsns[keep_from]))
+                + survivors[straddling:]
+            )
         self._fh.close()
-        self.base_lsn += keep_from
+        self.base_lsn = upto_lsn
         header = frame(self._header_payload())
         tmp = self.path.with_suffix(self.path.suffix + ".tmp")
         with tmp.open("wb") as out:
@@ -575,10 +582,13 @@ class WriteAheadLog:
         os.replace(tmp, self.path)
         if self.fsync:
             _fsync_directory(self.path.parent)
-        shift = len(header) - ends[keep_from]
-        self._ends = [end + shift for end in ends[keep_from:]]
+        # Every frame past the first survivor keeps its bytes, so it ends
+        # as far from the file's end as it did.
+        shift = len(header) + len(survivors) - ends[-1]
+        self._ends = [len(header), *(end + shift for end in ends[keep_from + 1 :])]
+        self._lsns = [upto_lsn, *lsns[keep_from + 1 :]]
         self._fh = self.path.open("ab")
-        return keep_from
+        return dropped
 
     def close(self) -> None:
         """Flush and close the underlying file."""
@@ -703,9 +713,8 @@ class DurabilityConfig:
     disables periodic snapshots, leaving recovery to full-log replay.
     ``fsync`` batches an ``os.fsync`` per flush window, and fsyncs each
     snapshot (file, then directory) before its WAL is compacted — off by
-    default
-    because the deterministic replay harness cares about write *order*,
-    not storage-power-loss semantics.
+    default because the deterministic replay harness cares about write
+    *order*, not storage-power-loss semantics.
     """
 
     snapshot_every: int = 0
@@ -885,15 +894,14 @@ class DurabilityManager:
         snap_path = self.snapshot_path(index)
         if snap_path.exists():
             snapshot_lsn, image = load_snapshot(snap_path)
-        wal = _read_frames(self.wal_path(index))
-        entries, torn_bytes = wal.decode(max(snapshot_lsn - wal.base_lsn, 0))
+        _, _, tail, torn_bytes = _read_wal(self.wal_path(index), snapshot_lsn)
         recovered = RecoveredShard(
             shard=index,
             image=image,
-            tail=entries.runs(),
+            tail=tail,
             snapshot_lsn=snapshot_lsn,
             torn_bytes=torn_bytes,
-            replayed=len(entries),
+            replayed=sum(1 if isinstance(run, float) else len(run) for run in tail),
         )
         self.stats.recoveries += 1
         self.stats.recovered_entries += recovered.replayed

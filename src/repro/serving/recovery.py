@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -82,26 +82,10 @@ class RecoveryGateReport:
 
     def to_json_dict(self) -> dict[str, Any]:
         """JSON-serialisable mapping (full nested reports included)."""
-        return {
-            "affected_nodes": list(self.affected_nodes),
-            "compared_nodes": self.compared_nodes,
-            "converged": self.converged,
-            "crash_at": self.crash_at,
-            "crash_shard": self.crash_shard,
-            "crashed": self.crashed.to_json_dict(),
-            "crashed_applied": self.crashed_applied,
-            "divergent_nodes": list(self.divergent_nodes),
-            "dropped_queued": self.dropped_queued,
-            "golden": self.golden.to_json_dict(),
-            "golden_applied": self.golden_applied,
-            "records": self.records,
-            "recovery_wall_s": self.recovery_wall_s,
-            "replayed": self.replayed,
-            "restart_at": self.restart_at,
-            "shed_while_down": self.shed_while_down,
-            "snapshot_every": self.snapshot_every,
-            "snapshot_lsn": self.snapshot_lsn,
-        }
+        document = asdict(self)
+        for name in ("affected_nodes", "divergent_nodes"):
+            document[name] = list(document[name])
+        return {**document, "converged": self.converged}
 
     def to_json(self) -> str:
         """Canonical (sorted-key, indented) JSON rendering."""

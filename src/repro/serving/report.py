@@ -19,6 +19,8 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
+from repro.serving.durability import DurabilityStats
+
 __all__ = ["ServingReport"]
 
 
@@ -95,6 +97,7 @@ class ServingReport:
         store = service.store
         latency = service.latency
         durability = service.durability
+        logged = durability.stats if durability else DurabilityStats()
         seconds = replay_seconds
         return cls(
             trace_meta=dict(trace_meta or {}),
@@ -118,14 +121,10 @@ class ServingReport:
             resyncs=store.resyncs,
             node_count=store.node_count,
             shard_sizes=store.shard_sizes(),
-            wal_appended=durability.stats.wal_appended if durability else 0,
-            wal_flushes=durability.stats.wal_flushes if durability else 0,
-            snapshots_written=(
-                durability.stats.snapshots_written if durability else 0
-            ),
-            compacted_entries=(
-                durability.stats.compacted_entries if durability else 0
-            ),
+            wal_appended=logged.wal_appended,
+            wal_flushes=logged.wal_flushes,
+            snapshots_written=logged.snapshots_written,
+            compacted_entries=logged.compacted_entries,
             crashes=stats.crashes,
             crash_dropped_queued=stats.crash_dropped_queued,
             shed_down=stats.shed_down,

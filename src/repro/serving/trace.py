@@ -17,7 +17,7 @@ Format (``repro-lu-trace`` version 2), which :func:`write_trace` writes:
   order of first appearance in the rows);
 * then ``records`` fixed 64-byte little-endian rows: the numeric block
   :data:`LU_NUMBERS` (``<d q d d d d d``: time, seq, x, y, vx, vy, dth,
-  the same block a WAL ``lu`` entry carries), then the ``u4`` node code
+  the same block each row of a WAL group carries), then the ``u4`` node code
   and the ``u4`` region code into the header's tables.
 
 The rows are packed from a batch's columns and read back with one
@@ -74,7 +74,7 @@ TRACE_FORMAT = "repro-lu-trace"
 PACKED_TRACE_VERSION = 2
 
 #: The numeric block of one LU, ``(field, dtype)`` in storage order: a
-#: packed trace row and a WAL ``lu`` entry both carry it.
+#: packed trace row and each row of a WAL group carry it.
 LU_NUMBERS: tuple[tuple[str, str], ...] = (
     ("time", "<f8"),
     ("seq", "<i8"),
@@ -622,6 +622,8 @@ def record_columnar_trace(
     from repro.core.columnar.engine import ColumnarExperiment
     from repro.core.columnar.kernels import EXACT_KERNEL
 
+    if lane not in config.lane_names:
+        raise ValueError(f"unknown lane {lane!r}; have {sorted(config.lane_names)}")
     recorder = ColumnarTraceRecorder(lane)
     experiment = ColumnarExperiment(
         config,
@@ -631,11 +633,6 @@ def record_columnar_trace(
         cluster_mode=cluster_mode,
         lu_observer=recorder,
     )
-    if lane not in {ln.name for ln in experiment.lanes}:
-        raise ValueError(
-            f"unknown lane {lane!r}; have "
-            f"{sorted(ln.name for ln in experiment.lanes)}"
-        )
     recorder.bind(experiment.node_ids, experiment.resolver.region_ids)
     experiment.run()
     meta: dict[str, Any] = {

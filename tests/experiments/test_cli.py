@@ -165,6 +165,20 @@ class TestServingCli:
         assert not trace.exists()
 
 
+    @pytest.mark.parametrize("mode", [["--smoke"], ["--duration", "5"]])
+    def test_unknown_trace_lane_exits_2(self, capsys, tmp_path, mode):
+        """A lane the config's run does not have exits 2 with one line
+        naming the lanes it has, before anything is recorded."""
+        trace = tmp_path / "t.trace"
+        assert main([
+            "serving", "--record", str(trace), "--trace-lane", "nope", *mode,
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "unknown --trace-lane 'nope'" in err and "adf-1" in err
+        assert len(err.splitlines()) == 1
+        assert not trace.exists()
+
+
 class TestSweepCli:
     GRID = (
         'replications = 1\n'

@@ -9,10 +9,10 @@ discarding an intact one.
 from __future__ import annotations
 
 import json
-import operator
 import os
 import struct
 import tempfile
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -23,9 +23,14 @@ from repro.geometry import Vec2
 from repro.network.messages import LocationUpdate
 from repro.serving import (
     IngestOutcome,
+    IngestService,
+    ReplayConfig,
+    ServingConfig,
     ShardedLocationStore,
     TraceRecord,
+    replay_trace_full,
 )
+from repro.serving import durability
 from repro.serving.durability import (
     SNAPSHOT_FORMAT,
     SNAPSHOT_VERSION,
@@ -63,27 +68,53 @@ _lu_entries = st.builds(
     _floats,
 )
 _tick_entries = st.builds(lambda now: ["tick", now], _floats)
-_entry = st.one_of(_lu_entries, _tick_entries)
-_entries = st.lists(_entry, max_size=8)
+# WAL frames in their list shapes: a tick, or a group of ``lu`` entries.
+_frame = st.one_of(_tick_entries, st.lists(_lu_entries, min_size=1, max_size=4))
+_frames = st.lists(_frame, max_size=6)
 
 
-def _payload(entry):
-    """The version-2 payload of one list-shaped entry, built from the
-    documented layout."""
-    if entry[0] == "tick":
-        return b"T" + struct.pack("<d", entry[1])
-    _, time, seq, node, x, y, vx, vy, region, dth = entry
-    node = node.encode("utf-8", "surrogatepass")
-    return (
-        b"L"
-        + struct.pack("<dqdddddI", time, seq, x, y, vx, vy, dth, len(node))
-        + node
-        + region.encode("utf-8", "surrogatepass")
+def _entries_of(frames):
+    """The entries *frames* hold, in order."""
+    return [
+        entry
+        for item in frames
+        for entry in ([item] if item[0] == "tick" else item)
+    ]
+
+
+def _payload(item):
+    """The version-3 payload of one frame in its list shape (a tick, or a
+    list of ``lu`` entries for a group), built from the documented
+    layout."""
+    if item[0] == "tick":
+        return b"T" + struct.pack("<d", item[1])
+    nodes = [entry[3].encode("utf-8", "surrogatepass") for entry in item]
+    regions = [entry[8].encode("utf-8", "surrogatepass") for entry in item]
+    fixed = b"".join(
+        struct.pack(
+            "<dqdddddII", time, seq, x, y, vx, vy, dth, len(node), len(region)
+        )
+        for (_, time, seq, _, x, y, vx, vy, _, dth), node, region in zip(
+            item, nodes, regions
+        )
     )
+    return b"B" + struct.pack("<I", len(item)) + fixed + b"".join(nodes + regions)
 
 
-def _encode(entries):
-    return b"".join(frame(_payload(e)) for e in entries)
+def _encode(frames):
+    return b"".join(frame(_payload(item)) for item in frames)
+
+
+def _frame_ends(frames):
+    """The byte offset where each of *frames* ends, encoded, and the
+    entry count up to there."""
+    ends = []
+    offset = count = 0
+    for item in frames:
+        offset += 8 + len(_payload(item))
+        count += 1 if item[0] == "tick" else len(item)
+        ends.append((offset, count))
+    return ends
 
 
 def lu(node="n1", t=0.0, seq=0, x=0.0, region="road-1", vx=1.0):
@@ -99,6 +130,11 @@ def lu(node="n1", t=0.0, seq=0, x=0.0, region="road-1", vx=1.0):
     )
 
 
+def as_entry(update):
+    """*update* as the ``lu`` entry list :func:`read_wal` returns."""
+    return ["lu", *TraceRecord.from_update(update).to_row()]
+
+
 def split_frames(data):
     """Raw frames of an intact WAL image, parsed from the length fields."""
     frames = []
@@ -110,12 +146,12 @@ def split_frames(data):
     return frames
 
 
-def wal_header(shard, base_lsn):
+def wal_header(shard, base_lsn, version=WAL_VERSION):
     document = {
         "base_lsn": base_lsn,
         "format": WAL_FORMAT,
         "shard": shard,
-        "version": WAL_VERSION,
+        "version": version,
     }
     return frame(
         json.dumps(document, sort_keys=True, separators=(",", ":")).encode()
@@ -124,56 +160,52 @@ def wal_header(shard, base_lsn):
 
 class TestFraming:
     @settings(max_examples=60, deadline=None)
-    @given(_entries)
-    def test_round_trip(self, entries):
-        data = _encode(entries)
+    @given(_frames)
+    def test_round_trip(self, frames):
+        data = _encode(frames)
         payloads, valid = scan_frames(data)
-        assert payloads == entries
+        assert payloads == _entries_of(frames)
         assert valid == len(data)
 
     @settings(max_examples=60, deadline=None)
-    @given(_entries, st.data())
+    @given(_frames, st.data())
     def test_truncation_at_any_offset_yields_longest_valid_prefix(
-        self, entries, data
+        self, frames, data
     ):
         """Crash-at-every-byte-offset: the scan never loses an intact
-        frame and never fabricates one from a torn tail."""
-        encoded = _encode(entries)
+        frame and never fabricates one from a torn tail; a torn group
+        loses all of its entries."""
+        encoded = _encode(frames)
+        entries = _entries_of(frames)
         cut = data.draw(st.integers(min_value=0, max_value=len(encoded)))
         payloads, valid = scan_frames(encoded[:cut])
-        # The survivors are a prefix of the original entries...
-        assert payloads == entries[: len(payloads)]
-        # ...the valid offset is consistent (rescanning reproduces it)...
-        assert scan_frames(encoded[:valid]) == (payloads, valid)
-        # ...and every frame wholly inside the cut survived: the valid
-        # prefix can only fall short of the cut by less than one frame.
-        assert valid <= cut
-        whole, _ = scan_frames(encoded)
-        frame_ends = []
-        offset = 0
-        for entry in whole:
-            offset += 8 + len(_payload(entry))
-            frame_ends.append(offset)
-        assert valid == max(
-            [end for end in frame_ends if end <= cut], default=0
+        # The valid prefix is exactly the frames wholly inside the cut...
+        valid_end, kept = max(
+            [(end, n) for end, n in _frame_ends(frames) if end <= cut],
+            default=(0, 0),
         )
+        assert valid == valid_end
+        assert payloads == entries[:kept]
+        # ...and rescanning it reproduces it.
+        assert scan_frames(encoded[:valid]) == (payloads, valid)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(_entry, min_size=1, max_size=8), st.data())
+    @given(st.lists(_frame, min_size=1, max_size=6), st.data())
     def test_single_byte_corruption_never_decodes_past_it(
-        self, entries, data
+        self, frames, data
     ):
         """CRC32 catches any single-byte flip: frames before the damage
         survive untouched, nothing at or past it is ever returned."""
-        encoded = bytearray(_encode(entries))
+        encoded = bytearray(_encode(frames))
         pos = data.draw(
             st.integers(min_value=0, max_value=len(encoded) - 1)
         )
         flip = data.draw(st.integers(min_value=1, max_value=255))
         encoded[pos] ^= flip
         payloads, valid = scan_frames(bytes(encoded))
-        assert payloads == entries[: len(payloads)]
         assert valid <= pos  # the corrupt frame itself never validates
+        assert (valid, len(payloads)) in [(0, 0), *_frame_ends(frames)]
+        assert payloads == _entries_of(frames)[: len(payloads)]
 
     def test_empty_and_header_only_inputs(self):
         assert scan_frames(b"") == ([], 0)
@@ -191,15 +223,28 @@ class TestFraming:
         assert scan_frames(bogus) == ([], 0)
 
 
-_FIXED = struct.pack("<dqddddd", 1.0, 1, 0.0, 0.0, 1.0, 0.0, 4.0)
+_NUMBERS = struct.pack("<dqddddd", 1.0, 1, 0.0, 0.0, 1.0, 0.0, 4.0)
+
+
+def _group(*rows, count=None):
+    """A group payload of *rows*, each ``(node_len, region_len, ids)``:
+    its head, its fixed blocks, then every row's id bytes."""
+    head = b"B" + struct.pack("<I", len(rows) if count is None else count)
+    fixed = b"".join(_NUMBERS + struct.pack("<II", n, r) for n, r, _ in rows)
+    return head + fixed + b"".join(ids for _, _, ids in rows)
+
 
 #: CRC-valid entry payloads that do not decode.
 _MALFORMED = {
-    "unknown tag": b"X" + _FIXED + struct.pack("<I", 2) + b"n1road-1",
-    "short fixed block": b"L" + _FIXED[:30],
-    "id length past the end": b"L" + _FIXED + struct.pack("<I", 9) + b"n1road-1",
+    "unknown tag": b"X" + _group((2, 6, b"n1road-1"))[1:],
+    "short group head": b"B\x01\x00",
+    "short fixed block": _group((2, 6, b"n1road-1"))[: 5 + 30],
+    "rows past the payload": _group((2, 6, b"n1road-1"), count=2),
+    "id length past the end": _group((9, 6, b"n1road-1")),
+    "trailing bytes": _group((2, 6, b"n1road-1")) + b"\x00",
     "tick with trailing bytes": b"T" + struct.pack("<d", 2.0) + b"\x00",
-    "id not UTF-8": b"L" + _FIXED + struct.pack("<I", 2) + b"\xffnroad-1",
+    "id not UTF-8": _group((2, 6, b"\xffnroad-1")),
+    "region id not UTF-8": _group((2, 6, b"n1road\xff1"), (2, 6, b"n2road-1")),
 }
 
 
@@ -208,12 +253,15 @@ class TestMalformedEntries:
     exactly as a torn frame does, and recovery never applies it."""
 
     def _write(self, path, bad):
-        good = [["lu", 1.0, 1, "n1", 0.0, 0.0, 1.0, 0.0, "road-1", 4.0], ["tick", 2.0]]
-        after = frame(_payload(["lu", 3.0, 2, "n1", 5.0, 0.0, 1.0, 0.0, "road-1", 4.0]))
+        good = [
+            [as_entry(lu(t=1.0, seq=1)), as_entry(lu(node="n2", t=1.5, seq=1))],
+            ["tick", 2.0],
+        ]
+        after = frame(_payload([as_entry(lu(t=3.0, seq=2, x=5.0))]))
         path.write_bytes(
             wal_header(0, 0) + _encode(good) + frame(bad) + after
         )
-        return good, len(frame(bad) + after)
+        return _entries_of(good), len(frame(bad) + after)
 
     @pytest.mark.parametrize("bad", _MALFORMED.values(), ids=_MALFORMED.keys())
     def test_read_stops_at_the_frame(self, tmp_path, bad):
@@ -221,19 +269,21 @@ class TestMalformedEntries:
         contents = read_wal(tmp_path / "s.wal")
         assert contents.entries == good
         assert contents.torn_bytes == torn
-        assert scan_frames(_encode(good) + frame(bad)) == (good, len(_encode(good)))
+        encoded = (tmp_path / "s.wal").read_bytes()[len(wal_header(0, 0)) :]
+        valid = len(encoded) - torn
+        assert scan_frames(encoded[:valid] + frame(bad)) == (good, valid)
 
     @pytest.mark.parametrize("bad", _MALFORMED.values(), ids=_MALFORMED.keys())
     def test_recovery_never_applies_it(self, tmp_path, bad):
         manager = DurabilityManager(tmp_path)
         _, torn = self._write(manager.wal_path(0), bad)
         recovered = manager.recover_shard(0)
-        assert (recovered.replayed, recovered.torn_bytes) == (2, torn)
+        assert (recovered.replayed, recovered.torn_bytes) == (3, torn)
         restored = ShardedLocationStore(1)
         restored.crash_shard(0)
-        assert restored.restore_shard(0, image=None, tail=recovered.tail) == 2
+        assert restored.restore_shard(0, image=None, tail=recovered.tail) == 3
         golden = ShardedLocationStore(1)
-        apply_one(golden, lu(t=1.0, seq=1))
+        golden.apply(*rows_of(lu(t=1.0, seq=1), lu(node="n2", t=1.5, seq=1)))
         golden.tick(2.0)
         assert restored.shard(0).state_dict() == golden.shard(0).state_dict()
         assert restored.export_state() == golden.export_state()
@@ -249,6 +299,18 @@ class TestMalformedEntries:
         with pytest.raises(WalError, match="unsupported WAL version 1"):
             read_wal(manager.wal_path(0))
         with pytest.raises(WalError, match="unsupported WAL version 1"):
+            manager.recover_shard(0)
+
+    def test_version_2_wal_is_refused(self, tmp_path):
+        """A version-2 WAL (one ``L`` frame per LU) raises, naming its
+        version."""
+        node, region = b"n1", b"road-1"
+        entry = b"L" + _NUMBERS + struct.pack("<I", len(node)) + node + region
+        manager = DurabilityManager(tmp_path)
+        manager.wal_path(0).write_bytes(wal_header(0, 0, version=2) + frame(entry))
+        with pytest.raises(WalError, match="unsupported WAL version 2"):
+            read_wal(manager.wal_path(0))
+        with pytest.raises(WalError, match="unsupported WAL version 2"):
             manager.recover_shard(0)
 
 
@@ -320,40 +382,61 @@ class TestWriteAheadLog:
         with pytest.raises(WalError, match="not a repro-shard-wal"):
             read_wal(tmp_path / "other.wal")
 
-    def test_wals_logging_one_batch_share_its_frames(self, tmp_path):
-        """A batch is framed once: every WAL that logs its rows appends
-        the same frame objects."""
-        batch, rows = rows_of(lu(seq=1), lu(seq=2, t=1.0))
+    def test_wals_logging_one_batch_pack_it_once(self, tmp_path, monkeypatch):
+        """A batch is packed once: every WAL that logs its rows, in any
+        order, gathers them from the same packed rows."""
+        packed = []
+
+        def counting_pack(batch):
+            packed.append(batch)
+            return pack_rows(batch)
+
+        pack_rows = durability._pack_rows
+        monkeypatch.setattr(durability, "_pack_rows", counting_pack)
+        updates = [lu(seq=1), lu(node="é-节点", seq=2, t=1.0)]
+        batch, rows = rows_of(*updates)
         first = WriteAheadLog(tmp_path / "first.wal")
         second = WriteAheadLog(tmp_path / "second.wal")
         first.append_update(batch, rows)
         second.append_update(batch, rows[::-1])
-        assert all(map(operator.is_, first._buffer, second._buffer[::-1]))
         first.close()
         second.close()
+        assert len(packed) == 1 and packed[0] is batch
+        entries = read_wal(tmp_path / "first.wal").entries
+        assert entries == [as_entry(update) for update in updates]
+        assert read_wal(tmp_path / "second.wal").entries == entries[::-1]
 
-    def test_batch_and_single_row_appends_byte_identical(self, tmp_path):
-        """Rows appended as one batch log the exact frames appended one
-        by one, and each payload is the documented ``L`` layout of the
-        row — whichever way a record went in, recovery and the
-        determinism gates see one encoding."""
+    def test_group_and_single_row_appends_decode_alike(self, tmp_path):
+        """Rows appended as one group decode to the entries, and take the
+        LSNs, that appending them one by one gives, and the group's
+        payload is the documented ``B`` layout of the rows — whichever
+        way a record went in, recovery and the determinism gates see the
+        same entries."""
         updates = [
-            lu(node=f"n{i}", t=0.1 + i / 3.0, seq=i, x=i / 7.0, vx=-i / 11.0)
+            lu(
+                node=f"n{i}" if i % 2 else "\ud800é",
+                t=0.1 + i / 3.0,
+                seq=i,
+                x=i / 7.0,
+                vx=-i / 11.0,
+                region=f"road-{i % 3}",
+            )
             for i in range(5)
         ]
-        batched = WriteAheadLog(tmp_path / "batched.wal")
-        assert batched.append_update(*rows_of(*updates)) == len(updates)
-        batched.close()
+        grouped = WriteAheadLog(tmp_path / "grouped.wal")
+        assert grouped.append_update(*rows_of(*updates)) == len(updates)
+        grouped.close()
         single = WriteAheadLog(tmp_path / "single.wal")
-        for update in updates:
-            single.append_update(*rows_of(update))
+        assert [single.append_update(*rows_of(u)) for u in updates] == [1, 2, 3, 4, 5]
         single.close()
-        data = (tmp_path / "batched.wal").read_bytes()
-        assert data == (tmp_path / "single.wal").read_bytes()
+        from_group = read_wal(tmp_path / "grouped.wal")
+        from_singles = read_wal(tmp_path / "single.wal")
+        assert from_group.entries == from_singles.entries
+        assert from_group.entries == [as_entry(u) for u in updates]
+        assert from_group.next_lsn == from_singles.next_lsn == len(updates) + 1
+        data = (tmp_path / "grouped.wal").read_bytes()
         payloads = [frame_bytes[8:] for frame_bytes in split_frames(data)[1:]]
-        assert payloads == [
-            _payload(["lu", *TraceRecord.from_update(u).to_row()]) for u in updates
-        ]
+        assert payloads == [_payload([as_entry(u) for u in updates])]
 
 
 # One WAL entry: an LU or a tick.
@@ -369,12 +452,22 @@ _wal_ops = st.lists(
 
 
 def _fill(wal, ops):
-    for seq, (kind, value) in enumerate(ops, start=1):
+    """Append *ops* and flush: a ``tick`` op's value is its time, a
+    ``group`` op's a list of x positions logged as one group, and any
+    other op's the x of one LU.  Every entry's LSN is its seq."""
+    seq = wal.last_lsn
+    for kind, value in ops:
         if kind == "tick":
+            seq += 1
             wal.append_tick(value)
             continue
-        update = lu(node=f"n{seq % 3}", t=float(seq), seq=seq, x=value)
-        wal.append_update(*rows_of(update))
+        xs = value if kind == "group" else [value]
+        seqs = range(seq + 1, seq + 1 + len(xs))
+        seq += len(xs)
+        updates = [
+            lu(node=f"n{n % 3}", t=float(n), seq=n, x=x) for n, x in zip(seqs, xs)
+        ]
+        wal.append_update(*rows_of(*updates))
     wal.flush()
 
 
@@ -433,22 +526,26 @@ class TestVerbatimCompaction:
     def test_compaction_at_every_lsn_keeps_exactly_the_surviving_frames(
         self, tmp_path
     ):
-        """From a WAL compacted once already, compacting at each LSN from
-        its base to its last leaves a fresh header followed by exactly the
-        frames of the entries ``read_wal`` returned past that LSN."""
-        ops = [("lu", 1.5), ("tick", 2.0), ("lu", -3.25), ("lu", 4.0)] * 3
+        """From a WAL compacted once already (inside a group), compacting
+        at each LSN from its base to its last leaves a fresh header
+        followed by exactly the frames of the entries ``read_wal``
+        returned past that LSN: whole frames past the cut as they were,
+        and a group the cut falls inside with its surviving rows only."""
+        ops = [("group", [1.5, -2.0, 0.5]), ("tick", 2.0), ("lu", -3.25)] * 2
+        ops += [("group", [4.0, 5.5])] * 2
 
         def build(path):
             wal = WriteAheadLog(path, shard=5)
-            _fill(wal, ops[:5])
-            wal.compact(3)
-            _fill(wal, ops[5:])
+            _fill(wal, ops[:4])
+            assert wal.compact(2) == 2
+            _fill(wal, ops[4:])
             return wal
 
+        sizes = [len(value) if kind == "group" else 1 for kind, value in ops]
         first = build(tmp_path / "probe.wal")
         base, last = first.base_lsn, first.last_lsn
         first.close()
-        assert (base, last) == (3, len(ops))
+        assert (base, last) == (2, sum(sizes))
         for upto in range(base, last + 1):
             path = tmp_path / f"upto-{upto}.wal"
             wal = build(path)
@@ -456,11 +553,17 @@ class TestVerbatimCompaction:
             assert wal.compact(upto) == upto - base
             wal.close()
             survivors = before.entries[upto - base :]
-            assert path.read_bytes() == wal_header(5, upto) + b"".join(
-                frame(_payload(entry)) for entry in survivors
-            )
+            # The surviving entries, cut into the frames that hold them.
+            frames, start = [], 0
+            for end in accumulate(sizes):
+                if end > upto:
+                    kept = survivors[max(start - upto, 0) : end - upto]
+                    frames.append(kept[0] if kept[0][0] == "tick" else kept)
+                start = end
+            assert path.read_bytes() == wal_header(5, upto) + _encode(frames)
             after = read_wal(path)
             assert (after.base_lsn, after.entries) == (upto, survivors)
+            assert after.next_lsn == before.next_lsn
 
 
 def _realistic_shard():
@@ -760,6 +863,51 @@ class TestSnapshotTailReplay:
         )
         assert recovered_store.export_state() == golden.export_state()
 
+    @pytest.mark.parametrize("snapshot_lsn", [2, 3, 4, 6])
+    def test_covered_frames_skipped_by_their_row_counts(
+        self, tmp_path, snapshot_lsn
+    ):
+        """Frames a snapshot covers (a crash between snapshot and
+        compaction leaves them) are skipped by their heads' entry counts,
+        and a snapshot inside a group replays only the group's later rows.
+        The WAL holds a 3-row group (LSNs 1-3), a tick (4) and a 5-row
+        group (5-9)."""
+        stream = self._stream(8)
+        now = stream[2].timestamp + 0.1
+        manager = DurabilityManager(tmp_path)
+        manager.bind(1)
+        wal = manager.wal(0)
+        wal.append_update(*rows_of(*stream[:3]))
+        wal.append_tick(now)
+        wal.append_update(*rows_of(*stream[3:]))
+        manager.close()
+        entries = [*stream[:3], now, *stream[3:]]
+
+        def applied(upto):
+            store = ShardedLocationStore(1)
+            for entry in entries[:upto]:
+                if isinstance(entry, float):
+                    store.tick(entry)
+                else:
+                    apply_one(store, entry)
+            return store
+
+        write_snapshot(
+            manager.snapshot_path(0),
+            shard=0,
+            lsn=snapshot_lsn,
+            image=applied(snapshot_lsn).shard_image(0),
+        )
+        recovered = manager.recover_shard(0)
+        assert recovered.snapshot_lsn == snapshot_lsn
+        assert recovered.replayed == len(entries) - snapshot_lsn
+        restored = ShardedLocationStore(1)
+        restored.crash_shard(0)
+        restored.restore_shard(0, image=recovered.image, tail=recovered.tail)
+        golden = applied(len(entries))
+        assert restored.shard(0).state_dict() == golden.shard(0).state_dict()
+        assert restored.export_state() == golden.export_state()
+
     def test_unflushed_window_is_the_only_loss(self, tmp_path):
         manager = DurabilityManager(tmp_path, DurabilityConfig())
         manager.bind(1)
@@ -821,3 +969,68 @@ class TestSnapshotTailReplay:
         with pytest.raises(RuntimeError, match="already bound"):
             manager.bind(2)
         manager.close()
+
+
+class TestTornFlush:
+    """A crash mid-write tears the last group frame: recovery loses that
+    whole flush, which was never durable, and nothing flushed before it."""
+
+    def test_every_cut_inside_the_last_group_recovers_the_frame_before(
+        self, tmp_path, monkeypatch, tiny_trace
+    ):
+        meta, records = tiny_trace
+        # Each shard's state at each LSN its WAL reached at the end of a
+        # flush window or a sweep, as the uncrashed shard had it.
+        states = {}
+        flush, tick = IngestService._flush, IngestService.tick
+
+        def capture(service):
+            for index in range(service.config.shards):
+                lsn = service.durability.wal(index).last_lsn
+                states[index, lsn] = service.store.shard(index).state_dict()
+
+        def flush_and_capture(service):
+            flush(service)
+            capture(service)
+
+        def tick_and_capture(service, now):
+            swept = tick(service, now)
+            capture(service)
+            return swept
+
+        monkeypatch.setattr(IngestService, "_flush", flush_and_capture)
+        monkeypatch.setattr(IngestService, "tick", tick_and_capture)
+        live = DurabilityManager(
+            tmp_path / "live", DurabilityConfig(snapshot_every=32, fsync=True)
+        )
+        replay = ReplayConfig(
+            rate=2000.0, sweep_interval=1.0, serving=ServingConfig(flush_interval=0.005)
+        )
+        _, service = replay_trace_full(
+            records, replay, trace_meta=meta, durability=live
+        )
+        live.close()
+        assert live.stats.snapshots_written > 0
+        store = service.store
+        torn = DurabilityManager(tmp_path / "torn")
+        torn.directory.mkdir()
+        for index in range(service.config.shards):
+            data = live.wal_path(index).read_bytes()
+            frames = split_frames(data)
+            last = max(i for i, raw in enumerate(frames) if raw[8:9] == b"B")
+            # The LSN of the frame before the last group.
+            previous_lsn = read_wal(live.wal_path(index)).base_lsn + sum(
+                1 if raw[8:9] == b"T" else int.from_bytes(raw[9:13], "little")
+                for raw in frames[1:last]
+            )
+            start = sum(map(len, frames[:last]))
+            snapshot = live.snapshot_path(index).read_bytes()
+            torn.snapshot_path(index).write_bytes(snapshot)
+            for cut in range(start, start + len(frames[last])):
+                torn.wal_path(index).write_bytes(data[:cut])
+                recovered = torn.recover_shard(index)
+                assert recovered.torn_bytes == cut - start
+                assert recovered.snapshot_lsn + recovered.replayed == previous_lsn
+                store.crash_shard(index)
+                store.restore_shard(index, image=recovered.image, tail=recovered.tail)
+                assert store.shard(index).state_dict() == states[index, previous_lsn]

@@ -12,7 +12,10 @@ Each WAL is also rendered back as the version-1 file it stands for
 (``shard-*.wal.v1``: a JSON header frame, then each entry
 :func:`~repro.serving.durability.read_wal` returns framed as compact
 JSON).  Those digests were taken from the version-1 writer, which
-logged JSON entries: the binary WALs hold exactly what it logged.
+logged JSON entries: the binary WALs hold exactly what it logged.  The
+eight ``shard-*.wal`` digests were re-taken when the WAL became version
+3 (one group frame per applied batch instead of one frame per LU); the
+renderings did not move.
 
 Each snapshot is also loaded into a fresh shard and rendered as the
 version-1 snapshot document (``shard-*.snap.json``: the shard's
@@ -66,7 +69,7 @@ GOLDEN = {
         "711056b543c171914df180b275475013993c06e61243ee1ac25d3a44a381d86b"
     ),
     "plain/shard-000.wal": (
-        "f225c6d84a3d19dc83bfbb3422d11b399d535287968f7298c550f8dd4463b36e"
+        "a237c9fca1aa818f54d12cd212e8bb1146f781293654a3c96daf607682c6fd96"
     ),
     "plain/shard-000.wal.v1": (
         "a7237c19532b4efcc0db5234cf4bd1ef501aa04eadc77d194b44fe8662d6b1bb"
@@ -78,7 +81,7 @@ GOLDEN = {
         "965c585733bf42001a547399555b361346d1574c033aff6eee4d15434fa972e6"
     ),
     "plain/shard-001.wal": (
-        "623cb88b0c75abbf692329a1396d66356f22bc29a3ff1e097c13a39c091e0cf9"
+        "cab50a12515a53cf29b492a60b7fc341f795219c91d9d9264b7a29d6b7af01e9"
     ),
     "plain/shard-001.wal.v1": (
         "430fff160ad6f1b1381f5b0ca7f1148b48797212c24ce04f8aee45627d575773"
@@ -90,7 +93,7 @@ GOLDEN = {
         "7a83e735d9653197203be5b69f39113ac74ad241d0b4273bcb0bad19011f182b"
     ),
     "plain/shard-002.wal": (
-        "ed10ea7a289c143ba6f5cc4583635c995d82f04e96a0bc6d6452189d558d878e"
+        "b4d2e9b06d241f0e186e0bb3ab899059ae959f2c7f5fd2a8e3258692f8155c74"
     ),
     "plain/shard-002.wal.v1": (
         "4868f1e8b3b7859700c834cb2ca32a196cf1b306a5a917748592a85352f00941"
@@ -102,7 +105,7 @@ GOLDEN = {
         "1a452f92c3a06fffcd4097983803af110fa7d35d9639673c4afbd1a6754a3556"
     ),
     "plain/shard-003.wal": (
-        "f1750dfdb0e180823ef40ca932c72f1d5498ebfe7efc0aa55fde7ec693c268b7"
+        "e392a25d031d734f83f852ad33d5cbb9418fc9207b1fa9fd79b0573e044e339e"
     ),
     "plain/shard-003.wal.v1": (
         "841a13d5eb69333d8d544448ddd9e4223b3ef38127ab4bd9f6028e6b7cf1b0da"
@@ -117,7 +120,7 @@ GOLDEN = {
         "711056b543c171914df180b275475013993c06e61243ee1ac25d3a44a381d86b"
     ),
     "telemetry/shard-000.wal": (
-        "f225c6d84a3d19dc83bfbb3422d11b399d535287968f7298c550f8dd4463b36e"
+        "a237c9fca1aa818f54d12cd212e8bb1146f781293654a3c96daf607682c6fd96"
     ),
     "telemetry/shard-000.wal.v1": (
         "a7237c19532b4efcc0db5234cf4bd1ef501aa04eadc77d194b44fe8662d6b1bb"
@@ -129,7 +132,7 @@ GOLDEN = {
         "965c585733bf42001a547399555b361346d1574c033aff6eee4d15434fa972e6"
     ),
     "telemetry/shard-001.wal": (
-        "623cb88b0c75abbf692329a1396d66356f22bc29a3ff1e097c13a39c091e0cf9"
+        "cab50a12515a53cf29b492a60b7fc341f795219c91d9d9264b7a29d6b7af01e9"
     ),
     "telemetry/shard-001.wal.v1": (
         "430fff160ad6f1b1381f5b0ca7f1148b48797212c24ce04f8aee45627d575773"
@@ -141,7 +144,7 @@ GOLDEN = {
         "7a83e735d9653197203be5b69f39113ac74ad241d0b4273bcb0bad19011f182b"
     ),
     "telemetry/shard-002.wal": (
-        "ed10ea7a289c143ba6f5cc4583635c995d82f04e96a0bc6d6452189d558d878e"
+        "b4d2e9b06d241f0e186e0bb3ab899059ae959f2c7f5fd2a8e3258692f8155c74"
     ),
     "telemetry/shard-002.wal.v1": (
         "4868f1e8b3b7859700c834cb2ca32a196cf1b306a5a917748592a85352f00941"
@@ -153,7 +156,7 @@ GOLDEN = {
         "1a452f92c3a06fffcd4097983803af110fa7d35d9639673c4afbd1a6754a3556"
     ),
     "telemetry/shard-003.wal": (
-        "f1750dfdb0e180823ef40ca932c72f1d5498ebfe7efc0aa55fde7ec693c268b7"
+        "e392a25d031d734f83f852ad33d5cbb9418fc9207b1fa9fd79b0573e044e339e"
     ),
     "telemetry/shard-003.wal.v1": (
         "841a13d5eb69333d8d544448ddd9e4223b3ef38127ab4bd9f6028e6b7cf1b0da"
